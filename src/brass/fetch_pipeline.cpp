@@ -63,80 +63,130 @@ uint64_t FetchPipeline::VersionOf(const Value& metadata) {
 
 void FetchPipeline::Fetch(const std::string& app, const Value& metadata,
                           const FetchOptions& options, Callback callback) {
-  m_.requests->Increment();
+  Waiter waiter{options.viewer, options.parent, std::move(callback), nullptr};
   if (!config_.enabled || options.bypass_cache) {
-    DirectFetch(app, metadata, options, std::move(callback));
+    m_.requests->Increment();
+    DirectFetch(app, metadata, std::move(waiter));
     return;
   }
-
-  std::string key = Key(app, metadata);
-  auto cached = cache_.find(key);
-  if (cached != cache_.end()) {
-    CacheEntry& entry = cached->second;
-    auto decision = entry.decisions.find(options.viewer);
-    if (decision != entry.decisions.end()) {
-      TouchLru(entry, key);
-      ServeFromCache(entry, key, options.viewer, options.parent, std::move(callback));
-      return;
-    }
-    // Payload cached but this viewer's decision is not (their stream
-    // arrived after the batched fetch): privacy-only top-up RPC.
-    StartOrJoinFlight(key + kPrivacyFlightSuffix, app, metadata, /*need_payload=*/false,
-                      entry.payload, Waiter{options.viewer, options.parent, std::move(callback)});
-    return;
-  }
-
-  StartOrJoinFlight(key, app, metadata, /*need_payload=*/true, Value(),
-                    Waiter{options.viewer, options.parent, std::move(callback)});
+  FetchKeyed(Key(app, metadata), app, metadata, std::span<Waiter>(&waiter, 1));
 }
 
-void FetchPipeline::ServeFromCache(const CacheEntry& entry, const std::string& key, UserId viewer,
-                                   const TraceContext& parent, Callback callback) {
-  (void)key;
+void FetchPipeline::FetchForViewers(const std::string& app, const Value& metadata,
+                                    const std::vector<UserId>& viewers,
+                                    const TraceContext& parent, BatchCallback callback) {
+  if (viewers.empty()) {
+    callback({}, Value());
+    return;
+  }
+  auto batch = std::make_shared<Batch>();
+  batch->outstanding = viewers.size();
+  batch->decisions.reserve(viewers.size());
+  batch->callback = std::move(callback);
+  std::vector<Waiter> waiters;
+  waiters.reserve(viewers.size());
+  for (UserId viewer : viewers) {
+    waiters.push_back(Waiter{viewer, parent, nullptr, batch});
+  }
+  if (!config_.enabled) {
+    for (Waiter& waiter : waiters) {
+      m_.requests->Increment();
+      DirectFetch(app, metadata, std::move(waiter));
+    }
+    return;
+  }
+  FetchKeyed(Key(app, metadata), app, metadata, waiters);
+}
+
+void FetchPipeline::Answer(Waiter& waiter, bool allowed, const Value& payload) {
+  if (waiter.batch == nullptr) {
+    // A denied viewer never receives the payload, exactly as an unbatched
+    // WAS fetch would have answered.
+    waiter.callback(allowed, allowed ? payload : Value());
+    return;
+  }
+  Batch& batch = *waiter.batch;
+  batch.decisions.emplace_back(waiter.viewer, allowed);
+  if (allowed && batch.payload.is_null()) {
+    batch.payload = payload;
+  }
+  if (--batch.outstanding == 0) {
+    batch.callback(std::move(batch.decisions), std::move(batch.payload));
+  }
+}
+
+void FetchPipeline::FetchKeyed(const std::string& key, const std::string& app,
+                               const Value& metadata, std::span<Waiter> waiters) {
+  // Nothing in this loop erases a cache entry or runs a callback (cache
+  // hits answer through Schedule(0)), so one cache lookup and one flight
+  // lookup serve every waiter.
+  auto cached = cache_.find(key);
+  CacheEntry* entry = cached != cache_.end() ? &cached->second : nullptr;
+  Flight* flight = nullptr;
+  for (Waiter& waiter : waiters) {
+    m_.requests->Increment();
+    if (entry != nullptr) {
+      auto decision = entry->decisions.find(waiter.viewer);
+      if (decision != entry->decisions.end()) {
+        TouchLru(*entry);
+        ServeFromCache(*entry, decision->second, std::move(waiter));
+        continue;
+      }
+    }
+    if (flight != nullptr) {
+      JoinFlight(*flight, std::move(waiter));
+    } else if (entry != nullptr) {
+      // Payload cached but this viewer's decision is not (their stream
+      // arrived after the batched fetch): privacy-only top-up RPC.
+      flight = &StartOrJoinFlight(key + kPrivacyFlightSuffix, key, app, metadata,
+                                  &entry->payload, std::move(waiter));
+    } else {
+      flight = &StartOrJoinFlight(key, key, app, metadata, nullptr, std::move(waiter));
+    }
+  }
+}
+
+void FetchPipeline::ServeFromCache(const CacheEntry& entry, bool allowed, Waiter waiter) {
   m_.cache_hits->Increment();
-  bool allowed = entry.decisions.at(viewer);
-  // A denied viewer never receives the payload, exactly as an unbatched
-  // WAS fetch would have answered.
-  Value payload = allowed ? entry.payload : Value();
-  if (trace_ != nullptr && parent.valid()) {
+  if (trace_ != nullptr && waiter.parent.valid()) {
     // Instant span: the fetch was served host-locally. Named distinctly
     // from "brass.fetch" so latency analyses over WAS round trips (e.g.
     // Table 3) keep measuring actual round trips.
-    TraceContext span =
-        trace_->RecordSpan(parent, "brass.fetch.cache", "brass", region_, ctx_.Now(), ctx_.Now());
+    TraceContext span = trace_->RecordSpan(waiter.parent, "brass.fetch.cache", "brass", region_,
+                                           ctx_.Now(), ctx_.Now());
     trace_->Annotate(span, "allowed", Value(allowed));
   }
   // Deliver asynchronously: applications expect fetch callbacks to run
   // after the calling event handler returns, cache hit or not.
-  auto cb = std::make_shared<Callback>(std::move(callback));
-  ctx_.Schedule(0, [cb, allowed, payload = std::move(payload)]() { (*cb)(allowed, payload); });
+  ctx_.Schedule(0, [waiter = std::move(waiter), allowed,
+                    payload = allowed ? entry.payload : Value()]() mutable {
+    Answer(waiter, allowed, payload);
+  });
 }
 
-void FetchPipeline::StartOrJoinFlight(const std::string& flight_key, const std::string& app,
-                                      const Value& metadata, bool need_payload,
-                                      Value cached_payload, Waiter waiter) {
+FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& flight_key,
+                                                        const std::string& key,
+                                                        const std::string& app,
+                                                        const Value& metadata,
+                                                        const Value* cached_payload,
+                                                        Waiter waiter) {
   auto it = flights_.find(flight_key);
   if (it != flights_.end()) {
-    m_.coalesced->Increment();
-    Flight& flight = it->second;
-    if (!flight.dispatched &&
-        std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
-            flight.rpc_viewers.end() &&
-        flight.rpc_viewers.size() < config_.max_batch_viewers) {
-      flight.rpc_viewers.push_back(waiter.viewer);
-    }
-    flight.waiters.push_back(std::move(waiter));
-    return;
+    JoinFlight(it->second, std::move(waiter));
+    return it->second;
   }
 
+  const bool need_payload = cached_payload == nullptr;
   Flight flight;
+  flight.key = key;
   flight.app = app;
   flight.metadata = metadata;
   flight.object_id = ObjectIdOf(metadata);
   flight.version = VersionOf(metadata);
   flight.need_payload = need_payload;
-  flight.cached_payload = std::move(cached_payload);
-  if (need_payload) {
+  if (!need_payload) {
+    flight.cached_payload = *cached_payload;
+  } else {
     // Prefetch decisions for every current viewer of the app on this host:
     // their streams will want this payload too, and one batched RPC is the
     // whole point (one round trip per host, not per stream).
@@ -153,9 +203,21 @@ void FetchPipeline::StartOrJoinFlight(const std::string& flight_key, const std::
     flight.rpc_viewers.push_back(waiter.viewer);
   }
   flight.waiters.push_back(std::move(waiter));
-  flights_.emplace(flight_key, std::move(flight));
+  Flight& started = flights_.emplace(flight_key, std::move(flight)).first->second;
   ctx_.Schedule(MillisF(config_.coalesce_window_ms),
                  [this, flight_key]() { DispatchFlight(flight_key); });
+  return started;
+}
+
+void FetchPipeline::JoinFlight(Flight& flight, Waiter waiter) {
+  m_.coalesced->Increment();
+  // Size first: once the batch is full, joining skips the viewer scan.
+  if (!flight.dispatched && flight.rpc_viewers.size() < config_.max_batch_viewers &&
+      std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
+          flight.rpc_viewers.end()) {
+    flight.rpc_viewers.push_back(waiter.viewer);
+  }
+  flight.waiters.push_back(std::move(waiter));
 }
 
 void FetchPipeline::DispatchFlight(const std::string& flight_key) {
@@ -214,7 +276,7 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
     }
     m_.rpc_failures->Increment();
     for (Waiter& waiter : flight.waiters) {
-      waiter.callback(false, Value(nullptr));
+      Answer(waiter, false, Value(nullptr));
     }
     return;
   }
@@ -246,11 +308,11 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
       entry.version = std::max(fetch->version, flight.version);
       entry.payload = fetch->payload;
       entry.decisions = decisions;
-      InsertCacheEntry(Key(flight.app, flight.metadata), std::move(entry));
+      InsertCacheEntry(flight.key, std::move(entry));
     }
   } else if (!flight.superseded) {
     // Merge the topped-up decisions into the cache entry if it survived.
-    auto cached = cache_.find(Key(flight.app, flight.metadata));
+    auto cached = cache_.find(flight.key);
     if (cached != cache_.end()) {
       for (const auto& [viewer, allowed] : decisions) {
         cached->second.decisions.emplace(viewer, allowed);
@@ -258,58 +320,58 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
     }
   }
 
+  std::vector<Waiter>& waiters = flight.waiters;
   if (!flight.need_payload && flight.superseded) {
     // The cached payload these waiters were topping up decisions for was
     // invalidated mid-flight: serving it would deliver a stale version.
     // Re-fetch from scratch (cache now misses, so this issues a fresh RPC).
-    for (Waiter& waiter : flight.waiters) {
-      FetchOptions options;
-      options.viewer = waiter.viewer;
-      options.parent = waiter.parent;
-      Fetch(flight.app, flight.metadata, options, std::move(waiter.callback));
-    }
+    FetchKeyed(flight.key, flight.app, flight.metadata, waiters);
     return;
   }
 
-  for (Waiter& waiter : flight.waiters) {
-    auto decision = decisions.find(waiter.viewer);
-    if (decision == decisions.end()) {
-      // Joined after dispatch and was not in the RPC's viewer batch:
-      // re-enter the pipeline (typically now a cache hit or a privacy-only
-      // top-up).
-      FetchOptions options;
-      options.viewer = waiter.viewer;
-      options.parent = waiter.parent;
-      Fetch(flight.app, flight.metadata, options, std::move(waiter.callback));
+  for (size_t i = 0; i < waiters.size();) {
+    auto decision = decisions.find(waiters[i].viewer);
+    if (decision != decisions.end()) {
+      Answer(waiters[i], decision->second, payload);
+      ++i;
       continue;
     }
-    waiter.callback(decision->second, decision->second ? payload : Value());
+    // Joined after dispatch and was not in the RPC's viewer batch:
+    // re-enter the pipeline (typically now a cache hit or a privacy-only
+    // top-up). Consecutive such waiters re-enter together; no answer runs
+    // between them, so the order of effects is unchanged.
+    size_t end = i + 1;
+    while (end < waiters.size() && !decisions.contains(waiters[end].viewer)) {
+      ++end;
+    }
+    FetchKeyed(flight.key, flight.app, flight.metadata,
+               std::span<Waiter>(waiters).subspan(i, end - i));
+    i = end;
   }
 }
 
-void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata,
-                                const FetchOptions& options, Callback callback) {
+void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata, Waiter waiter) {
   m_.bypass->Increment();
   m_.was_fetches->Increment();
   auto request = std::make_shared<WasFetchRequest>();
   request->app = app;
   request->metadata = metadata;
-  request->viewers.push_back(options.viewer);
+  request->viewers.push_back(waiter.viewer);
   TraceContext span;
-  if (trace_ != nullptr && options.parent.valid()) {
-    span = trace_->StartSpan(options.parent, "brass.fetch", "brass", region_, ctx_.Now());
+  if (trace_ != nullptr && waiter.parent.valid()) {
+    span = trace_->StartSpan(waiter.parent, "brass.fetch", "brass", region_, ctx_.Now());
     trace_->Annotate(span, "bypass", Value(true));
   }
   request->trace = span;
-  auto cb = std::make_shared<Callback>(std::move(callback));
+  auto shared = std::make_shared<Waiter>(std::move(waiter));
   was_channel_->Call(
       "was.fetch", request,
-      [this, cb, span](RpcStatus status, MessagePtr response) {
+      [this, shared, span](RpcStatus status, MessagePtr response) {
         if (status != RpcStatus::kOk) {
           if (trace_ != nullptr) {
             trace_->MarkError(span, ToString(status), ctx_.Now());
           }
-          (*cb)(false, Value(nullptr));
+          Answer(*shared, false, Value(nullptr));
           return;
         }
         if (trace_ != nullptr) {
@@ -317,7 +379,7 @@ void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata,
         }
         auto fetch = std::static_pointer_cast<WasFetchResponse>(response);
         bool allowed = !fetch->allowed.empty() && fetch->allowed[0] != 0;
-        (*cb)(allowed, allowed ? fetch->payload : Value());
+        Answer(*shared, allowed, fetch->payload);
       },
       rpc_timeout_);
 }
@@ -372,10 +434,8 @@ void FetchPipeline::InsertCacheEntry(const std::string& key, CacheEntry entry) {
   cache_.emplace(key, std::move(entry));
 }
 
-void FetchPipeline::TouchLru(CacheEntry& entry, const std::string& key) {
-  lru_.erase(entry.lru_it);
-  lru_.push_front(key);
-  entry.lru_it = lru_.begin();
+void FetchPipeline::TouchLru(CacheEntry& entry) {
+  lru_.splice(lru_.begin(), lru_, entry.lru_it);  // the iterator stays valid
 }
 
 void FetchPipeline::EraseCacheEntry(const std::string& key) {

@@ -27,9 +27,12 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/brass/config.h"
@@ -63,6 +66,11 @@ class FetchPipeline {
   // Current viewers of an application on this host, for privacy-check
   // batching. May return duplicates; the pipeline dedups.
   using ViewerProvider = std::function<std::vector<UserId>(const std::string&)>;
+  // (viewer, allowed) pairs in the order the decisions were made.
+  using ViewerDecisions = std::vector<std::pair<UserId, bool>>;
+  // callback(decisions, payload): one decision per requested viewer, and
+  // the payload of the first allowed decision (null when none was allowed).
+  using BatchCallback = std::function<void(ViewerDecisions, Value)>;
 
   FetchPipeline(Simulator* sim, RegionId region, RpcChannel* was_channel, SimTime rpc_timeout,
                 FetchPipelineConfig config, MetricsRegistry* metrics, TraceCollector* trace,
@@ -71,6 +79,15 @@ class FetchPipeline {
   // Entry point for BrassHost::FetchPayload.
   void Fetch(const std::string& app, const Value& metadata, const FetchOptions& options,
              Callback callback);
+
+  // One payload for many viewers (a POP's flash crowd, BrassHost::OnPopFetch).
+  // Behaves exactly like one Fetch per viewer, in order, with a shared
+  // parent span — same RPCs, events and counters — but keys the metadata
+  // once and calls back once, after the last decision. An empty `viewers`
+  // calls back at once.
+  void FetchForViewers(const std::string& app, const Value& metadata,
+                       const std::vector<UserId>& viewers, const TraceContext& parent,
+                       BatchCallback callback);
 
   // Version-observation hook: called for every Pylon event the host
   // receives. A newer version of an object invalidates any cached payload
@@ -94,14 +111,28 @@ class FetchPipeline {
     std::list<std::string>::iterator lru_it;
   };
 
+  // The shared state of one FetchForViewers call.
+  struct Batch {
+    size_t outstanding = 0;
+    ViewerDecisions decisions;
+    Value payload;
+    BatchCallback callback;
+  };
+
+  // One viewer's pending answer: to a Fetch caller's `callback`, or into
+  // the `batch` of a FetchForViewers call.
   struct Waiter {
     UserId viewer = 0;
     TraceContext parent;
     Callback callback;
+    std::shared_ptr<Batch> batch;
   };
 
   // One in-flight WAS fetch RPC (payload fetch or privacy-only top-up).
   struct Flight {
+    // Cache key of the metadata, computed once by the call that started
+    // the flight; completion and re-entering waiters reuse it.
+    std::string key;
     std::string app;
     Value metadata;
     ObjectId object_id = 0;
@@ -123,19 +154,29 @@ class FetchPipeline {
   static ObjectId ObjectIdOf(const Value& metadata);
   static uint64_t VersionOf(const Value& metadata);
 
-  void ServeFromCache(const CacheEntry& entry, const std::string& key, UserId viewer,
-                      const TraceContext& parent, Callback callback);
-  void StartOrJoinFlight(const std::string& flight_key, const std::string& app,
-                         const Value& metadata, bool need_payload, Value cached_payload,
-                         Waiter waiter);
+  // Hands one viewer's decision to its caller or batch.
+  static void Answer(Waiter& waiter, bool allowed, const Value& payload);
+
+  // The cached path of Fetch for waiters that all want `key`: exactly what
+  // one Fetch per waiter, in order, would do, with one cache lookup and at
+  // most one flight lookup for all of them.
+  void FetchKeyed(const std::string& key, const std::string& app, const Value& metadata,
+                  std::span<Waiter> waiters);
+  void ServeFromCache(const CacheEntry& entry, bool allowed, Waiter waiter);
+  // Joins `waiter` to the flight `flight_key`, starting it if none is in
+  // the air. A null `cached_payload` starts a payload flight; otherwise a
+  // privacy-only top-up of that payload.
+  Flight& StartOrJoinFlight(const std::string& flight_key, const std::string& key,
+                            const std::string& app, const Value& metadata,
+                            const Value* cached_payload, Waiter waiter);
+  void JoinFlight(Flight& flight, Waiter waiter);
   void DispatchFlight(const std::string& flight_key);
   void CompleteFlight(const std::string& flight_key, TraceContext span, RpcStatus status,
                       MessagePtr response);
-  void DirectFetch(const std::string& app, const Value& metadata, const FetchOptions& options,
-                   Callback callback);
+  void DirectFetch(const std::string& app, const Value& metadata, Waiter waiter);
 
   void InsertCacheEntry(const std::string& key, CacheEntry entry);
-  void TouchLru(CacheEntry& entry, const std::string& key);
+  void TouchLru(CacheEntry& entry);
   void EraseCacheEntry(const std::string& key);
 
   // Metric handles resolved once at construction (docs/PERF.md).

@@ -749,14 +749,10 @@ void BrassHost::DeliverEnvelope(const std::string& app, BrassStream& stream, Val
 void BrassHost::OnPopFetch(ServerStream& stream, const PopFetchFrame& fetch) {
   m_.pop_fetch_serves->Increment();
   // One regional fetch answers the whole local flash crowd at the POP: the
-  // fetch pipeline coalesces the per-viewer calls onto one WAS round trip
-  // (batched privacy checks), and the fill fans the payload out at the
-  // edge. Per-viewer privacy stays regional — every decision in the fill
-  // was computed by the WAS.
-  struct Pending {
-    std::shared_ptr<PopFillFrame> fill;
-    size_t outstanding = 0;
-  };
+  // fetch pipeline coalesces the viewers onto one WAS round trip (batched
+  // privacy checks), and the fill fans the payload out at the edge.
+  // Per-viewer privacy stays regional — every decision in the fill was
+  // computed by the WAS.
   auto fill = std::make_shared<PopFillFrame>();
   fill->key = fetch.key;
   fill->app = fetch.app;
@@ -765,40 +761,21 @@ void BrassHost::OnPopFetch(ServerStream& stream, const PopFetchFrame& fetch) {
     fill->object = fetch.metadata.Get("user").AsInt(0);
   }
   fill->version = static_cast<uint64_t>(fetch.metadata.Get("version").AsInt(0));
-  if (fetch.viewers.empty()) {
-    fill->ok = false;
-    stream.SendFrame(fill);
-    return;
-  }
-  auto pending = std::make_shared<Pending>();
-  pending->fill = fill;
-  pending->outstanding = fetch.viewers.size();
   StreamKey key = stream.key();
-  for (int64_t viewer : fetch.viewers) {
-    FetchOptions options;
-    options.viewer = viewer;
-    options.parent = fetch.trace;
-    fetch_pipeline_->Fetch(fetch.app, fetch.metadata, options,
-                           [this, pending, viewer, key](bool allowed, Value payload) {
-                             pending->fill->decisions.emplace_back(viewer, allowed);
-                             if (allowed) {
-                               pending->fill->ok = true;
-                               if (pending->fill->payload.is_null()) {
-                                 pending->fill->payload = std::move(payload);
-                               }
-                             }
-                             if (--pending->outstanding > 0) {
-                               return;
-                             }
-                             // All viewers decided; answer the POP if the
-                             // representative stream is still attached (if
-                             // not, the POP re-fetches on its next miss).
-                             ServerStream* s = burst_->FindStream(key);
-                             if (s != nullptr) {
-                               s->SendFrame(pending->fill);
-                             }
-                           });
-  }
+  fetch_pipeline_->FetchForViewers(
+      fetch.app, fetch.metadata, fetch.viewers, fetch.trace,
+      [this, fill, key](FetchPipeline::ViewerDecisions decisions, Value payload) {
+        fill->ok = std::any_of(decisions.begin(), decisions.end(),
+                               [](const auto& decision) { return decision.second; });
+        fill->payload = std::move(payload);
+        fill->decisions = std::move(decisions);
+        // Answer the POP if the representative stream is still attached (if
+        // not, the POP re-fetches on its next miss).
+        ServerStream* s = burst_->FindStream(key);
+        if (s != nullptr) {
+          s->SendFrame(fill);
+        }
+      });
 }
 
 DurableLogDirectory* BrassHost::durable_logs() {

@@ -384,13 +384,15 @@ void Pop::DrainStreamQueue(const StreamKey& key) {
 }
 
 std::vector<int64_t> Pop::PlacedViewersFor(const std::string& app) const {
-  std::set<int64_t> viewers;
+  std::vector<int64_t> viewers;
   for (const auto& [key, state] : streams_) {
     if (state.placement != BrassPlacement::kRegional && state.app == app) {
-      viewers.insert(state.viewer);
+      viewers.push_back(state.viewer);
     }
   }
-  return std::vector<int64_t>(viewers.begin(), viewers.end());
+  std::sort(viewers.begin(), viewers.end());
+  viewers.erase(std::unique(viewers.begin(), viewers.end()), viewers.end());
+  return viewers;
 }
 
 void Pop::ResolveAndDeliver(const StreamKey& key, StreamState& state, Value metadata,

@@ -77,6 +77,12 @@ const PopPayloadCache::Entry* PopPayloadCache::Get(const std::string& app, int64
   return &it->second->entry;
 }
 
+const PopPayloadCache::Entry* PopPayloadCache::Peek(const std::string& app, int64_t object,
+                                                    uint64_t version) const {
+  auto it = index_.find(Key{app, object, version});
+  return it == index_.end() ? nullptr : &it->second->entry;
+}
+
 void PopPayloadCache::AddDecisions(const std::string& app, int64_t object, uint64_t version,
                                    const std::vector<std::pair<int64_t, bool>>& decisions) {
   auto it = index_.find(Key{app, object, version});

@@ -51,6 +51,8 @@ class PopPayloadCache {
   // nullptr on miss; a hit refreshes the entry's LRU position. The pointer
   // is invalidated by any subsequent non-const call.
   const Entry* Get(const std::string& app, int64_t object, uint64_t version);
+  // Get without the LRU refresh, for inspection.
+  const Entry* Peek(const std::string& app, int64_t object, uint64_t version) const;
 
   // Merges additional per-viewer decisions into an existing entry (a later
   // fill requested for a viewer the first fill did not cover). No-op if the

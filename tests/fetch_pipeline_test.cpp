@@ -2,10 +2,13 @@
 // singleflight coalescing, the versioned payload cache and its
 // version-observation invalidation, batched per-viewer privacy checks, the
 // bypass path, and the stale-version regression — a lagging follower WAS
-// must never get an old payload cached (and served) as current.
+// must never get an old payload cached (and served) as current. The
+// batched FetchForViewers entry is checked against one Fetch per viewer.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,9 +36,10 @@ struct FetchResult {
   Value payload;
 };
 
-class FetchPipelineTest : public ::testing::Test {
- protected:
-  FetchPipelineTest() : topology_(Topology::ThreeRegions()), sim_(91) {
+// A TAO + Pylon + WAS + pipeline world. Two worlds built the same way
+// simulate identically, which the FetchForViewers equivalence tests use.
+struct PipelineWorld {
+  PipelineWorld() : topology_(Topology::ThreeRegions()), sim_(91) {
     tao_ = std::make_unique<TaoStore>(&sim_, &topology_, TaoConfig{}, &metrics_);
     PylonConfig pylon_config;
     pylon_config.servers_per_region = 1;
@@ -128,6 +132,8 @@ class FetchPipelineTest : public ::testing::Test {
   UserId viewer_c_ = 0;
   std::vector<UserId> batch_viewers_;
 };
+
+class FetchPipelineTest : public ::testing::Test, public PipelineWorld {};
 
 TEST_F(FetchPipelineTest, CoalescesSameInstantFetchesIntoOneRoundTrip) {
   ObjectId id = AllocLeaderRegionId();
@@ -391,6 +397,150 @@ TEST_F(FetchPipelineTest, ClearDropsCacheAndFlights) {
   sim_.RunFor(Seconds(1));
   EXPECT_EQ(pipeline_->CacheSize(), 0u);
   EXPECT_FALSE(inflight->done);
+}
+
+// FetchForViewers must be indistinguishable from one Fetch per viewer. Each
+// case runs the same steps on two identical worlds: one batched call on one
+// world, one Fetch per viewer on the other. The crowd is larger than
+// max_batch_viewers, so waiters beyond the RPC's batch re-enter the pipeline
+// and privacy-only top-up rounds run.
+class FetchForViewersTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kCrowd = 200;
+
+  // What the crowd was told: decisions in answer order, payload per viewer.
+  struct Answers {
+    FetchPipeline::ViewerDecisions decisions;
+    std::map<UserId, std::string> payloads;  // Value::ToJson of each answer
+    int batch_callbacks = 0;
+  };
+
+  // Runs on a world before (`before`) or right after (`after`) the fetch.
+  using Step = std::function<void(PipelineWorld&, const Value& metadata)>;
+
+  static std::shared_ptr<Answers> Run(PipelineWorld& w, bool batched, const Step& before,
+                                      const Step& after) {
+    // Every fifth viewer is blocked by the author, so decisions differ.
+    std::vector<UserId> crowd;
+    for (size_t i = 0; i < kCrowd; ++i) {
+      crowd.push_back(CreateUser(*w.tao_, "crowd-" + std::to_string(i), "en"));
+      if (i % 5 == 0) {
+        BlockUser(*w.tao_, w.author_, crowd.back());
+      }
+    }
+    w.batch_viewers_ = crowd;
+    ObjectId id = w.AllocLeaderRegionId();
+    Value metadata = w.Meta(id, w.PutComment(id, "crowd"));
+    w.sim_.RunFor(Seconds(2));
+    before(w, metadata);
+
+    auto answers = std::make_shared<Answers>();
+    if (batched) {
+      w.pipeline_->FetchForViewers(
+          "LVC", metadata, crowd, TraceContext(),
+          [answers](FetchPipeline::ViewerDecisions decisions, Value payload) {
+            answers->batch_callbacks += 1;
+            for (const auto& [viewer, allowed] : decisions) {
+              answers->payloads[viewer] = allowed ? payload.ToJson() : Value().ToJson();
+            }
+            answers->decisions = std::move(decisions);
+          });
+    } else {
+      for (UserId viewer : crowd) {
+        FetchOptions options;
+        options.viewer = viewer;
+        w.pipeline_->Fetch("LVC", metadata, options,
+                           [answers, viewer](bool allowed, Value payload) {
+                             answers->decisions.emplace_back(viewer, allowed);
+                             answers->payloads[viewer] = payload.ToJson();
+                           });
+      }
+    }
+    after(w, metadata);
+    w.sim_.RunFor(Seconds(5));
+    return answers;
+  }
+
+  static void ExpectEquivalent(const Step& before, const Step& after) {
+    PipelineWorld single_world;
+    PipelineWorld batch_world;
+    auto single = Run(single_world, /*batched=*/false, before, after);
+    auto batched = Run(batch_world, /*batched=*/true, before, after);
+
+    ASSERT_EQ(batched->batch_callbacks, 1);
+    ASSERT_EQ(single->decisions.size(), kCrowd);
+    EXPECT_EQ(batched->decisions, single->decisions);
+    EXPECT_EQ(batched->payloads, single->payloads);
+    size_t allowed = 0;
+    for (const auto& decision : single->decisions) {
+      allowed += decision.second ? 1 : 0;
+    }
+    EXPECT_GT(allowed, 0u);
+    EXPECT_LT(allowed, kCrowd);
+    for (const char* counter : {"brass.fetch.requests", "brass.fetch.rpcs",
+                                "brass.fetch.privacy_rpcs", "brass.fetch.coalesced",
+                                "brass.fetch.cache_hits", "was.fetches"}) {
+      EXPECT_EQ(batch_world.Counter(counter), single_world.Counter(counter)) << counter;
+    }
+    EXPECT_EQ(batch_world.sim_.events_executed(), single_world.sim_.events_executed());
+  }
+
+  static void Nothing(PipelineWorld&, const Value&) {}
+
+  // One earlier fetch caches the payload with the first max_batch_viewers
+  // decisions of the crowd; the rest of the crowd needs top-ups.
+  static void WarmCache(PipelineWorld& w, const Value& metadata) {
+    auto warm = w.Fetch(w.viewer_a_, metadata);
+    w.sim_.RunFor(Seconds(1));
+    ASSERT_TRUE(warm->done);
+    ASSERT_EQ(w.pipeline_->CacheSize(), 1u);
+  }
+};
+
+TEST_F(FetchForViewersTest, ColdCrowdMatchesOneFetchPerViewer) {
+  ExpectEquivalent(Nothing, [](PipelineWorld& w, const Value&) {
+    // Still one payload flight; everything else is re-entry and top-ups.
+    EXPECT_EQ(w.Counter("brass.fetch.requests"), static_cast<int64_t>(kCrowd));
+  });
+}
+
+TEST_F(FetchForViewersTest, CacheHitsAndTopUpsMatchOneFetchPerViewer) {
+  ExpectEquivalent(WarmCache, [](PipelineWorld& w, const Value&) {
+    EXPECT_GT(w.Counter("brass.fetch.cache_hits"), 0);
+  });
+}
+
+TEST_F(FetchForViewersTest, TopUpSupersededMidFlightMatchesOneFetchPerViewer) {
+  ExpectEquivalent(WarmCache, [](PipelineWorld& w, const Value& metadata) {
+    // A newer version is observed while the top-up flight is in the air:
+    // its waiters must re-fetch the payload from scratch.
+    Value newer = metadata;
+    newer.Set("version", metadata.Get("version").AsInt(0) + 1);
+    w.pipeline_->ObserveEvent(newer);
+    EXPECT_EQ(w.pipeline_->CacheSize(), 0u);
+  });
+}
+
+TEST_F(FetchForViewersTest, DisabledPipelineMatchesOneFetchPerViewer) {
+  ExpectEquivalent(
+      [](PipelineWorld& w, const Value&) {
+        FetchPipelineConfig config;
+        config.enabled = false;
+        w.MakePipeline(config);
+      },
+      Nothing);
+}
+
+TEST_F(FetchPipelineTest, FetchForNoViewersCallsBackAtOnce) {
+  int calls = 0;
+  pipeline_->FetchForViewers("LVC", Meta(1, 1), {}, TraceContext(),
+                             [&calls](FetchPipeline::ViewerDecisions decisions, Value payload) {
+                               calls += 1;
+                               EXPECT_TRUE(decisions.empty());
+                               EXPECT_TRUE(payload.is_null());
+                             });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(Counter("brass.fetch.requests"), 0);
 }
 
 }  // namespace

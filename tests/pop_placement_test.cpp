@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/burst/pop_cache.h"
 #include "src/core/cluster.h"
@@ -95,7 +96,8 @@ TEST(PopPayloadCacheTest, ZeroCapacityDisablesCaching) {
 
 class PopPlacementTest : public ::testing::Test {
  protected:
-  void Build(BrassPlacement placement, bool placement_enabled, double min_quality = 0.0) {
+  void Build(BrassPlacement placement, bool placement_enabled, double min_quality = 0.0,
+             size_t num_users = 30) {
     ClusterConfig config;
     config.seed = 4242;
     config.burst.pop_placement_enabled = placement_enabled;
@@ -108,7 +110,7 @@ class PopPlacementTest : public ::testing::Test {
     config.apps.lvc.push_interval = Seconds(1);
     cluster_ = std::make_unique<BladerunnerCluster>(config);
     SocialGraphConfig graph_config;
-    graph_config.num_users = 30;
+    graph_config.num_users = num_users;
     graph_config.num_videos = 1;
     graph_ = GenerateSocialGraph(cluster_->tao(), cluster_->sim().rng(), graph_config);
     cluster_->sim().RunFor(Seconds(2));
@@ -239,6 +241,55 @@ TEST_F(PopPlacementTest, EditStormConflatesAtThePopNewestVersionWins) {
   // Pacing held: far fewer pushes than events.
   EXPECT_LT(Counter("burst.pop_deliveries"), Counter("burst.pop_envelopes"));
   EXPECT_GE(viewer->payloads_received(), 2u);  // original + a conflated edit
+}
+
+// A flash crowd on one POP larger than the host's privacy batch
+// (max_batch_viewers = 64): the host answers the POP's single fetch with
+// one fill holding a decision for every requested viewer, and every allowed
+// viewer gets the payload exactly once.
+TEST_F(PopPlacementTest, CrowdBeyondPrivacyBatchIsAnsweredByOneFill) {
+  constexpr size_t kCrowd = 80;
+  Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true, /*min_quality=*/0.0,
+        /*num_users=*/kCrowd + 1);
+  auto poster = MakeDevice(kCrowd);
+  std::vector<std::unique_ptr<DeviceAgent>> viewers;
+  ObjectId video = graph_.videos[0];
+  for (size_t i = 0; i < kCrowd; ++i) {
+    viewers.push_back(MakeDevice(i));
+    viewers.back()->SubscribeLvc(video);
+  }
+  cluster_->sim().RunFor(Seconds(5));
+
+  ObjectId comment = 0;
+  poster->Mutate("mutation { postComment(video: " + std::to_string(video) +
+                     ", text: \"crowd\", language: \"en\") { id } }",
+                 [&comment](bool ok, Value data) {
+                   if (ok) {
+                     comment = data.Get("postComment").Get("id").AsInt(0);
+                   }
+                 });
+  cluster_->sim().RunFor(Seconds(15));
+  ASSERT_NE(comment, 0);
+
+  // One fetch up, one fill down, and the host needed privacy top-ups past
+  // its 64-viewer batch to build it.
+  EXPECT_EQ(Counter("burst.pop_fetches"), 1);
+  EXPECT_EQ(Counter("brass.pop_fetch_serves"), 1);
+  EXPECT_GE(Counter("brass.fetch.privacy_rpcs"), 1);
+  const PopPayloadCache::Entry* entry = cluster_->pop(0).payload_cache().Peek("LVC", comment, 1);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->decisions.size(), kCrowd);
+
+  int64_t allowed = 0;
+  for (size_t i = 0; i < kCrowd; ++i) {
+    auto decision = entry->decisions.find(graph_.users[i]);
+    ASSERT_NE(decision, entry->decisions.end()) << "viewer " << i;
+    EXPECT_EQ(viewers[i]->payloads_received(), decision->second ? 1u : 0u) << "viewer " << i;
+    allowed += decision->second ? 1 : 0;
+  }
+  EXPECT_GT(allowed, 64);
+  EXPECT_EQ(Counter("burst.pop_deliveries"), allowed);
+  EXPECT_EQ(Counter("burst.pop_privacy_drops"), static_cast<int64_t>(kCrowd) - allowed);
 }
 
 TEST_F(PopPlacementTest, PopFailureMidStreamFallsBackToRegional) {
