@@ -1,8 +1,58 @@
 #include "src/apps/lvc.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bladerunner {
+
+void LvcFriendIndex::Add(const StreamKey& key, const std::vector<UserId>& friends) {
+  for (UserId f : friends) {
+    std::vector<StreamKey>& keys = streams_by_friend_[f];
+    auto pos = std::lower_bound(keys.begin(), keys.end(), key);
+    if (pos == keys.end() || *pos != key) {
+      keys.insert(pos, key);
+    }
+  }
+}
+
+void LvcFriendIndex::Remove(const StreamKey& key, const std::vector<UserId>& friends) {
+  for (UserId f : friends) {
+    auto it = streams_by_friend_.find(f);
+    if (it == streams_by_friend_.end()) {
+      continue;
+    }
+    std::vector<StreamKey>& keys = it->second;
+    auto pos = std::lower_bound(keys.begin(), keys.end(), key);
+    if (pos != keys.end() && *pos == key) {
+      keys.erase(pos);
+    }
+    if (keys.empty()) {
+      streams_by_friend_.erase(it);
+    }
+  }
+}
+
+std::vector<BrassStream*> LvcFriendIndex::CandidatesFor(
+    UserId author, const std::vector<BrassStream*>& streams) const {
+  std::vector<BrassStream*> out;
+  auto it = streams_by_friend_.find(author);
+  if (it == streams_by_friend_.end()) {
+    return out;
+  }
+  // Both sides are sorted by key: each search starts where the last ended.
+  auto pos = streams.begin();
+  for (const StreamKey& key : it->second) {
+    pos = std::lower_bound(pos, streams.end(), key,
+                           [](const BrassStream* s, const StreamKey& k) { return s->key < k; });
+    if (pos == streams.end()) {
+      break;
+    }
+    if ((*pos)->key == key) {
+      out.push_back(*pos);
+    }
+  }
+  return out;
+}
 
 LiveVideoCommentsApp::LiveVideoCommentsApp(BrassRuntime& runtime, LvcConfig config)
     : BrassApplication(runtime), config_(config) {
@@ -56,7 +106,11 @@ void LiveVideoCommentsApp::OnStreamStarted(BrassStream& stream) {
   for (const Value& f : stream.context.Get("friends").AsList()) {
     viewer.friends.push_back(f.AsInt(0));
   }
-  viewers_[stream.key] = std::move(viewer);
+  // A restarted stream replaces its old friend-list snapshot.
+  ViewerState& slot = viewers_[stream.key];
+  friend_index_.Remove(stream.key, slot.friends);
+  friend_index_.Add(stream.key, viewer.friends);
+  slot = std::move(viewer);
   SchedulePush(stream.key);
 }
 
@@ -72,48 +126,47 @@ void LiveVideoCommentsApp::OnStreamClosed(const StreamKey& key) {
     runtime().AnnotateSpan(candidate.span, "outcome", Value("stream_closed"));
     runtime().EndSpan(candidate.span);
   }
+  friend_index_.Remove(key, it->second.friends);
   viewers_.erase(it);
 }
 
-bool LiveVideoCommentsApp::FilterForViewer(const ViewerState& viewer, const UpdateEvent& event,
-                                           const BrassStream& stream) const {
-  double quality = event.metadata.Get("quality").AsDouble(0.0);
-  if (quality < config_.min_quality) {
+LiveVideoCommentsApp::EventDecision::EventDecision(const UpdateEvent& event)
+    : event(event),
+      quality(event.metadata.Get("quality").AsDouble(0.0)),
+      author(event.metadata.Get("author").AsInt(0)),
+      language(event.metadata.Get("language").AsString()) {}
+
+bool LiveVideoCommentsApp::Passes(const EventDecision& decision, const ViewerState& viewer,
+                                  const BrassStream& stream, bool placed) const {
+  if (!placed && decision.quality < config_.min_quality) {
     return false;  // spam / low quality, filtered for all users
   }
-  return FilterResidualForViewer(viewer, event, stream);
-}
-
-bool LiveVideoCommentsApp::FilterResidualForViewer(const ViewerState& viewer,
-                                                   const UpdateEvent& event,
-                                                   const BrassStream& stream) const {
-  double quality = event.metadata.Get("quality").AsDouble(0.0);
-  UserId author = event.metadata.Get("author").AsInt(0);
-  if (author == stream.viewer) {
+  if (decision.author == stream.viewer) {
     return false;  // the viewer's own comment is already on screen
   }
   // A stranger's comment needs to be exceptional to be shown (§2).
-  bool is_friend = std::find(viewer.friends.begin(), viewer.friends.end(), author) !=
-                   viewer.friends.end();
-  if (!is_friend && quality < config_.non_friend_quality) {
+  if (decision.quality < config_.non_friend_quality &&
+      std::find(viewer.friends.begin(), viewer.friends.end(), decision.author) ==
+          viewer.friends.end()) {
     return false;
   }
-  if (config_.filter_language) {
-    const std::string& language = event.metadata.Get("language").AsString();
-    if (!language.empty() && language != viewer.language) {
-      return false;
-    }
+  if (config_.filter_language && !decision.language.empty() &&
+      decision.language != viewer.language) {
+    return false;
   }
   return true;
 }
 
-void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, const UpdateEvent& event) {
+void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, EventDecision& decision) {
+  if (decision.metadata == nullptr) {
+    decision.metadata = std::make_shared<const Value>(decision.event.metadata);
+  }
   Candidate candidate;
-  candidate.quality = event.metadata.Get("quality").AsDouble(0.0);
-  candidate.created_at = event.created_at;
+  candidate.quality = decision.quality;
+  candidate.created_at = decision.event.created_at;
   candidate.received_at = runtime().Now();
-  candidate.metadata = event.metadata;
-  candidate.span = runtime().StartSpan(event.trace, "brass.process");
+  candidate.metadata = decision.metadata;
+  candidate.span = runtime().StartSpan(decision.event.trace, "brass.process");
   auto pos = std::lower_bound(
       viewer.buffer.begin(), viewer.buffer.end(), candidate,
       [](const Candidate& a, const Candidate& b) { return a.quality > b.quality; });
@@ -127,49 +180,68 @@ void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, const UpdateEven
   }
 }
 
+void LiveVideoCommentsApp::SendEnvelope(EventDecision& decision, BrassStream& stream) {
+  if (!decision.envelope.has_value()) {
+    // The envelope carries only what the edge consumes: object identity +
+    // version (conflation, payload cache) and the coarse-filter field.
+    // Everything else stays regional — on a POP cache miss the payload is
+    // re-fetched here, keyed by exactly these fields.
+    const Value& metadata = decision.event.metadata;
+    DeliverOptions& deliver = decision.envelope_options;
+    deliver.event_created_at = decision.event.created_at;
+    deliver.conflation_key = "comment:" + std::to_string(metadata.Get("id").AsInt(0));
+    deliver.version = static_cast<uint64_t>(metadata.Get("version").AsInt(0));
+    Value& envelope = decision.envelope.emplace();
+    envelope.Set("id", metadata.Get("id"));
+    envelope.Set("version", metadata.Get("version"));
+    envelope.Set("quality", metadata.Get("quality"));
+  }
+  TraceContext span = runtime().StartSpan(decision.event.trace, "brass.process");
+  runtime().AnnotateSpan(span, "outcome", Value("envelope"));
+  decision.envelope_options.parent = span;
+  runtime().DeliverEnvelope(stream, *decision.envelope, decision.envelope_options);
+  runtime().EndSpan(span);
+}
+
+void LiveVideoCommentsApp::Decide(EventDecision& decision, BrassStream& stream) {
+  auto it = viewers_.find(stream.key);
+  assert(it != viewers_.end() && it->second.stream == &stream);
+  const bool placed = stream.pop_placed &&
+                      (config_.placement == BrassPlacement::kPopFilter ||
+                       config_.placement == BrassPlacement::kPopFilterConflate);
+  if (!Passes(decision, it->second, stream, placed)) {
+    ++decision.negatives;
+    return;
+  }
+  if (placed) {
+    // Edge placement: the decision is final here, and the event leaves as a
+    // small envelope — the POP applies the floor, conflates, paces, and
+    // resolves the payload through its versioned edge cache.
+    ++decision.positives;
+    SendEnvelope(decision, stream);
+    return;
+  }
+  // Buffering is not yet a delivery decision; the decision happens at push
+  // time. But an insert that evicts a candidate *was* a decision against
+  // the evicted one — accounted there via the age filter.
+  InsertCandidate(it->second, decision);
+}
+
 void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                                    const std::vector<BrassStream*>& streams) {
   (void)topic;
-  for (BrassStream* stream : streams) {
-    auto it = viewers_.find(stream->key);
-    if (it == viewers_.end()) {
-      continue;
-    }
-    it->second.stream = stream;
-    if (stream->pop_placed && (config_.placement == BrassPlacement::kPopFilter ||
-                               config_.placement == BrassPlacement::kPopFilterConflate)) {
-      // Edge placement: run only the viewer-dependent residual here (self,
-      // friend bar, language); the viewer-independent quality floor runs at
-      // the POP against the descriptor's PopFilterSpec, so the combined
-      // predicate is exactly the regional FilterForViewer. Surviving events
-      // leave as small envelopes — the POP conflates, paces, and resolves
-      // the payload through its versioned edge cache.
-      if (!FilterResidualForViewer(it->second, event, *stream)) {
-        runtime().CountDecision(false);
-        continue;
-      }
-      runtime().CountDecision(true);
-      DeliverOptions deliver;
-      deliver.event_created_at = event.created_at;
-      deliver.conflation_key = "comment:" + std::to_string(event.metadata.Get("id").AsInt(0));
-      deliver.version = static_cast<uint64_t>(event.metadata.Get("version").AsInt(0));
-      // The envelope carries only what the edge consumes: object identity +
-      // version (conflation, payload cache) and the coarse-filter field.
-      // Everything else stays regional — on a POP cache miss the payload is
-      // re-fetched here, keyed by exactly these fields.
-      Value envelope;
-      envelope.Set("id", event.metadata.Get("id"));
-      envelope.Set("version", event.metadata.Get("version"));
-      envelope.Set("quality", event.metadata.Get("quality"));
-      TraceContext span = runtime().StartSpan(event.trace, "brass.process");
-      runtime().AnnotateSpan(span, "outcome", Value("envelope"));
-      deliver.parent = span;
-      runtime().DeliverEnvelope(*stream, std::move(envelope), deliver);
-      runtime().EndSpan(span);
-      continue;
-    }
-    if (config_.placement == BrassPlacement::kDeviceFirehose) {
-      // Ablation: firehose mode — push everything, let the device decide.
+  assert(std::is_sorted(streams.begin(), streams.end(),
+                        [](const BrassStream* a, const BrassStream* b) { return a->key < b->key; }));
+  // Every stream has viewer state, pointing at that same stream: it entered
+  // the host's topic map and viewers_ in one subscription step, and leaves
+  // both on close.
+  assert(std::all_of(streams.begin(), streams.end(), [this](const BrassStream* s) {
+    auto it = viewers_.find(s->key);
+    return it != viewers_.end() && it->second.stream == s;
+  }));
+  if (config_.placement == BrassPlacement::kDeviceFirehose) {
+    // Ablation: firehose mode — push everything, let the device decide.
+    for (BrassStream* stream : streams) {
       runtime().CountDecision(true);
       StreamKey key = stream->key;
       DeliverOptions deliver;
@@ -195,17 +267,26 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
             runtime().DeliverData(*it2->second.stream, std::move(payload), deliver);
             runtime().EndSpan(span);
           });
-      continue;
     }
-    if (!FilterForViewer(it->second, event, *stream)) {
-      runtime().CountDecision(false);
-      continue;
-    }
-    InsertCandidate(it->second, event);
-    // Buffering is not yet a delivery decision; the decision happens at
-    // push time. But an insert that evicts a candidate *was* a decision
-    // against the evicted one — accounted there via the age filter.
+    return;
   }
+  EventDecision decision(event);
+  if (decision.quality >= config_.non_friend_quality) {
+    for (BrassStream* stream : streams) {
+      Decide(decision, *stream);
+    }
+  } else {
+    // Below the stranger bar only viewers who list the author as a friend
+    // can pass, so only their streams are filtered one by one; every other
+    // stream is a negative decision.
+    std::vector<BrassStream*> friends = friend_index_.CandidatesFor(decision.author, streams);
+    for (BrassStream* stream : friends) {
+      Decide(decision, *stream);
+    }
+    decision.negatives += static_cast<int64_t>(streams.size() - friends.size());
+  }
+  runtime().CountDecision(false, decision.negatives);
+  runtime().CountDecision(true, decision.positives);
 }
 
 void LiveVideoCommentsApp::SchedulePush(const StreamKey& key) {
@@ -275,10 +356,10 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
   DeliverOptions deliver;
   deliver.event_created_at = best.created_at;
   deliver.parent = span;
-  deliver.conflation_key = "comment:" + std::to_string(best.metadata.Get("id").AsInt(0));
-  deliver.version = static_cast<uint64_t>(best.metadata.Get("version").AsInt(0));
+  deliver.conflation_key = "comment:" + std::to_string(best.metadata->Get("id").AsInt(0));
+  deliver.version = static_cast<uint64_t>(best.metadata->Get("version").AsInt(0));
   runtime().FetchPayload(
-      best.metadata, FetchOptions{.viewer = viewer_id, .parent = span},
+      *best.metadata, FetchOptions{.viewer = viewer_id, .parent = span},
       [this, stream_key, deliver, span](bool allowed, Value payload) {
         if (!allowed) {
           privacy_filtered_->Increment();

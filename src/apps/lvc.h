@@ -14,7 +14,9 @@
 #define BLADERUNNER_SRC_APPS_LVC_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -67,6 +69,28 @@ struct LvcConfig {
   BrassPlacement placement = BrassPlacement::kRegional;
 };
 
+// For each user, the LVC streams on one host whose viewer lists that user as
+// a friend, sorted by StreamKey. A comment below
+// LvcConfig::non_friend_quality can pass only for such streams (§2), so
+// LiveVideoCommentsApp evaluates just those and counts every other stream
+// as a negative decision at once. Each stream's entries come from its own
+// viewer's friend list: friendship is never assumed symmetric.
+class LvcFriendIndex {
+ public:
+  // Records that the viewer of stream `key` lists every user in `friends`.
+  void Add(const StreamKey& key, const std::vector<UserId>& friends);
+  // Undoes Add(key, friends).
+  void Remove(const StreamKey& key, const std::vector<UserId>& friends);
+  // The streams of `streams` whose viewer lists `author` as a friend, in
+  // `streams` order. `streams` must be sorted by key, as
+  // BrassApplication::OnEvent passes them.
+  std::vector<BrassStream*> CandidatesFor(UserId author,
+                                          const std::vector<BrassStream*>& streams) const;
+
+ private:
+  std::unordered_map<UserId, std::vector<StreamKey>> streams_by_friend_;
+};
+
 class LiveVideoCommentsApp : public BrassApplication {
  public:
   LiveVideoCommentsApp(BrassRuntime& runtime, LvcConfig config);
@@ -90,7 +114,8 @@ class LiveVideoCommentsApp : public BrassApplication {
     double quality = 0.0;
     SimTime created_at = 0;   // comment creation (origin side)
     SimTime received_at = 0;  // event arrival at this BRASS instance
-    Value metadata;
+    // The event's metadata, one copy shared by every viewer that buffered it.
+    std::shared_ptr<const Value> metadata;
     // "brass.process" span: event receipt -> push decision (delivered,
     // evicted, or aged out). Fig. 9's "BRASS host processing" leg.
     TraceContext span;
@@ -104,24 +129,41 @@ class LiveVideoCommentsApp : public BrassApplication {
     TimerId push_timer = kInvalidTimerId;
   };
 
-  // Per-viewer filtering: returns true if the comment survives for this
-  // viewer (quality, age, language, own comment). Composed of the
-  // viewer-independent quality floor (which a placement-capable POP runs in
-  // transit via PopFilterSpec) and the viewer-dependent residual below; the
-  // split keeps the combined predicate exactly the regional filter.
-  bool FilterForViewer(const ViewerState& viewer, const UpdateEvent& event,
-                       const BrassStream& stream) const;
-  // The viewer-dependent part only: self-comment, friend bar, language.
-  bool FilterResidualForViewer(const ViewerState& viewer, const UpdateEvent& event,
-                               const BrassStream& stream) const;
+  // One update event as OnEvent decides it: the fields every viewer's
+  // filter reads, decoded once, the outcome tallies, and what the streams
+  // that pass share, built the first time one needs it.
+  struct EventDecision {
+    explicit EventDecision(const UpdateEvent& event);
 
-  void InsertCandidate(ViewerState& viewer, const UpdateEvent& event);
+    const UpdateEvent& event;
+    double quality;
+    UserId author;
+    const std::string& language;
+    int64_t negatives = 0;
+    int64_t positives = 0;
+    std::shared_ptr<const Value> metadata;  // for buffered candidates
+    std::optional<Value> envelope;          // for POP-placed streams
+    DeliverOptions envelope_options;
+  };
+
+  // The per-viewer filter: the quality floor (skipped on a placed stream,
+  // whose POP applies it), the viewer's own comment, the stranger bar, and
+  // language.
+  bool Passes(const EventDecision& decision, const ViewerState& viewer,
+              const BrassStream& stream, bool placed) const;
+  // Filters the event for one stream, then buffers it (regional) or sends
+  // its envelope (placed).
+  void Decide(EventDecision& decision, BrassStream& stream);
+  void SendEnvelope(EventDecision& decision, BrassStream& stream);
+
+  void InsertCandidate(ViewerState& viewer, EventDecision& decision);
   void SchedulePush(const StreamKey& key);
   void PushBest(const StreamKey& key);
 
   LvcConfig config_;
   Counter* privacy_filtered_;  // resolved once at construction (docs/PERF.md)
   std::unordered_map<StreamKey, ViewerState, StreamKeyHash> viewers_;
+  LvcFriendIndex friend_index_;  // over viewers_' friend lists
 };
 
 }  // namespace bladerunner

@@ -66,6 +66,13 @@ class BrassApplication {
   // A Pylon update event arrived for `topic`; `streams` are the streams of
   // this application on this host subscribed to the topic. This is where
   // per-user filtering / ranking / rate limiting happens.
+  //
+  // `streams` is sorted by StreamKey, without duplicates (the host keeps
+  // each topic's subscribers in a std::set), so an application may
+  // binary-search it. Every stream examined counts as one decision
+  // (BrassRuntime::CountDecision); an application that rejects a group of
+  // streams by one rule counts them with one call whose `n` is the group's
+  // size, without visiting each stream.
   virtual void OnEvent(const Topic& topic, const UpdateEvent& event,
                        const std::vector<BrassStream*>& streams) = 0;
 

@@ -360,6 +360,7 @@ void BrassHost::TerminateStreamsOnTopic(const Topic& topic, const std::string& d
         app->second.app->OnStreamClosed(key);
       }
       streams_.erase(hs);
+      ++stream_epoch_;
     }
   }
 }
@@ -424,26 +425,49 @@ void BrassHost::HandlePylonEvent(MessagePtr request, RpcServer::Respond respond)
     return;
   }
   // Group the topic's streams by application, then dispatch on the event
-  // loop (one VM callback per application instance).
-  std::map<std::string, std::vector<StreamKey>> by_app;
+  // loop (one VM callback per application instance, in app-name order).
+  // Keys come from a std::set, so each group is in StreamKey order.
+  struct AppGroup {
+    std::string app;
+    std::vector<StreamKey> keys;
+    std::vector<BrassStream*> live;  // valid while stream_epoch_ is unchanged
+  };
+  std::vector<AppGroup> groups;
+  AppGroup* group = nullptr;
   for (const StreamKey& key : topic_it->second.streams) {
     auto hs = streams_.find(key);
-    if (hs != streams_.end()) {
-      hs->second.events_targeted += 1;  // Fig. 7 accounting
-      by_app[hs->second.app].push_back(key);
+    if (hs == streams_.end()) {
+      continue;
     }
+    hs->second.events_targeted += 1;  // Fig. 7 accounting
+    const std::string& app = hs->second.app;
+    if (group == nullptr || group->app != app) {
+      auto found = std::find_if(groups.begin(), groups.end(),
+                                [&app](const AppGroup& g) { return g.app == app; });
+      group = found != groups.end() ? &*found : &groups.emplace_back(AppGroup{app, {}, {}});
+    }
+    group->keys.push_back(key);
+    group->live.push_back(&hs->second.state);
   }
-  for (auto& [app_name, keys] : by_app) {
+  std::sort(groups.begin(), groups.end(),
+            [](const AppGroup& a, const AppGroup& b) { return a.app < b.app; });
+  for (AppGroup& g : groups) {
     LatencyModel dispatch{config_.event_dispatch_ms, 0.4, config_.event_dispatch_ms / 5.0};
     ctx_.Schedule(dispatch.Sample(ctx_.rng()),
-                   [this, app_name, keys = std::move(keys), event]() {
-                     auto app = apps_.find(app_name);
+                   [this, g = std::move(g), epoch = stream_epoch_, event]() {
+                     auto app = apps_.find(g.app);
                      if (app == apps_.end()) {
                        return;
                      }
+                     if (epoch == stream_epoch_) {
+                       // No stream left the host since grouping: every
+                       // captured pointer still names its live stream.
+                       app->second.app->OnEvent(event->topic, *event, g.live);
+                       return;
+                     }
                      std::vector<BrassStream*> live;
-                     live.reserve(keys.size());
-                     for (const StreamKey& key : keys) {
+                     live.reserve(g.keys.size());
+                     for (const StreamKey& key : g.keys) {
                        auto hs = streams_.find(key);
                        if (hs != streams_.end()) {
                          live.push_back(&hs->second.state);
@@ -521,6 +545,7 @@ void BrassHost::OnStreamClosed(const StreamKey& key, TerminateReason reason) {
     app->second.app->OnStreamClosed(key);
   }
   streams_.erase(hs);
+  ++stream_epoch_;
 }
 
 std::vector<StreamRecord> BrassHost::OpenStreamRecords() const {
@@ -602,17 +627,17 @@ void BrassHost::WasQuery(const std::string& query, const FetchOptions& options,
       config_.was_call_timeout);
 }
 
-void BrassHost::CountDecision(const std::string& app, bool delivered) {
+void BrassHost::CountDecisions(const std::string& app, bool delivered, int64_t n) {
   // A decision is one examine-and-decide on (event, stream); Fig. 8's
   // "decisions on updates" series. Positive decisions lead to deliveries
   // (possibly batched: several positive decisions can share one push).
-  m_.decisions->Increment();
-  AppMetricsFor(app).decisions->Increment();
-  if (delivered) {
-    m_.decisions_positive->Increment();
-  } else {
-    m_.filtered->Increment();
+  assert(n >= 0);
+  if (n == 0) {
+    return;
   }
+  m_.decisions->Increment(n);
+  AppMetricsFor(app).decisions->Increment(n);
+  (delivered ? m_.decisions_positive : m_.filtered)->Increment(n);
 }
 
 const BrassAppDescriptor* BrassHost::DescriptorFor(const std::string& app) const {
@@ -1077,6 +1102,7 @@ void BrassHost::Drain() {
   WithdrawAllPylonSubscriptions();
   CloseAllStreamSpans("host drain");
   streams_.clear();
+  ++stream_epoch_;
   apps_.clear();
   fetch_pipeline_->Clear();
   if (pylon_ != nullptr) {
@@ -1096,6 +1122,7 @@ void BrassHost::FailHost() {
   ctx_.Schedule(Millis(800), [this]() { WithdrawAllPylonSubscriptions(); });
   CloseAllStreamSpans("host failure");
   streams_.clear();
+  ++stream_epoch_;
   apps_.clear();
   fetch_pipeline_->Clear();  // a crash loses the payload cache with the host
   if (pylon_ != nullptr) {

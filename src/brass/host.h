@@ -122,7 +122,8 @@ class BrassHost : public BurstServerHandler {
                     std::function<void(bool, Value)> callback);
   void WasQuery(const std::string& query, const FetchOptions& options,
                 std::function<void(bool, Value)> callback);
-  void CountDecision(const std::string& app, bool delivered);
+  // Counts `n` decisions with the same outcome (none when n == 0).
+  void CountDecisions(const std::string& app, bool delivered, int64_t n);
   // Pushes (or, when pacing is on, queues/conflates/sheds) one payload on
   // the stream; see docs/OVERLOAD.md for the queueing policy.
   void DeliverData(const std::string& app, BrassStream& stream, Value payload,
@@ -323,6 +324,10 @@ class BrassHost : public BurstServerHandler {
   std::unique_ptr<FetchPipeline> fetch_pipeline_;
   std::map<std::string, AppInstance> apps_;
   std::unordered_map<StreamKey, HostStream, StreamKeyHash> streams_;
+  // Bumped by every erase from (and clear of) streams_. Its nodes never
+  // move, so pointers into it taken at one epoch are valid, and name the
+  // same streams, for as long as the epoch is unchanged.
+  uint64_t stream_epoch_ = 0;
   std::map<Topic, TopicEntry> topics_;
   std::vector<StreamRecord> closed_stream_records_;
   std::shared_ptr<DurableLogDirectory> durable_logs_;

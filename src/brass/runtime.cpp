@@ -42,8 +42,8 @@ uint64_t BrassRuntime::AppendDurable(const Topic& channel, const UpdateEvent& ev
   return host_->AppendDurable(channel, event.event_id, std::move(payload), event.created_at);
 }
 
-void BrassRuntime::CountDecision(bool delivered) {
-  host_->CountDecision(app_name_, delivered);
+void BrassRuntime::CountDecision(bool delivered, int64_t n) {
+  host_->CountDecisions(app_name_, delivered, n);
 }
 
 void BrassRuntime::DeliverData(BrassStream& stream, Value payload,

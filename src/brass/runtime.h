@@ -57,8 +57,10 @@ class BrassRuntime {
 
   // ---- delivery accounting (feeds Fig. 8's decisions/deliveries rates) ----
 
-  // Every examine-and-decide on (event, stream) counts as one decision.
-  void CountDecision(bool delivered);
+  // Every examine-and-decide on (event, stream) counts as one decision;
+  // `n` counts that many decisions with the same outcome at once (an app
+  // that rejects a whole group of streams by one rule).
+  void CountDecision(bool delivered, int64_t n = 1);
 
   // Pushes one data payload on the stream, with accounting and the
   // end-to-end latency sample for Fig. 9 (`options.event_created_at` comes

@@ -1,15 +1,22 @@
 // Behavioral tests of the five BRASS applications through the full stack:
 // per-user filtering, rate limiting, batching, tray management, reliable
-// delivery, and the delivery-accounting invariants Fig. 8 relies on.
+// delivery, and the delivery-accounting invariants Fig. 8 relies on. Also
+// unit tests of LVC's friend index, without a runtime.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "src/apps/lvc.h"
 #include "src/core/cluster.h"
 #include "src/core/device.h"
+#include "src/pylon/topic.h"
+#include "src/sim/random.h"
 #include "src/was/resolvers.h"
 #include "src/workload/social_gen.h"
 
@@ -179,6 +186,252 @@ TEST_F(AppsTest, LvcHotVideoStrategySwitch) {
   }
   cluster_->sim().RunFor(Seconds(15));
   EXPECT_GT(viewer->payloads_received(), before);
+}
+
+// ---- LVC per-viewer decisions ----
+
+// What one published comment did: the change in the host's decision
+// counters, and which viewers received it.
+struct LvcOutcome {
+  int64_t decisions = 0;
+  int64_t filtered = 0;
+  int64_t positive = 0;
+  std::vector<std::string> receivers;
+
+  bool operator==(const LvcOutcome&) const = default;
+};
+
+void PrintTo(const LvcOutcome& o, std::ostream* os) {
+  *os << "{decisions " << o.decisions << ", filtered " << o.filtered << ", positive "
+      << o.positive << ", receivers [";
+  for (const std::string& r : o.receivers) {
+    *os << " " << r;
+  }
+  *os << " ]}";
+}
+
+// Every branch of LVC's per-viewer filter, on comments published with fixed
+// metadata (so quality is not random). Four viewers watch one video: the
+// author, the author's English-speaking friend, an English-speaking
+// stranger, and the author's Spanish-speaking friend. The parameter puts
+// every stream on a placement-capable POP (kPopFilterConflate), where the
+// host skips the quality floor and the POP applies it in transit.
+class LvcDecisionTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    ClusterConfig config;
+    config.seed = 4343;
+    if (GetParam()) {
+      config.burst.pop_placement_enabled = true;
+      config.apps.lvc.placement = BrassPlacement::kPopFilterConflate;
+    }
+    cluster_ = std::make_unique<BladerunnerCluster>(config);
+    TaoStore& tao = cluster_->tao();
+    author_ = CreateUser(tao, "author", "en");
+    const UserId pal = CreateUser(tao, "pal", "en");
+    const UserId stranger = CreateUser(tao, "stranger", "en");
+    const UserId amigo = CreateUser(tao, "amigo", "es");
+    MakeFriends(tao, author_, pal);
+    MakeFriends(tao, author_, amigo);
+    video_ = CreateVideo(tao, author_, "v");
+    cluster_->sim().RunFor(Seconds(2));
+    for (UserId user : {author_, pal, stranger, amigo}) {
+      viewers_.push_back(
+          std::make_unique<DeviceAgent>(cluster_.get(), user, 0, DeviceProfile::kWifi));
+      viewers_.back()->SubscribeLvc(video_);
+    }
+    cluster_->sim().RunFor(Seconds(3));
+  }
+
+  int64_t Counter(const std::string& name) {
+    return cluster_->metrics().GetCounter(name).value();
+  }
+
+  // Writes a comment by the author and publishes its LVC event straight to
+  // Pylon, then runs long enough for every push and POP delivery to land.
+  LvcOutcome Publish(double quality, const std::string& language) {
+    Object comment;
+    comment.otype = "comment";
+    comment.data.Set("text", std::string("fixed"));
+    comment.data.Set("author", author_);
+    comment.data.Set("video", video_);
+    comment.data.Set("language", language);
+    comment.data.Set("quality", quality);
+    uint64_t version = 0;
+    ObjectId id = cluster_->tao().PutObject(std::move(comment), &version);
+    PublishSpec spec;
+    spec.topic = LvcTopic(video_);
+    spec.metadata.Set("id", id);
+    spec.metadata.Set("version", static_cast<int64_t>(version));
+    spec.metadata.Set("author", author_);
+    spec.metadata.Set("video", video_);
+    spec.metadata.Set("quality", quality);
+    spec.metadata.Set("language", language);
+
+    const int64_t decisions = Counter("brass.decisions");
+    const int64_t filtered = Counter("brass.filtered");
+    const int64_t positive = Counter("brass.decisions_positive");
+    std::vector<uint64_t> received;
+    for (const auto& viewer : viewers_) {
+      received.push_back(viewer->payloads_received());
+    }
+    cluster_->was(0).PublishNow(spec, cluster_->sim().Now());
+    cluster_->sim().RunFor(Seconds(6));
+
+    LvcOutcome outcome;
+    outcome.decisions = Counter("brass.decisions") - decisions;
+    outcome.filtered = Counter("brass.filtered") - filtered;
+    outcome.positive = Counter("brass.decisions_positive") - positive;
+    const char* names[] = {"author", "pal", "stranger", "amigo"};
+    for (size_t i = 0; i < viewers_.size(); ++i) {
+      if (viewers_[i]->payloads_received() > received[i]) {
+        outcome.receivers.push_back(names[i]);
+      }
+    }
+    return outcome;
+  }
+
+  std::unique_ptr<BladerunnerCluster> cluster_;
+  std::vector<std::unique_ptr<DeviceAgent>> viewers_;  // author, pal, stranger, amigo
+  UserId author_ = 0;
+  ObjectId video_ = 0;
+};
+
+TEST_P(LvcDecisionTest, EveryFilterBranch) {
+  const bool placed = GetParam();
+  // Default knobs: quality floor 0.35, stranger bar 0.88, language filter on.
+  // The author's own comment is filtered in every case below.
+
+  // Below the floor. Regionally every stream filters it. A placed stream
+  // skips the floor at the host, so the friend's stream passes and the POP
+  // drops the envelope.
+  const int64_t pop_filtered = Counter("burst.pop_filtered");
+  EXPECT_EQ(Publish(0.20, "en"),
+            placed ? (LvcOutcome{4, 3, 1, {}}) : (LvcOutcome{4, 4, 0, {}}));
+  EXPECT_EQ(Counter("burst.pop_filtered") - pop_filtered, placed ? 1 : 0);
+
+  // Below the stranger bar: only the friend who shares the language gets it;
+  // the stranger and the Spanish-speaking friend are filtered.
+  EXPECT_EQ(Publish(0.60, "en"), (LvcOutcome{4, 3, 1, {"pal"}}));
+
+  // Above the bar: the stranger gets it too.
+  EXPECT_EQ(Publish(0.95, "en"), (LvcOutcome{4, 2, 2, {"pal", "stranger"}}));
+
+  // Language mismatch above the bar: only the Spanish speaker gets it.
+  EXPECT_EQ(Publish(0.95, "es"), (LvcOutcome{4, 3, 1, {"amigo"}}));
+
+  if (placed) {
+    EXPECT_GT(Counter("brass.envelopes"), 0);
+    EXPECT_EQ(Counter("brass.deliveries"), 0);
+  } else {
+    EXPECT_EQ(Counter("brass.envelopes"), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Placement, LvcDecisionTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("PopPlaced")
+                                             : std::string("Regional");
+                         });
+
+// ---- LvcFriendIndex: which streams a below-bar comment is filtered for ----
+
+// Fabricated streams with keys in ascending order, as OnEvent receives them.
+std::vector<BrassStream> MakeStreams(size_t n) {
+  std::vector<BrassStream> streams(n);
+  for (size_t i = 0; i < n; ++i) {
+    streams[i].key = StreamKey{static_cast<int64_t>(i + 1), 1};
+    streams[i].viewer = static_cast<UserId>(100000 + i);
+  }
+  return streams;
+}
+
+std::vector<BrassStream*> Pointers(std::vector<BrassStream>& streams) {
+  std::vector<BrassStream*> out;
+  for (BrassStream& s : streams) {
+    out.push_back(&s);
+  }
+  return out;
+}
+
+TEST(LvcFriendIndexTest, StrangersCommentOnTenThousandViewerVideoVisitsOnlyFriends) {
+  constexpr UserId kAuthor = 7;
+  std::vector<BrassStream> streams = MakeStreams(10000);
+  LvcFriendIndex index;
+  std::vector<BrassStream*> friends_of_author;
+  for (size_t i = 0; i < streams.size(); ++i) {
+    // Every viewer has friends; one in 250 lists the author.
+    std::vector<UserId> friends = {static_cast<UserId>(10 + i % 50),
+                                   static_cast<UserId>(60 + i % 7)};
+    if (i % 250 == 3) {
+      friends.push_back(kAuthor);
+      friends_of_author.push_back(&streams[i]);
+    }
+    index.Add(streams[i].key, friends);
+  }
+  ASSERT_EQ(friends_of_author.size(), 40u);
+
+  // The author is a stranger to 9,960 of the viewers: a comment below the
+  // stranger bar is filtered for exactly the 40 friends, in stream order.
+  EXPECT_EQ(index.CandidatesFor(kAuthor, Pointers(streams)), friends_of_author);
+  // A user nobody lists yields nothing.
+  EXPECT_TRUE(index.CandidatesFor(99, Pointers(streams)).empty());
+}
+
+TEST(LvcFriendIndexTest, MatchesBruteForceUnderAddsAndRemovals) {
+  constexpr int kUsers = 40;
+  Rng rng(20211026);
+  std::vector<BrassStream> streams = MakeStreams(400);
+  // The friend list each stream is indexed under; absent once removed.
+  std::map<size_t, std::vector<UserId>> indexed;
+  LvcFriendIndex index;
+  auto random_friends = [&rng]() {
+    std::vector<UserId> friends;
+    int64_t n = rng.UniformInt(0, 6);
+    for (int64_t k = 0; k < n; ++k) {
+      friends.push_back(rng.UniformInt(1, kUsers));  // duplicates allowed
+    }
+    return friends;
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    // Churn: add streams, remove some, and restart some with a new list.
+    for (int op = 0; op < 40; ++op) {
+      size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(streams.size()) - 1));
+      auto it = indexed.find(i);
+      if (it == indexed.end()) {
+        indexed[i] = random_friends();
+        index.Add(streams[i].key, indexed[i]);
+      } else if (rng.Bernoulli(0.5)) {
+        index.Remove(streams[i].key, it->second);
+        indexed.erase(it);
+      } else {
+        index.Remove(streams[i].key, it->second);
+        it->second = random_friends();
+        index.Add(streams[i].key, it->second);
+      }
+    }
+    // An event's streams: a random sorted subset of all streams, so some
+    // indexed keys are missing from it and some of it is not indexed.
+    std::vector<BrassStream*> event_streams;
+    for (BrassStream& s : streams) {
+      if (rng.Bernoulli(0.3)) {
+        event_streams.push_back(&s);
+      }
+    }
+    for (UserId author = 1; author <= kUsers; ++author) {
+      std::vector<BrassStream*> expected;
+      for (BrassStream* s : event_streams) {
+        auto it = indexed.find(static_cast<size_t>(s - streams.data()));
+        if (it != indexed.end() &&
+            std::find(it->second.begin(), it->second.end(), author) != it->second.end()) {
+          expected.push_back(s);
+        }
+      }
+      ASSERT_EQ(index.CandidatesFor(author, event_streams), expected)
+          << "round " << round << ", author " << author;
+    }
+  }
 }
 
 // ---- ActiveStatus ----

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/apps/registry.h"
 #include "src/brass/app_descriptor.h"
 #include "src/core/cluster.h"
 #include "src/core/device.h"
+#include "src/pylon/topic.h"
 #include "src/was/resolvers.h"
 #include "src/workload/social_gen.h"
 
@@ -245,6 +248,72 @@ TEST_F(BrassTest, EventsForUnsubscribedTopicsAreCounted) {
   // Either the unsubscribe won (event never delivered to the host) or the
   // event was dropped at the host; in no case does a payload reach a.
   EXPECT_EQ(a.payloads_received(), 0u);
+}
+
+// An update event is grouped by app when it reaches the host and handed to
+// the app one dispatch delay later (BrassConfig::event_dispatch_ms). A
+// stream that closes inside that window must not reach the app's OnEvent;
+// the streams that stay must.
+TEST_F(BrassTest, StreamClosedBeforeDispatchDoesNotReachTheApp) {
+  ClusterConfig config;
+  config.seed = 82;
+  config.brass_hosts_per_region = 1;
+  config.was.lvc_subscribe_friend_topics = false;
+  BladerunnerCluster cluster(config, Topology::OneRegion());
+  UserId author = CreateUser(cluster.tao(), "author", "en");
+  ObjectId video = CreateVideo(cluster.tao(), author, "v");
+  std::vector<std::unique_ptr<DeviceAgent>> viewers;
+  for (int i = 0; i < 3; ++i) {
+    UserId user = CreateUser(cluster.tao(), "viewer" + std::to_string(i), "en");
+    viewers.push_back(std::make_unique<DeviceAgent>(&cluster, user, 0, DeviceProfile::kWifi));
+    viewers.back()->SubscribeLvc(video);
+  }
+  cluster.sim().RunFor(Seconds(3));
+  BrassHost& host = cluster.brass_host(0);
+  ASSERT_EQ(host.StreamCount(), 3u);
+
+  // A comment below LVC's quality floor: every stream that reaches OnEvent
+  // makes exactly one (negative) decision.
+  auto decisions = [&cluster]() {
+    return cluster.metrics().GetCounter("brass.decisions").value();
+  };
+  auto received = [&cluster]() {
+    return cluster.metrics().GetCounter("brass.events_received").value();
+  };
+  auto publish = [&]() {
+    PublishSpec spec;
+    spec.topic = LvcTopic(video);
+    spec.metadata.Set("id", static_cast<int64_t>(1));
+    spec.metadata.Set("author", author);
+    spec.metadata.Set("quality", 0.0);
+    cluster.was(0).PublishNow(spec, cluster.sim().Now());
+  };
+
+  // Control: with no stream change, all three streams decide.
+  int64_t before = decisions();
+  publish();
+  cluster.sim().RunFor(Seconds(1));
+  EXPECT_EQ(decisions() - before, 3);
+
+  // Step until the host receives the next event, then close one stream
+  // before its dispatch runs (the dispatch delay is at least 0.28 ms).
+  before = decisions();
+  const int64_t received_before = received();
+  publish();
+  for (int step = 0; step < 100000 && received() == received_before; ++step) {
+    cluster.sim().RunFor(Micros(100));
+  }
+  ASSERT_EQ(received(), received_before + 1);
+  ASSERT_EQ(decisions(), before) << "the event was dispatched before the close";
+  std::vector<StreamRecord> open = host.OpenStreamRecords();
+  ASSERT_EQ(open.size(), 3u);
+  ServerStream* closing = host.burst()->FindStream(open.front().key);
+  ASSERT_NE(closing, nullptr);
+  closing->Terminate(TerminateReason::kComplete, "closed inside the dispatch window");
+  ASSERT_EQ(host.StreamCount(), 2u);
+
+  cluster.sim().RunFor(Seconds(1));
+  EXPECT_EQ(decisions() - before, 2);
 }
 
 // ---- registration-time descriptor validation (docs/BURST.md) ----
