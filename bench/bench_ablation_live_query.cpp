@@ -116,7 +116,7 @@ Result RunEngineMode(bool reexecute_always, const Shape& shape) {
 
   std::vector<CommentFeedOp> ops = MakeOps(fixture, shape);
   CommentFeedApplier applier(&cluster.sim(), &cluster.tao());
-  applier.ScheduleAll(cluster.sim(), ops, cluster.sim().Now());
+  applier.ScheduleAll(ops, cluster.sim().Now());
   cluster.sim().RunFor(static_cast<SimTime>(shape.num_ops + 2) * CommentFeedShape{}.spacing);
   cluster.sim().RunFor(shape.settle);
 
@@ -157,7 +157,7 @@ Result RunPollMode(const Shape& shape) {
 
   std::vector<CommentFeedOp> ops = MakeOps(fixture, shape);
   CommentFeedApplier applier(&cluster.sim(), &cluster.tao());
-  applier.ScheduleAll(cluster.sim(), ops, cluster.sim().Now());
+  applier.ScheduleAll(ops, cluster.sim().Now());
   cluster.sim().RunFor(static_cast<SimTime>(shape.num_ops + 2) * CommentFeedShape{}.spacing);
   cluster.sim().RunFor(shape.settle);
 

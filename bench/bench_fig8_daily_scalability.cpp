@@ -83,12 +83,11 @@ PerfRow RunKernelRow(int threads, SimTime horizon, int timers_per_lp) {
   // (protocol bookkeeping, a map touch, some hashing). Without this the
   // round barrier dominates and no kernel measures anything but itself.
   constexpr int kWorkIters = 64;
-  Simulator sim(808);
   SimParallelOptions po;
   po.threads = threads;
   po.num_lps = 1 + kGroups;
   po.lookahead = Millis(5);
-  sim.ConfigureParallel(po);
+  Simulator sim(808, po);
   for (uint32_t lp = 0; lp < po.num_lps; ++lp) {
     for (int k = 0; k < timers_per_lp; ++k) {
       auto tick = std::make_shared<std::function<void()>>();

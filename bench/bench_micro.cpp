@@ -370,7 +370,7 @@ PerfRow BenchLiveQueryFold(const PerfShape& shape) {
   const Counter& applied = metrics.GetCounter("livequery.applied");
   int64_t applied_before = applied.value();
   auto start = std::chrono::steady_clock::now();
-  applier.ScheduleAll(sim, ops, sim.Now());
+  applier.ScheduleAll(ops, sim.Now());
   sim.Run();
   double elapsed = WallSeconds(start);
 

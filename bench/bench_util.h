@@ -35,13 +35,14 @@ namespace bladerunner {
 //   --out PATH         write machine-readable results (JSON) to PATH
 //   --check PATH       compare against a previous --out file
 //   --tolerance X      allowed relative regression for --check (default .25)
-//   --threads N        run the cluster on the partitioned kernel with N
-//                      worker threads (N == 1 keeps the sequential kernel
-//                      unless --lp-groups forces partitioning)
-//   --lp-groups N      number of device-group LPs (default 16 when
-//                      --threads > 1, else 0 = sequential; deliberately
-//                      independent of the thread count so --threads 2 and
-//                      --threads 8 produce identical results)
+//   --threads N        worker threads for the kernel's rounds; N > 1 also
+//                      partitions the cluster unless --lp-groups says
+//                      otherwise (with one LP, threads are unused)
+//   --lp-groups N      number of device-group LPs, 0..4094 (default 16 when
+//                      --threads > 1, else 0 = one LP for the whole
+//                      cluster; deliberately independent of the thread
+//                      count so --threads 2 and --threads 8 produce
+//                      identical results)
 //   --fleet N          override the bench's device-fleet size where it
 //                      honours one
 //   --cell NAME        restrict a matrix bench (bench_scenario_matrix) to
@@ -57,8 +58,8 @@ struct BenchOptions {
   long fleet = 0;      // 0 = bench default
   std::vector<std::string> cells;  // empty = run every cell
 
-  // The cluster-facing translation of --threads/--lp-groups. Sequential
-  // (all defaults) when threads == 1 and no explicit --lp-groups, so every
+  // The cluster-facing translation of --threads/--lp-groups. One LP (all
+  // defaults) when threads == 1 and no explicit --lp-groups, so every
   // bench's default run stays byte-identical to the pre-LP kernel. The
   // derived group count is a constant, NOT a function of the thread count:
   // the LP layout determines results, threads only determine wall-clock.
@@ -82,9 +83,9 @@ inline BenchOptions& MutableBenchOptions() {
 inline const BenchOptions& bench_options() { return MutableBenchOptions(); }
 
 // Strict parser: every bench errors out on unrecognized flags, missing
-// values, and non-numeric values instead of silently ignoring them. (A
-// typo'd `--lp-gruops=8` used to run the sequential kernel and "pass" a
-// parallel-kernel check.) Both `--flag value` and `--flag=value` spellings
+// values, non-numeric values and out-of-range LP counts instead of
+// silently ignoring them. (A typo'd `--lp-gruops=8` used to run one LP and
+// "pass" a parallel-kernel check.) Both `--flag value` and `--flag=value` spellings
 // are accepted; flags starting with `--benchmark` pass through untouched
 // for benches that hand argv on to google-benchmark (bench_micro).
 //
@@ -175,6 +176,11 @@ inline bool ParseBenchOptionsInto(int argc, char** argv, BenchOptions* opts,
     } else if (flag == "--lp-groups") {
       long groups = 0;
       if (!parse_long(flag, value, &groups)) {
+        return false;
+      }
+      // LP 0 plus the groups must fit the kernel's LP limit.
+      if (groups < 0 || groups > static_cast<long>(kMaxLps) - 1) {
+        *error = flag + " expects 0.." + std::to_string(kMaxLps - 1) + ", got '" + value + "'";
         return false;
       }
       opts->lp_groups = static_cast<int>(groups);

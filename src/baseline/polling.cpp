@@ -57,11 +57,11 @@ struct PollBookkeeping {
 
 LvcPollingClient::LvcPollingClient(BladerunnerCluster* cluster, UserId user, RegionId region,
                                    DeviceProfile profile, ObjectId video, SimTime interval)
-    : cluster_(cluster), user_(user), video_(video), interval_(interval) {
+    : cluster_(cluster), ctx_(&cluster->sim()), user_(user), video_(video), interval_(interval) {
   polls_counter_ = &cluster_->metrics().GetCounter("poll.client_polls");
   empty_polls_counter_ = &cluster_->metrics().GetCounter("poll.empty_polls");
   latency_us_ = &cluster_->metrics().GetHistogram("poll.lvc_latency_us");
-  channel_ = cluster_->DeviceWasChannel(region, profile);
+  channel_ = cluster_->DeviceWasChannel(ctx_, region, profile);
 }
 
 LvcPollingClient::~LvcPollingClient() { Stop(); }
@@ -73,15 +73,15 @@ void LvcPollingClient::Start() {
   running_ = true;
   // De-synchronize pollers: first poll after a random fraction of the
   // interval, as real clients start at random phases.
-  timer_ = cluster_->sim().Schedule(
-      static_cast<SimTime>(cluster_->sim().rng().Uniform(0.0, static_cast<double>(interval_))),
+  timer_ = ctx_.Schedule(
+      static_cast<SimTime>(ctx_.rng().Uniform(0.0, static_cast<double>(interval_))),
       [this]() { PollOnce(); });
 }
 
 void LvcPollingClient::Stop() {
   running_ = false;
   if (timer_ != kInvalidTimerId) {
-    cluster_->sim().Cancel(timer_);
+    ctx_.Cancel(timer_);
     timer_ = kInvalidTimerId;
   }
 }
@@ -90,7 +90,7 @@ void LvcPollingClient::ScheduleNext() {
   if (!running_) {
     return;
   }
-  timer_ = cluster_->sim().Schedule(interval_, [this]() { PollOnce(); });
+  timer_ = ctx_.Schedule(interval_, [this]() { PollOnce(); });
 }
 
 void LvcPollingClient::PollOnce() {
@@ -115,7 +115,7 @@ void LvcPollingClient::PollOnce() {
       }
       if (book.HasMore() && running_) {
         // Backlog: page again immediately instead of waiting the interval.
-        timer_ = cluster_->sim().Schedule(Millis(50), [this]() { PollOnce(); });
+        timer_ = ctx_.Schedule(Millis(50), [this]() { PollOnce(); });
         return;
       }
     }
@@ -128,6 +128,7 @@ void LvcPollingClient::PollOnce() {
 LvcServerPollAgent::LvcServerPollAgent(BladerunnerCluster* cluster, UserId user, RegionId region,
                                        DeviceProfile profile, ObjectId video, SimTime interval)
     : cluster_(cluster),
+      ctx_(&cluster->sim()),
       user_(user),
       video_(video),
       interval_(interval),
@@ -146,15 +147,15 @@ void LvcServerPollAgent::Start() {
     return;
   }
   running_ = true;
-  timer_ = cluster_->sim().Schedule(
-      static_cast<SimTime>(cluster_->sim().rng().Uniform(0.0, static_cast<double>(interval_))),
+  timer_ = ctx_.Schedule(
+      static_cast<SimTime>(ctx_.rng().Uniform(0.0, static_cast<double>(interval_))),
       [this]() { PollOnce(); });
 }
 
 void LvcServerPollAgent::Stop() {
   running_ = false;
   if (timer_ != kInvalidTimerId) {
-    cluster_->sim().Cancel(timer_);
+    ctx_.Cancel(timer_);
     timer_ = kInvalidTimerId;
   }
 }
@@ -163,7 +164,7 @@ void LvcServerPollAgent::ScheduleNext() {
   if (!running_) {
     return;
   }
-  timer_ = cluster_->sim().Schedule(interval_, [this]() { PollOnce(); });
+  timer_ = ctx_.Schedule(interval_, [this]() { PollOnce(); });
 }
 
 void LvcServerPollAgent::PollOnce() {
@@ -198,12 +199,12 @@ void LvcServerPollAgent::PollOnce() {
         ++fresh;
         // Push to the device over the persistent connection: one last-mile
         // delivery delay from *now*.
-        SimTime delivery = last_mile_.Sample(cluster_->sim().rng());
-        cluster_->sim().Schedule(delivery, [this, created]() {
+        SimTime delivery = last_mile_.Sample(ctx_.rng());
+        ctx_.Schedule(delivery, [this, created]() {
           comments_pushed_ += 1;
           pushed_counter_->Increment();
           if (created > 0) {
-            latency_us_->Record(static_cast<double>(cluster_->sim().Now() - created));
+            latency_us_->Record(static_cast<double>(ctx_.Now() - created));
           }
         });
       }
@@ -212,7 +213,7 @@ void LvcServerPollAgent::PollOnce() {
         empty_polls_counter_->Increment();
       }
       if (page_size >= kPollPageSize && running_) {
-        timer_ = cluster_->sim().Schedule(Millis(50), [this]() { PollOnce(); });
+        timer_ = ctx_.Schedule(Millis(50), [this]() { PollOnce(); });
         return;
       }
     }
@@ -226,6 +227,7 @@ LvcTriggerClient::LvcTriggerClient(BladerunnerCluster* cluster, UserId user, Reg
                                    DeviceProfile profile, ObjectId video,
                                    int64_t notifier_host_id)
     : cluster_(cluster),
+      ctx_(&cluster->sim()),
       user_(user),
       video_(video),
       last_mile_(cluster->topology().LastMileModel(profile)),
@@ -233,7 +235,7 @@ LvcTriggerClient::LvcTriggerClient(BladerunnerCluster* cluster, UserId user, Reg
   notifications_counter_ = &cluster_->metrics().GetCounter("trigger.notifications");
   polls_counter_ = &cluster_->metrics().GetCounter("trigger.polls");
   latency_us_ = &cluster_->metrics().GetHistogram("trigger.lvc_latency_us");
-  poll_channel_ = cluster_->DeviceWasChannel(region, profile);
+  poll_channel_ = cluster_->DeviceWasChannel(ctx_, region, profile);
   notify_rpc_.RegisterMethod("brass.event", [this](MessagePtr request,
                                                    RpcServer::Respond respond) {
     respond(std::make_shared<PylonAck>());
@@ -242,7 +244,7 @@ LvcTriggerClient::LvcTriggerClient(BladerunnerCluster* cluster, UserId user, Reg
       return;
     }
     // Notify the device over the last mile; the device then polls.
-    cluster_->sim().Schedule(last_mile_.Sample(cluster_->sim().rng()), [this]() { OnNotified(); });
+    ctx_.Schedule(last_mile_.Sample(ctx_.rng()), [this]() { OnNotified(); });
   });
   if (cluster_->pylon() != nullptr) {
     cluster_->pylon()->RegisterSubscriberHost(notifier_host_id_, region, &notify_rpc_);
@@ -264,8 +266,7 @@ void LvcTriggerClient::Start() {
   // Subscribe the notifier to the video's topic.
   Topic topic = LvcTopic(video_);
   PylonServer* server = cluster_->pylon()->RouteServer(topic);
-  auto channel = std::make_shared<RpcChannel>(
-      &cluster_->sim(), server->rpc(), LatencyModel::IntraRegion());
+  auto channel = std::make_shared<RpcChannel>(ctx_, server->rpc(), LatencyModel::IntraRegion());
   auto request = std::make_shared<PylonSubscribeRequest>();
   request->topic = topic;
   request->host_id = notifier_host_id_;

@@ -44,6 +44,7 @@ class LvcPollingClient {
   void ScheduleNext();
 
   BladerunnerCluster* cluster_;
+  SimContext ctx_;  // the global LP: baselines run in one-LP clusters
   UserId user_;
   ObjectId video_;
   SimTime interval_;
@@ -84,6 +85,7 @@ class LvcServerPollAgent {
   void ScheduleNext();
 
   BladerunnerCluster* cluster_;
+  SimContext ctx_;  // the global LP: baselines run in one-LP clusters
   UserId user_;
   ObjectId video_;
   SimTime interval_;
@@ -126,6 +128,7 @@ class LvcTriggerClient {
   void PollOnce();
 
   BladerunnerCluster* cluster_;
+  SimContext ctx_;  // the global LP: baselines run in one-LP clusters
   UserId user_;
   ObjectId video_;
   LatencyModel last_mile_;

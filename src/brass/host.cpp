@@ -65,7 +65,7 @@ BrassHost::BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppSer
     HandlePylonEvent(std::move(request), std::move(respond));
   });
   was_channel_ = std::make_unique<RpcChannel>(
-      ctx_.sim(), was_->rpc(),
+      ctx_, was_->rpc(),
       pylon_ != nullptr ? pylon_->topology()->LinkModel(region_, was_->region())
                         : LatencyModel::IntraRegion());
   fetch_pipeline_ = std::make_unique<FetchPipeline>(
@@ -300,8 +300,8 @@ void BrassHost::SubscribeTopic(const Topic& topic, const StreamKey& key, TraceCo
   entry.in_flight = true;
   m_.pylon_subscribes->Increment();
   PylonServer* server = pylon_->RouteServer(topic);
-  auto channel = std::make_shared<RpcChannel>(ctx_.sim(), server->rpc(),
-                                              pylon_->topology()->LinkModel(region_, server->region()));
+  auto channel = std::make_shared<RpcChannel>(
+      ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
   auto request = std::make_shared<PylonSubscribeRequest>();
   request->topic = topic;
   request->host_id = host_id_;
@@ -385,7 +385,7 @@ void BrassHost::UnsubscribeStreamTopics(const StreamKey& key) {
       m_.pylon_unsubscribes->Increment();
       PylonServer* server = pylon_->RouteServer(topic);
       auto channel = std::make_shared<RpcChannel>(
-          ctx_.sim(), server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
+          ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
       auto request = std::make_shared<PylonSubscribeRequest>();
       request->topic = topic;
       request->host_id = host_id_;
@@ -1070,7 +1070,7 @@ void BrassHost::WithdrawAllPylonSubscriptions() {
     }
     PylonServer* server = pylon_->RouteServer(topic);
     auto channel = std::make_shared<RpcChannel>(
-        ctx_.sim(), server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
+        ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
     auto request = std::make_shared<PylonSubscribeRequest>();
     request->topic = topic;
     request->host_id = host_id_;

@@ -61,6 +61,7 @@ class BrassHost : public BurstServerHandler {
   // place new streams here even while existing streams are still served.
   bool draining() const { return draining_; }
   Simulator* sim() { return ctx_.sim(); }
+  SimContext ctx() const { return ctx_; }
   MetricsRegistry* metrics() { return metrics_; }
   TraceCollector* trace() { return trace_; }
   const BrassConfig& config() const { return config_; }

@@ -22,7 +22,7 @@ MetricsRegistry& BrassRuntime::metrics() { return *host_->metrics(); }
 SimTime BrassRuntime::Now() { return host_->sim()->Now(); }
 
 TimerId BrassRuntime::ScheduleTimer(SimTime delay, std::function<void()> fn) {
-  return host_->sim()->Schedule(delay, GuardAlive(std::move(fn)));
+  return host_->ctx().Schedule(delay, GuardAlive(std::move(fn)));
 }
 
 bool BrassRuntime::CancelTimer(TimerId id) { return host_->sim()->Cancel(id); }

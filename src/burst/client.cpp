@@ -29,7 +29,7 @@ BurstClient::BurstClient(SimContext ctx, int64_t device_id, Connector connector,
   m_.radio_promotions = &metrics_->GetCounter("burst.radio_promotions");
   // Partitioned runs keep a fleet-wide open-stream gauge so samplers in the
   // global LP never walk (and race with) per-device state in other LPs. The
-  // sequential kernel skips it entirely: the registry's contents — and any
+  // one-LP kernel skips it entirely: the registry's contents — and any
   // output enumerating them — stay byte-identical to the pre-LP kernel.
   m_.active_streams =
       ctx_.sim()->partitioned() ? &metrics_->GetGauge("burst.active_streams") : nullptr;
@@ -65,7 +65,7 @@ void BurstClient::Connect() {
       // An asynchronous establishment finished after another one already
       // connected us, or the app went offline while the handshake was in
       // flight. Keep whatever state we're in; hang up the extra link.
-      // (Sequential clusters resolve synchronously, so neither can happen
+      // (One-LP clusters resolve synchronously, so neither can happen
       // there and an explicit Connect with auto-reconnect off still works.)
       end->Close();
       return;

@@ -51,7 +51,7 @@ class BurstClient : public ConnectionHandler {
 
   // Asks the infrastructure for a fresh device->POP connection and invokes
   // `done` exactly once with the device-side end (already attached at a
-  // POP), or nullptr when no POP is reachable right now. A sequential
+  // POP), or nullptr when no POP is reachable right now. A one-LP
   // cluster resolves synchronously (inside the Connect call); a partitioned
   // one hops into the POP-owning LP to pick a POP and back — the
   // connection-establishment round trip — so POP selection never reads

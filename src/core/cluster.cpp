@@ -1,5 +1,6 @@
 #include "src/core/cluster.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -32,23 +33,25 @@ TraceConfig ResolveTraceConfig(TraceConfig trace, uint64_t cluster_seed) {
   return trace;
 }
 
+// The kernel's LP layout: LP 0 plus one LP per device group.
+SimParallelOptions KernelOptions(const ClusterParallelConfig& parallel) {
+  SimParallelOptions options;
+  options.threads = parallel.threads;
+  options.num_lps = static_cast<uint32_t>(std::max(0, parallel.device_lp_groups)) + 1;
+  options.lookahead = parallel.lookahead;
+  options.reverse_lp_order = parallel.reverse_lp_order;
+  return options;
+}
+
 }  // namespace
 
 BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
     : config_(std::move(config)),
       topology_(std::move(topology)),
-      sim_(config_.seed),
+      sim_(config_.seed, KernelOptions(config_.parallel)),
       trace_(ResolveTraceConfig(config_.trace, config_.seed)) {
-  // The kernel must be partitioned before anything schedules an event or
-  // asks partitioned() — i.e. before any component below is constructed.
-  if (config_.parallel.device_lp_groups > 0) {
-    SimParallelOptions po;
-    po.threads = config_.parallel.threads;
-    po.num_lps = static_cast<uint32_t>(config_.parallel.device_lp_groups) + 1;
-    po.lookahead = config_.parallel.lookahead;
-    po.reverse_lp_order = config_.parallel.reverse_lp_order;
-    sim_.ConfigureParallel(po);
-    trace_.ConfigureLps(po.num_lps);
+  if (sim_.partitioned()) {
+    trace_.ConfigureLps(sim_.num_lps());
   }
   app_registry_ = BuildStandardAppRegistry(config_.apps);
   if (config_.livequery.enabled) {
@@ -251,11 +254,12 @@ BurstClient::Connector BladerunnerCluster::DeviceConnector(RegionId device_regio
   };
 }
 
-std::unique_ptr<RpcChannel> BladerunnerCluster::DeviceWasChannel(RegionId device_region,
+std::unique_ptr<RpcChannel> BladerunnerCluster::DeviceWasChannel(SimContext device,
+                                                                 RegionId device_region,
                                                                  DeviceProfile profile) {
   LatencyModel link =
       Compose(topology_.LastMileModel(profile), LatencyModel::PopToDatacenter());
-  return std::make_unique<RpcChannel>(&sim_, wases_[static_cast<size_t>(device_region)]->rpc(),
+  return std::make_unique<RpcChannel>(device, wases_[static_cast<size_t>(device_region)]->rpc(),
                                       link);
 }
 

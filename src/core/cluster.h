@@ -28,16 +28,16 @@
 
 namespace bladerunner {
 
-// Parallel-kernel knobs (docs/PERF.md "LP-partitioned execution"). With
-// `device_lp_groups` == 0 the cluster runs the sequential kernel and is
-// byte-identical to the pre-LP codebase. With groups > 0 the device fleet is
-// hashed into that many device-group LPs while every backend component
-// (TAO, Pylon, WASes, BRASS, proxies, POPs) stays in the global LP; only
-// last-mile links — whose latency floor is >= `lookahead` — cross LP
-// boundaries, which is what makes conservative rounds safe.
+// Kernel LP layout (docs/PERF.md "LP-partitioned execution"). With
+// `device_lp_groups` == 0 the whole cluster is one LP, the global LP, and
+// `threads` is unused. With groups > 0 the device fleet is hashed into that
+// many device-group LPs while every backend component (TAO, Pylon, WASes,
+// BRASS, proxies, POPs) stays in the global LP; only last-mile links —
+// whose latency floor is >= `lookahead` — cross LP boundaries, which is
+// what makes conservative rounds safe.
 struct ClusterParallelConfig {
   int threads = 1;           // worker threads for the round executor
-  int device_lp_groups = 0;  // 0 = sequential kernel (legacy, byte-identical)
+  int device_lp_groups = 0;  // 0 = one LP for the whole cluster
   SimTime lookahead = Millis(5);  // <= last-mile latency floor
   bool reverse_lp_order = false;  // determinism audit (SimParallelOptions)
 };
@@ -107,12 +107,13 @@ class BladerunnerCluster {
   // (falling back to any region) and hands back the device-side end. In a
   // partitioned cluster the selection hops into the global LP (where POP
   // state lives) and the reply hops back — the connection-establishment
-  // round trip; a sequential cluster resolves synchronously.
+  // round trip; a one-LP cluster resolves synchronously.
   BurstClient::Connector DeviceConnector(RegionId device_region, DeviceProfile profile);
 
   // An RPC channel from a device to its nearest WAS (for polls/mutations).
-  // Latency compounds last-mile + POP-to-DC.
-  std::unique_ptr<RpcChannel> DeviceWasChannel(RegionId device_region, DeviceProfile profile);
+  // Latency compounds last-mile + POP-to-DC. Replies run in `device`'s LP.
+  std::unique_ptr<RpcChannel> DeviceWasChannel(SimContext device, RegionId device_region,
+                                               DeviceProfile profile);
 
   // Backend-side channel to a WAS (e.g. for server-side polling agents).
   std::unique_ptr<RpcChannel> BackendWasChannel(RegionId region);

@@ -8,6 +8,7 @@ namespace bladerunner {
 DailyScenario::DailyScenario(BladerunnerCluster* cluster, const SocialGraph* graph,
                              DailyScenarioConfig config)
     : cluster_(cluster),
+      ctx_(&cluster->sim()),
       graph_(graph),
       config_(config),
       online_curve_(config.online_trough, config.online_peak, config.peak_hour) {
@@ -95,11 +96,10 @@ void DailyScenario::Run() {
   SimTime end = started_at_ + config_.duration;
   for (SimTime t = started_at_ + config_.sample_interval; t <= end;
        t += config_.sample_interval) {
-    sampler_timers_.push_back(cluster_->sim().ScheduleAt(t, [this]() { SamplerTick(); }));
+    sampler_timers_.push_back(ctx_.ScheduleAt(t, [this]() { SamplerTick(); }));
   }
   if (config_.host_upgrade_interval > 0) {
-    upgrade_timer_ =
-        cluster_->sim().Schedule(config_.host_upgrade_interval, [this]() { UpgradeTick(); });
+    upgrade_timer_ = ctx_.Schedule(config_.host_upgrade_interval, [this]() { UpgradeTick(); });
   }
   cluster_->sim().RunUntil(end);
   // Tear down cleanly so open-stream records have final event counts.
@@ -369,13 +369,12 @@ void DailyScenario::UpgradeTick() {
     // The revive must outlive this DailyScenario (it may land after the
     // scenario's end), so it captures the cluster, not `this`.
     BladerunnerCluster* cluster = cluster_;
-    cluster_->sim().Schedule(Minutes(2), [cluster, victim]() {
+    ctx_.Schedule(Minutes(2), [cluster, victim]() {
       cluster->brass_host(victim).Revive();
     });
   }
   if (cluster_->sim().Now() < started_at_ + config_.duration) {
-    upgrade_timer_ =
-        cluster_->sim().Schedule(config_.host_upgrade_interval, [this]() { UpgradeTick(); });
+    upgrade_timer_ = ctx_.Schedule(config_.host_upgrade_interval, [this]() { UpgradeTick(); });
   }
 }
 

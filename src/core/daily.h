@@ -133,6 +133,7 @@ class DailyScenario {
   void UpgradeTick();
 
   BladerunnerCluster* cluster_;
+  SimContext ctx_;  // the global LP: sampler and host-upgrade ticks
   const SocialGraph* graph_;
   DailyScenarioConfig config_;
   DiurnalCurve online_curve_;

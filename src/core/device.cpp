@@ -64,7 +64,7 @@ DeviceAgent::DeviceAgent(BladerunnerCluster* cluster, UserId user, RegionId regi
   burst_ = std::make_unique<BurstClient>(ctx_, DeviceIdFor(user),
                                          cluster_->DeviceConnector(region, profile), this,
                                          burst_config, &cluster_->metrics(), &cluster_->trace());
-  was_channel_ = cluster_->DeviceWasChannel(region, profile);
+  was_channel_ = cluster_->DeviceWasChannel(ctx_, region, profile);
 }
 
 DeviceAgent::~DeviceAgent() {

@@ -62,7 +62,8 @@ void ConnectionEnd::Send(MessagePtr message) {
   delivery = std::max(delivery, last_scheduled_delivery_ + 1);
   last_scheduled_delivery_ = delivery;
   uint64_t epoch = shared_->epoch;
-  sim->ScheduleAt(delivery, [peer, message, epoch]() { peer->Deliver(message, epoch); });
+  sim->ScheduleAt(kGlobalLp, delivery,
+                  [peer, message, epoch]() { peer->Deliver(message, epoch); });
 }
 
 void ConnectionEnd::Close() {
@@ -93,7 +94,7 @@ void ConnectionEnd::Close() {
   SimTime at = std::max(sim->Now() + shared_->latency.Sample(sim->rng()),
                         last_scheduled_delivery_ + 1);
   uint64_t epoch = shared_->epoch;
-  sim->ScheduleAt(at, [peer, epoch]() {
+  sim->ScheduleAt(kGlobalLp, at, [peer, epoch]() {
     peer->NotifyDisconnect(DisconnectReason::kPeerClose, epoch);
   });
 }
@@ -126,7 +127,7 @@ void ConnectionEnd::Fail() {
   if (!peer) {
     return;
   }
-  sim->Schedule(shared_->failure_detection_delay, [peer, failed_epoch]() {
+  sim->Schedule(kGlobalLp, shared_->failure_detection_delay, [peer, failed_epoch]() {
     peer->NotifyDisconnect(DisconnectReason::kPeerFailure, failed_epoch);
   });
 }

@@ -17,7 +17,7 @@
 // share mutable state): a surviving side keeps receiving messages that
 // were in flight toward it until it observes the disconnect, and each
 // side's sends stop the moment *it* closes/fails or learns the peer did.
-// The sequential kernel keeps the original shared-state semantics exactly.
+// A one-LP simulation keeps the original shared-state semantics exactly.
 
 #ifndef BLADERUNNER_SRC_NET_CONNECTION_H_
 #define BLADERUNNER_SRC_NET_CONNECTION_H_

@@ -30,25 +30,25 @@ void RpcServer::Dispatch(const std::string& method, MessagePtr request, Respond 
   it->second(std::move(request), std::move(respond));
 }
 
-RpcChannel::RpcChannel(Simulator* sim, RpcServer* server, LatencyModel one_way)
-    : sim_(sim), server_(server), one_way_(one_way) {
-  assert(sim != nullptr);
+RpcChannel::RpcChannel(SimContext owner, RpcServer* server, LatencyModel one_way)
+    : ctx_(owner), server_(server), one_way_(one_way) {
+  assert(owner.sim() != nullptr);
 }
 
 void RpcChannel::Call(const std::string& method, MessagePtr request,
                       RpcResponseCallback callback, SimTime timeout) {
   // One callback invocation, ever: the timeout and the response race and
   // the loser observes `done`. `done` and the callback are only touched in
-  // the caller's LP: the request dispatches into the server's LP, and both
-  // terminal paths schedule the callback back into the caller's LP, so a
+  // the owner's LP: the request dispatches into the server's LP, and both
+  // terminal paths schedule the callback back into the owner's LP, so a
   // channel held by a partitioned component (a device, a POP) never races
   // the backend LP it calls into.
   auto done = std::make_shared<bool>(false);
   auto cb = std::make_shared<RpcResponseCallback>(std::move(callback));
-  LpId caller_lp = sim_->CurrentLp();
+  LpId owner_lp = ctx_.lp();
 
   if (timeout > 0) {
-    sim_->Schedule(caller_lp, timeout, [done, cb]() {
+    ctx_.Schedule(timeout, [done, cb]() {
       if (*done) {
         return;
       }
@@ -58,14 +58,14 @@ void RpcChannel::Call(const std::string& method, MessagePtr request,
   }
 
   RpcServer* server = server_;
-  Simulator* sim = sim_;
+  Simulator* sim = ctx_.sim();
   LatencyModel one_way = one_way_;
   SimTime request_latency = one_way.Sample(sim->rng());
-  sim->Schedule(server->lp(), request_latency, [sim, server, one_way, caller_lp, method,
+  sim->Schedule(server->lp(), request_latency, [sim, server, one_way, owner_lp, method,
                                                 request, done, cb]() {
     if (!server->available()) {
       // Unavailability is observed roughly one round trip after sending.
-      sim->Schedule(caller_lp, one_way.Sample(sim->rng()), [done, cb]() {
+      sim->Schedule(owner_lp, one_way.Sample(sim->rng()), [done, cb]() {
         if (*done) {
           return;
         }
@@ -76,7 +76,7 @@ void RpcChannel::Call(const std::string& method, MessagePtr request,
     }
     TraceContext request_trace = request->trace;
     uint64_t incarnation = server->incarnation();
-    server->Dispatch(method, request, [sim, server, one_way, caller_lp, done, cb,
+    server->Dispatch(method, request, [sim, server, one_way, owner_lp, done, cb,
                                        incarnation, request_trace](MessagePtr response) {
       // A server that went down before responding never gets to respond —
       // and one that went down and *recovered* in the meantime is a new
@@ -89,7 +89,7 @@ void RpcChannel::Call(const std::string& method, MessagePtr request,
       if (response != nullptr && !response->trace.valid()) {
         response->trace = request_trace;
       }
-      sim->Schedule(caller_lp, one_way.Sample(sim->rng()), [done, cb, response]() {
+      sim->Schedule(owner_lp, one_way.Sample(sim->rng()), [done, cb, response]() {
         if (*done) {
           return;
         }

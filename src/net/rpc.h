@@ -73,10 +73,12 @@ class RpcServer {
   LpId lp_ = kGlobalLp;
 };
 
-// Client-side handle to one server over one link latency model.
+// Client-side handle to one server over one link latency model. `owner` is
+// the context of the component that holds the channel: replies and
+// timeouts run in its LP, wherever Call() is issued from.
 class RpcChannel {
  public:
-  RpcChannel(Simulator* sim, RpcServer* server, LatencyModel one_way);
+  RpcChannel(SimContext owner, RpcServer* server, LatencyModel one_way);
 
   // Issues `method(request)`; `callback` runs exactly once with the result.
   // `timeout` bounds the total round trip; 0 means no timeout.
@@ -90,7 +92,7 @@ class RpcChannel {
   RpcServer* server() const { return server_; }
 
  private:
-  Simulator* sim_;
+  SimContext ctx_;
   RpcServer* server_;
   LatencyModel one_way_;
 };

@@ -172,7 +172,7 @@ RpcChannel* PylonCluster::ChannelToKv(RegionId from, KvNode* node) {
   auto key = std::make_pair(from, node->node_id());
   auto it = kv_channels_.find(key);
   if (it == kv_channels_.end()) {
-    auto channel = std::make_unique<RpcChannel>(ctx_.sim(), node->rpc(),
+    auto channel = std::make_unique<RpcChannel>(ctx_, node->rpc(),
                                                 topology_->LinkModel(from, node->region()));
     it = kv_channels_.emplace(key, std::move(channel)).first;
   }
@@ -188,7 +188,7 @@ RpcChannel* PylonCluster::ChannelToHost(RegionId from, int64_t host_id) {
   auto it = host_channels_.find(key);
   if (it == host_channels_.end()) {
     auto channel =
-        std::make_unique<RpcChannel>(ctx_.sim(), ref->rpc, topology_->LinkModel(from, ref->region));
+        std::make_unique<RpcChannel>(ctx_, ref->rpc, topology_->LinkModel(from, ref->region));
     it = host_channels_.emplace(key, std::move(channel)).first;
   }
   return it->second.get();

@@ -95,6 +95,7 @@ class PylonCluster {
   // ---- Shared context for servers ----
 
   Simulator* sim() { return ctx_.sim(); }
+  SimContext ctx() const { return ctx_; }
   const Topology* topology() const { return topology_; }
   const PylonConfig& config() const { return config_; }
   MetricsRegistry* metrics() { return metrics_; }

@@ -49,12 +49,12 @@ void KvFailureInjector::Start() {
       outages_.push_back(outage);
     }
   }
-  Simulator* sim = pylon_->sim();
+  SimContext ctx = pylon_->ctx();
   for (const Outage& outage : outages_) {
     KvNode* node = pylon_->KvNodeAt(outage.node_index);
-    sim->Schedule(outage.at, [node]() { node->Fail(); });
-    sim->Schedule(outage.at + outage.duration,
-                  [node, lose = outage.state_loss]() { node->Recover(lose); });
+    ctx.Schedule(outage.at, [node]() { node->Fail(); });
+    ctx.Schedule(outage.at + outage.duration,
+                 [node, lose = outage.state_loss]() { node->Recover(lose); });
   }
 }
 

@@ -1,16 +1,15 @@
-// The event store shared by the sequential kernel and each logical
-// process of the parallel kernel: an explicit 4-ary min-heap ordered by
-// (time, seq) plus a generation-tagged slot table (docs/PERF.md).
+// The event store of each logical process (src/sim/simulator.h): an
+// explicit 4-ary min-heap ordered by (time, seq) plus a generation-tagged
+// slot table (docs/PERF.md).
 //
-// Extracted verbatim from the PR 5 Simulator internals so both kernels run
-// the identical hot path: every sift moves elements instead of copying
-// them, Cancel() is an O(1) flag flip whose tombstone is dropped when it
-// surfaces, and slots are recycled only when their heap node surfaces, so
-// a live TimerId can never alias a recycled slot.
+// Every sift moves elements instead of copying them, Cancel() is an O(1)
+// flag flip whose tombstone is dropped when it surfaces, and slots are
+// recycled only when their heap node surfaces, so a live TimerId can never
+// alias a recycled slot.
 //
-// TimerId layout: LP tag in the high 12 bits, slot index in the next 26,
-// generation in the low 26. Generations start at 1 and skip 0 on wrap, so
-// no valid id ever equals kInvalidTimerId.
+// TimerId layout: LP tag in the high 12 bits (hence kMaxLps, src/sim/lp.h),
+// slot index in the next 26, generation in the low 26. Generations start at
+// 1 and skip 0 on wrap, so no valid id ever equals kInvalidTimerId.
 
 #ifndef BLADERUNNER_SRC_SIM_EVENT_HEAP_H_
 #define BLADERUNNER_SRC_SIM_EVENT_HEAP_H_

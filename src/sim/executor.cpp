@@ -32,9 +32,9 @@ WorkStealingExecutor::~WorkStealingExecutor() {
 
 void WorkStealingExecutor::ExecuteRound(const std::vector<uint32_t>& ready, SimTime horizon) {
   if (threads_ == 1 || ready.size() == 1) {
-    // Inline: no barrier to pay. Single-LP rounds are common (an all-global
-    // simulation is one LP), and running them on the calling thread keeps
-    // that case as cheap as the sequential kernel.
+    // Inline: no barrier to pay. Rounds with one ready LP are common (the
+    // backend LP alone between device bursts), and running them on the
+    // calling thread keeps them cheap.
     if (reverse_lp_order_) {
       for (size_t i = ready.size(); i > 0; --i) {
         sim_->RunLpRound(ready[i - 1], horizon);

@@ -1,4 +1,4 @@
-// Work-stealing executor for the partitioned simulation kernel.
+// Work-stealing executor for the kernel's rounds when it has several LPs.
 //
 // One round = one batch of logical processes whose next events fall below
 // the conservative-lookahead horizon. LPs (not events) are the stealing

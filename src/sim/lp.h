@@ -1,9 +1,9 @@
 // Logical processes (LPs) and the LP-affine scheduling surface.
 //
-// The parallel kernel (docs/PERF.md "LP-partitioned execution") divides the
-// simulated world into logical processes: per-POP, per device group, and one
-// global LP (id 0) that holds every component not explicitly partitioned.
-// Events within one LP execute sequentially in (at, seq) order; events in
+// The kernel (docs/PERF.md "LP-partitioned execution") divides the
+// simulated world into logical processes: per device group, and one global
+// LP (id 0) that holds every component not explicitly partitioned. Events
+// within one LP execute sequentially in (at, seq) order; events in
 // different LPs may execute concurrently within one conservative-lookahead
 // round, so state owned by different LPs must only interact through
 // cross-LP sends (SimContext::SendTo / Simulator::ScheduleAt(lp, ...)),
@@ -12,9 +12,11 @@
 //
 // SimContext is the handle components hold instead of a raw Simulator*: it
 // carries the component's declared LP, so the component's own timers land in
-// its LP no matter which LP the scheduling call happens to run in. It is
-// implicitly constructible from Simulator* (affinity kGlobalLp), which keeps
-// unmigrated call sites compiling and byte-identical.
+// its LP no matter which LP the scheduling call happens to run in. Wherever
+// no LP is given — a SimContext built from a bare Simulator*, the
+// Simulator::Schedule(delay, fn) shorthand, code running outside any event —
+// the LP is LP 0, the global LP. No scheduling call infers its LP from the
+// event that happens to be executing.
 
 #ifndef BLADERUNNER_SRC_SIM_LP_H_
 #define BLADERUNNER_SRC_SIM_LP_H_
@@ -45,8 +47,13 @@ struct LpId {
 };
 
 // The global LP: everything that is not explicitly partitioned. In a
-// sequential (non-partitioned) simulation every event is in the global LP.
+// one-LP simulation every event is in the global LP.
 inline constexpr LpId kGlobalLp{0};
+
+// The most LPs one simulation may have. A TimerId carries its LP in 12 bits
+// (src/sim/event_heap.h) and a partitioned trace id carries `lp + 1` in 12
+// bits (src/trace/collector.h), so LP ids 0..4094 are what both can address.
+inline constexpr uint32_t kMaxLps = 4095;
 
 // The LP whose event is currently executing on this thread, or kGlobalLp
 // when called outside event execution (setup code, between Run calls).
@@ -59,7 +66,7 @@ LpId CurrentExecutionLp();
 // its timers always land in its declared LP.
 class SimContext {
  public:
-  // Implicit on purpose: a raw Simulator* is the legacy global-LP form.
+  // Implicit on purpose: a bare Simulator* means the global LP.
   SimContext(Simulator* sim = nullptr, LpId lp = kGlobalLp) : sim_(sim), lp_(lp) {}
 
   Simulator* sim() const { return sim_; }
@@ -80,8 +87,8 @@ class SimContext {
 
   bool Cancel(TimerId id) const;
 
-  // The executing LP's deterministic random stream (the legacy simulator
-  // Rng for the global LP, a per-LP fork otherwise).
+  // The executing LP's deterministic random stream (the seed rng for the
+  // global LP, a per-LP fork otherwise).
   Rng& rng() const;
 
  private:

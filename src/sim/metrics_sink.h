@@ -1,6 +1,6 @@
-// Per-LP metric sinks for the partitioned kernel (docs/PERF.md).
+// Per-LP metric sinks for simulations with several LPs (docs/PERF.md).
 //
-// When the parallel executor runs an LP's events, a thread-local active
+// When the kernel runs an LP's events in a round, a thread-local active
 // sink buffers every metric mutation (counter increments, histogram
 // records, time-series adds, gauge writes) instead of applying it to the
 // shared metric object. Sinks are flushed by the coordinator at each round
@@ -11,8 +11,9 @@
 // floating-point accumulations (histogram sums, time-series buckets)
 // bit-identical across thread counts.
 //
-// Outside LP execution (sequential kernel, setup and report code) no sink
-// is active and every mutation applies directly, exactly as before.
+// A one-LP simulation has no sinks, and outside event execution (setup and
+// report code) no sink is active: every mutation applies directly, exactly
+// as before.
 
 #ifndef BLADERUNNER_SRC_SIM_METRICS_SINK_H_
 #define BLADERUNNER_SRC_SIM_METRICS_SINK_H_

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/sim/executor.h"
@@ -12,8 +14,7 @@ namespace bladerunner {
 namespace {
 
 // The LP execution context of this thread. Set for the duration of
-// Simulator::RunLpRound; null outside event execution and in sequential
-// mode (where the global LP is implicit).
+// Simulator::RunLpRound; null outside event execution.
 struct ExecContext {
   Simulator* sim = nullptr;
   LpId lp = kGlobalLp;
@@ -57,80 +58,68 @@ Rng& SimContext::rng() const { return sim_->rng(); }
 
 // ---- Simulator ----
 
-Simulator::Simulator(uint64_t seed) : seed_(seed), rng_(seed) {}
-
-Simulator::~Simulator() = default;
-
-void Simulator::ConfigureParallel(SimParallelOptions options) {
-  assert(!partitioned_ && "ConfigureParallel may only be called once");
-  assert(events_executed_ == 0 && heap_.live_events() == 0 &&
-         "ConfigureParallel must precede any scheduling");
-  options_ = options;
+Simulator::Simulator(uint64_t seed, SimParallelOptions options) : options_(options) {
   options_.threads = std::max(1, options_.threads);
   options_.num_lps = std::max<uint32_t>(1, options_.num_lps);
   options_.lookahead = std::max<SimTime>(1, options_.lookahead);
-  assert(options_.num_lps <= (1u << 12) && "LP id must fit the TimerId tag");
-  partitioned_ = true;
+  if (options_.num_lps > kMaxLps) {
+    std::fprintf(stderr, "Simulator: %u LPs requested; at most %u are addressable\n",
+                 options_.num_lps, kMaxLps);
+    std::abort();
+  }
   lps_.reserve(options_.num_lps);
   for (uint32_t i = 0; i < options_.num_lps; ++i) {
-    auto lp = std::make_unique<LpState>(i);
-    if (i != 0) {
-      lp->rng = std::make_unique<Rng>(Mix64(seed_ ^ (0x4c700000ULL + i)));
-    }
+    auto lp = std::make_unique<LpState>(i, i == 0 ? seed : Mix64(seed ^ (0x4c700000ULL + i)));
     lp->next_unique_id = static_cast<uint64_t>(i) << 40;
-    lp->sink = std::make_unique<MetricsSink>();
     lps_.push_back(std::move(lp));
   }
-  executor_ = std::make_unique<WorkStealingExecutor>(this, options_.threads,
-                                                    options_.reverse_lp_order);
+  if (partitioned()) {
+    for (auto& lp : lps_) {
+      lp->sink = std::make_unique<MetricsSink>();
+    }
+    executor_ = std::make_unique<WorkStealingExecutor>(this, options_.threads,
+                                                      options_.reverse_lp_order);
+  }
+}
+
+Simulator::~Simulator() = default;
+
+Simulator::LpState* Simulator::ExecutingLp() const {
+  return t_exec.sim == this ? static_cast<LpState*>(t_exec.lp_state) : nullptr;
 }
 
 SimTime Simulator::Now() const {
-  if (t_exec.sim == this && t_exec.lp_state != nullptr) {
-    return static_cast<const LpState*>(t_exec.lp_state)->now;
-  }
-  return now_;
-}
-
-LpId Simulator::CurrentLp() const {
-  return t_exec.sim == this ? t_exec.lp : kGlobalLp;
+  const LpState* lp = ExecutingLp();
+  return lp != nullptr ? lp->now : now_;
 }
 
 Rng& Simulator::rng() {
-  if (t_exec.sim == this && t_exec.lp_state != nullptr) {
-    LpState* lp = static_cast<LpState*>(t_exec.lp_state);
-    if (lp->rng != nullptr) {
-      return *lp->rng;
-    }
-  }
-  return rng_;
+  LpState* lp = ExecutingLp();
+  return lp != nullptr ? lp->rng : lps_[0]->rng;
 }
 
 Rng& Simulator::rng(LpId lp) {
-  if (!partitioned_ || lp.value == 0) {
-    return rng_;
-  }
   assert(lp.value < lps_.size());
-  return *lps_[lp.value]->rng;
+  return lps_[lp.value]->rng;
 }
 
 uint64_t Simulator::NextUniqueId() {
-  if (t_exec.sim == this && t_exec.lp_state != nullptr) {
-    return ++static_cast<LpState*>(t_exec.lp_state)->next_unique_id;
-  }
-  if (partitioned_) {
-    // Setup code shares the global LP's id space so ids never collide with
-    // ones handed out during global-LP execution.
-    return ++lps_[0]->next_unique_id;
-  }
-  return ++global_unique_id_;
+  // Setup code shares the global LP's id space so ids never collide with
+  // ones handed out during global-LP execution.
+  LpState* lp = ExecutingLp();
+  return ++(lp != nullptr ? lp : lps_[0].get())->next_unique_id;
 }
 
-TimerId Simulator::PushSequential(SimTime at, std::function<void()> fn) {
-  if (at < now_) {
-    at = now_;
-  }
-  return heap_.Push(at, std::move(fn));
+TimerId Simulator::Schedule(SimTime delay, std::function<void()> fn) {
+  assert((ExecutingLp() == nullptr || ExecutingLp() == lps_[0].get()) &&
+         "Schedule(delay, fn) means the global LP; schedule through a SimContext");
+  return Schedule(kGlobalLp, delay, std::move(fn));
+}
+
+TimerId Simulator::ScheduleAt(SimTime at, std::function<void()> fn) {
+  assert((ExecutingLp() == nullptr || ExecutingLp() == lps_[0].get()) &&
+         "ScheduleAt(at, fn) means the global LP; schedule through a SimContext");
+  return ScheduleAt(kGlobalLp, at, std::move(fn));
 }
 
 TimerId Simulator::Schedule(LpId lp, SimTime delay, std::function<void()> fn) {
@@ -141,20 +130,15 @@ TimerId Simulator::Schedule(LpId lp, SimTime delay, std::function<void()> fn) {
 }
 
 TimerId Simulator::ScheduleAt(LpId lp, SimTime at, std::function<void()> fn) {
-  if (!partitioned_) {
-    // Sequential kernel: one heap, LP affinity is irrelevant.
-    return PushSequential(at, std::move(fn));
-  }
   assert(lp.value < lps_.size() && "LP out of range; grow SimParallelOptions::num_lps");
-  LpState* current =
-      t_exec.sim == this ? static_cast<LpState*>(t_exec.lp_state) : nullptr;
+  LpState& target = *lps_[lp.value];
+  LpState* current = ExecutingLp();
   if (current == nullptr) {
     // Outside event execution (setup code, between Run calls): push
     // directly; only this thread touches the kernel.
-    LpState& target = *lps_[lp.value];
     return target.heap.Push(std::max(at, now_), std::move(fn));
   }
-  if (lps_[lp.value].get() == current) {
+  if (&target == current) {
     // Self-scheduling: may land inside the current round.
     return current->heap.Push(std::max(at, current->now), std::move(fn));
   }
@@ -171,9 +155,6 @@ TimerId Simulator::ScheduleAt(LpId lp, SimTime at, std::function<void()> fn) {
 }
 
 bool Simulator::Cancel(TimerId id) {
-  if (!partitioned_) {
-    return heap_.Cancel(id);
-  }
   uint32_t lp = sim_internal::TimerLpTag(id);
   if (lp >= lps_.size()) {
     return false;
@@ -181,57 +162,18 @@ bool Simulator::Cancel(TimerId id) {
   // An event may be cancelled only from its own LP's execution (or from
   // outside event execution) — cancelling another LP's timer mid-round
   // would race with its executor.
-  assert((t_exec.sim != this || t_exec.lp_state == nullptr ||
-          t_exec.lp_state == lps_[lp].get()) &&
+  assert((ExecutingLp() == nullptr || ExecutingLp() == lps_[lp].get()) &&
          "cross-LP Cancel is not allowed during execution");
   return lps_[lp]->heap.Cancel(id);
 }
 
 size_t Simulator::PendingEvents() const {
-  if (!partitioned_) {
-    return heap_.live_events();
-  }
   size_t n = 0;
   for (const auto& lp : lps_) {
     n += lp->heap.live_events();
   }
   return n;
 }
-
-// ---- sequential kernel ----
-
-bool Simulator::SequentialStep() {
-  heap_.PurgeCancelledTop();
-  if (heap_.Top() == nullptr) {
-    return false;
-  }
-  sim_internal::EventHeap::Event ev = heap_.PopEvent();
-  heap_.NoteExecuted();
-  now_ = ev.at;
-  ++events_executed_;
-  ev.fn();
-  return true;
-}
-
-uint64_t Simulator::SequentialRunUntil(SimTime deadline, bool run_all) {
-  uint64_t n = 0;
-  for (;;) {
-    heap_.PurgeCancelledTop();
-    const sim_internal::EventHeap::Event* top = heap_.Top();
-    if (top == nullptr || (!run_all && top->at > deadline)) {
-      break;
-    }
-    if (SequentialStep()) {
-      ++n;
-    }
-  }
-  if (!run_all && now_ < deadline) {
-    now_ = deadline;
-  }
-  return n;
-}
-
-// ---- partitioned round kernel ----
 
 void Simulator::RunLpRound(uint32_t lp_index, SimTime horizon) {
   LpState& lp = *lps_[lp_index];
@@ -271,28 +213,37 @@ uint64_t Simulator::MergeRound() {
   return executed;
 }
 
-uint64_t Simulator::PartitionedRunUntil(SimTime deadline, bool run_all) {
-  assert((t_exec.sim != this || t_exec.lp_state == nullptr) &&
-         "nested Run from inside an event is not supported in partitioned mode");
+uint64_t Simulator::RunEvents(SimTime deadline) {
+  assert(ExecutingLp() == nullptr && "nested Run from inside an event is not supported");
+  if (!partitioned()) {
+    // One LP: nothing to synchronise with, so drain it straight to the
+    // deadline in a single pass.
+    LpState& lp = *lps_[0];
+    RunLpRound(0, deadline == kSimTimeNever ? kSimTimeNever : deadline + 1);
+    uint64_t n = lp.executed;
+    lp.executed = 0;
+    events_executed_ += n;
+    return n;
+  }
   uint64_t n = 0;
   for (;;) {
     // Round start: T = earliest event anywhere.
     SimTime t = kSimTimeNever;
-    ready_.clear();
-    for (uint32_t i = 0; i < lps_.size(); ++i) {
-      lps_[i]->heap.PurgeCancelledTop();
-      const sim_internal::EventHeap::Event* top = lps_[i]->heap.Top();
+    for (auto& lp : lps_) {
+      lp->heap.PurgeCancelledTop();
+      const sim_internal::EventHeap::Event* top = lp->heap.Top();
       if (top != nullptr && top->at < t) {
         t = top->at;
       }
     }
-    if (t == kSimTimeNever || (!run_all && t > deadline)) {
+    if (t == kSimTimeNever || t > deadline) {
       break;
     }
     SimTime horizon = t + options_.lookahead;
-    if (!run_all && horizon > deadline) {
+    if (horizon > deadline) {
       horizon = deadline + 1;  // events at the deadline itself still run
     }
+    ready_.clear();
     for (uint32_t i = 0; i < lps_.size(); ++i) {
       const sim_internal::EventHeap::Event* top = lps_[i]->heap.Top();
       if (top != nullptr && top->at < horizon) {
@@ -308,35 +259,21 @@ uint64_t Simulator::PartitionedRunUntil(SimTime deadline, bool run_all) {
     // before it has executed.
     now_ = std::max(now_, horizon - 1);
   }
-  if (!run_all) {
-    now_ = std::max(now_, deadline);
-  } else {
-    // Run(): leave Now() at the time of the last executed event.
-    SimTime last = now_;
-    for (const auto& lp : lps_) {
-      last = std::max(last, lp->now);
-    }
-    now_ = last;
-  }
   return n;
 }
 
 uint64_t Simulator::Run() {
-  if (partitioned_) {
-    return PartitionedRunUntil(0, /*run_all=*/true);
-  }
-  uint64_t n = 0;
-  while (SequentialStep()) {
-    ++n;
+  uint64_t n = RunEvents(kSimTimeNever);
+  for (const auto& lp : lps_) {
+    now_ = std::max(now_, lp->now);
   }
   return n;
 }
 
 uint64_t Simulator::RunUntil(SimTime deadline) {
-  if (partitioned_) {
-    return PartitionedRunUntil(deadline, /*run_all=*/false);
-  }
-  return SequentialRunUntil(deadline, /*run_all=*/false);
+  uint64_t n = RunEvents(deadline);
+  now_ = std::max(now_, deadline);
+  return n;
 }
 
 }  // namespace bladerunner

@@ -6,21 +6,21 @@
 // execute in scheduling order, and all randomness flows through
 // simulator-owned Rngs, so a fixed seed reproduces a run exactly.
 //
-// Two execution modes share the same event store (src/sim/event_heap.h —
-// the PR 5 4-ary move-based min-heap with generation-tagged slots):
+// There is one kernel. The world is divided into logical processes
+// (src/sim/lp.h), fixed at construction; LP 0 is the global LP and always
+// exists. Each LP keeps its events in its own event store
+// (src/sim/event_heap.h) and runs them in local (at, seq) order.
 //
-//  * Sequential (default): one heap, one thread, strict (at, seq) total
-//    order — bit-identical to the pre-parallel kernel.
-//  * Partitioned (ConfigureParallel): the world is divided into logical
-//    processes (src/sim/lp.h). Execution proceeds in conservative-lookahead
-//    rounds [T, T + lookahead): every LP with events below the horizon runs
-//    them in local (at, seq) order — possibly concurrently on the
-//    work-stealing executor (src/sim/executor.h) — and cross-LP sends are
-//    buffered in per-LP outboxes, merged at the round barrier in LP-id
-//    order, and never land earlier than the lookahead. The schedule is a
-//    pure function of the seed and the LP layout: any thread count
-//    (including 1) produces the same run. With only the global LP
-//    populated, partitioned runs are byte-identical to sequential ones.
+//  * One LP (the default): Run and RunUntil drain LP 0 straight to the
+//    deadline in a single pass, with no round barrier, no outbox merge, no
+//    metric sink and no executor. rounds_executed() stays 0.
+//  * Several LPs: execution proceeds in conservative-lookahead rounds
+//    [T, T + lookahead). Every LP with events below the horizon runs them,
+//    possibly concurrently on the work-stealing executor
+//    (src/sim/executor.h). Cross-LP sends are buffered in per-LP outboxes,
+//    merged at the round barrier in LP-id order, and never land earlier
+//    than the lookahead. The schedule is a pure function of the seed and
+//    the LP layout: any thread count (including 1) produces the same run.
 
 #ifndef BLADERUNNER_SRC_SIM_SIMULATOR_H_
 #define BLADERUNNER_SRC_SIM_SIMULATOR_H_
@@ -40,12 +40,12 @@ namespace bladerunner {
 
 class WorkStealingExecutor;
 
-// Parallel-kernel configuration (see docs/PERF.md "LP-partitioned
-// execution"). `lookahead` must be no larger than the latency floor of
-// every link that crosses an LP boundary; BladerunnerCluster derives it
-// from the last-mile / POP-uplink models.
+// LP layout of a simulation (see docs/PERF.md "LP-partitioned execution"),
+// fixed at construction. `lookahead` must be no larger than the latency
+// floor of every link that crosses an LP boundary; BladerunnerCluster
+// derives it from the last-mile / POP-uplink models.
 struct SimParallelOptions {
-  int threads = 1;          // worker threads; 1 still runs the round kernel
+  int threads = 1;          // worker threads for rounds; unused with one LP
   uint32_t num_lps = 1;     // LP ids are [0, num_lps); 0 is the global LP
   SimTime lookahead = Millis(5);
   // Determinism audit knob: process each round's ready LPs in reverse id
@@ -59,56 +59,43 @@ struct SimParallelOptions {
 
 class Simulator {
  public:
-  explicit Simulator(uint64_t seed = 1);
+  // Options are clamped to sane minimums (threads and num_lps at least 1,
+  // lookahead at least 1 microsecond). More than kMaxLps LPs is a fatal
+  // error: the ids that carry an LP cannot address them.
+  explicit Simulator(uint64_t seed = 1, SimParallelOptions options = {});
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Switches to the partitioned round-based kernel. Must be called before
-  // any event is scheduled. Options are clamped to sane minimums (threads
-  // and num_lps at least 1, lookahead at least 1 microsecond).
-  void ConfigureParallel(SimParallelOptions options);
-  bool partitioned() const { return partitioned_; }
+  bool partitioned() const { return num_lps() > 1; }
   int threads() const { return options_.threads; }
-  uint32_t num_lps() const { return partitioned_ ? options_.num_lps : 1; }
+  uint32_t num_lps() const { return static_cast<uint32_t>(lps_.size()); }
   SimTime lookahead() const { return options_.lookahead; }
 
   // Current simulated time: the executing LP's local clock during event
-  // execution, the global round clock otherwise.
+  // execution, the global clock otherwise.
   SimTime Now() const;
 
-  // ---- legacy scheduling surface ----
-  //
-  // The pre-LP form, kept as a thin adapter: events land in the LP whose
-  // event is currently executing (the global LP outside execution), which
-  // keeps unmigrated components correct — their timers follow them into
-  // whatever LP their caller declared. New code should schedule through
-  // SimContext so affinity is explicit.
-
-  // Schedules `fn` to run `delay` from now (delay < 0 is clamped to 0).
-  // Returns a handle that can be passed to Cancel().
-  TimerId Schedule(SimTime delay, std::function<void()> fn) {
-    return Schedule(CurrentLp(), delay, std::move(fn));
-  }
-
-  // Schedules `fn` at the absolute simulated time `at` (clamped to Now()).
-  TimerId ScheduleAt(SimTime at, std::function<void()> fn) {
-    return ScheduleAt(CurrentLp(), at, std::move(fn));
-  }
-
-  // ---- LP-affine scheduling surface ----
-
-  // Schedules `fn` in `lp`. From inside another LP's event this is a
-  // cross-LP channel send: it is delayed to at least the lookahead and the
-  // returned id is kInvalidTimerId (cross-LP sends are not cancellable).
+  // Schedules `fn` in `lp`, `delay` from now (delay < 0 is clamped to 0).
+  // Returns a handle that can be passed to Cancel(). From inside another
+  // LP's event this is a cross-LP channel send: it is delayed to at least
+  // the lookahead and the returned id is kInvalidTimerId (cross-LP sends
+  // are not cancellable). Components schedule through their SimContext.
   TimerId Schedule(LpId lp, SimTime delay, std::function<void()> fn);
+  // Schedules `fn` in `lp` at the absolute time `at` (clamped to Now()).
   TimerId ScheduleAt(LpId lp, SimTime at, std::function<void()> fn);
+
+  // Setup-time shorthand for the global LP, the same rule as SimContext's
+  // implicit conversion from Simulator*. Calling these from inside another
+  // LP's event is a bug (asserted).
+  TimerId Schedule(SimTime delay, std::function<void()> fn);
+  TimerId ScheduleAt(SimTime at, std::function<void()> fn);
 
   // Cancels a pending event in O(1). Returns true if the event had not yet
   // fired; a second Cancel(), or Cancel() of an already-fired timer, is a
-  // detectable no-op returning false. In partitioned mode an event may only
-  // be cancelled from its own LP (or from outside event execution).
+  // detectable no-op returning false. An event may only be cancelled from
+  // its own LP (or from outside event execution).
   bool Cancel(TimerId id);
 
   // Runs until the event queue drains. Returns the number of events run.
@@ -126,25 +113,22 @@ class Simulator {
   size_t PendingEvents() const;
 
   // The executing LP's deterministic random stream: the seed rng for the
-  // global LP, a per-LP fork (pure function of seed and LP id) otherwise.
+  // global LP (and outside event execution), a per-LP fork (pure function
+  // of seed and LP id) otherwise.
   Rng& rng();
 
-  // Dedicated per-LP rng for a specific LP (global LP => the seed rng).
-  // Only valid from that LP's execution or outside event execution.
+  // Dedicated rng for a specific LP. Only valid from that LP's execution or
+  // outside event execution.
   Rng& rng(LpId lp);
-
-  // The LP whose event is currently executing on this thread (kGlobalLp
-  // outside event execution).
-  LpId CurrentLp() const;
 
   // Allocates a simulation-unique id from the executing LP's id space —
   // deterministic under any thread count. Used for connection ids.
   uint64_t NextUniqueId();
 
-  // Total events executed since construction.
+  // Total events executed since construction; current between Run calls.
   uint64_t events_executed() const { return events_executed_; }
 
-  // Round-kernel observability (0 in sequential mode).
+  // Rounds run by the multi-LP kernel (0 with one LP).
   uint64_t rounds_executed() const { return rounds_executed_; }
   // Cross-LP sends whose requested delivery time was below the lookahead
   // floor and had to be pushed out to it (a modeling bug if nonzero with a
@@ -163,49 +147,42 @@ class Simulator {
   };
 
   // One logical process: its event heap, local clock, random stream,
-  // outbox of cross-LP sends buffered during a round, and per-LP metric
-  // sink (flushed in LP-id order at every barrier). Padded to a cache line
-  // so concurrently executing LPs never share one.
+  // outbox of cross-LP sends buffered during a round, and metric sink
+  // (flushed in LP-id order at every barrier; null with one LP, where
+  // mutations apply directly). Padded to a cache line so concurrently
+  // executing LPs never share one.
   struct alignas(64) LpState {
-    explicit LpState(uint32_t id_tag) : heap(id_tag) {}
+    LpState(uint32_t id_tag, uint64_t rng_seed) : heap(id_tag), rng(rng_seed) {}
 
     sim_internal::EventHeap heap;
     SimTime now = 0;
-    std::unique_ptr<Rng> rng;  // null for the global LP (uses rng_)
+    Rng rng;
     uint64_t next_unique_id = 0;
-    uint64_t executed = 0;  // events run in the current round
+    uint64_t executed = 0;  // events run since the last merge
     uint64_t lookahead_clamps = 0;  // clamps observed in the current round
     std::vector<CrossLpEvent> outbox;
     std::unique_ptr<MetricsSink> sink;
   };
 
-  // Sequential fast path (exactly the PR 5 kernel).
-  bool SequentialStep();
-  uint64_t SequentialRunUntil(SimTime deadline, bool run_all);
-
-  // Partitioned round kernel.
-  uint64_t PartitionedRunUntil(SimTime deadline, bool run_all);
+  // The LP whose event this thread is executing, or null outside event
+  // execution of this simulator.
+  LpState* ExecutingLp() const;
+  // Runs every event with time <= `deadline`; returns how many ran.
+  uint64_t RunEvents(SimTime deadline);
   // Executes one LP's events below `horizon`; called by executor workers.
   void RunLpRound(uint32_t lp, SimTime horizon);
   // Applies outboxes and metric sinks in LP-id order; returns events run.
   uint64_t MergeRound();
 
-  TimerId PushSequential(SimTime at, std::function<void()> fn);
-
-  uint64_t seed_;
   SimTime now_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t rounds_executed_ = 0;
   uint64_t lookahead_clamps_ = 0;
   uint64_t cross_lp_sends_ = 0;
-  uint64_t global_unique_id_ = 0;  // NextUniqueId() outside LP execution
-  sim_internal::EventHeap heap_;  // sequential mode
-  Rng rng_;
 
-  bool partitioned_ = false;
   SimParallelOptions options_;
   std::vector<std::unique_ptr<LpState>> lps_;
-  std::unique_ptr<WorkStealingExecutor> executor_;
+  std::unique_ptr<WorkStealingExecutor> executor_;  // null with one LP
   std::vector<uint32_t> ready_;  // LPs with events below the round horizon
 };
 

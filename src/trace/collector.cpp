@@ -11,8 +11,8 @@ namespace {
 // sampled subset is not simply "the numerically small ids".
 constexpr uint64_t kSampleSalt = 0x5ca1ab1e0ddba11ULL;
 
-// Lock guard that is a no-op when the store needs no locking (sequential
-// mode, where only one thread ever touches the collector).
+// Lock guard that is a no-op when the store needs no locking (one LP,
+// where only one thread ever touches the collector).
 class MaybeLock {
  public:
   explicit MaybeLock(std::mutex* mu) : mu_(mu) {

@@ -87,8 +87,9 @@ class TraceCollector {
   void MarkError(const TraceContext& ctx, const std::string& message, SimTime end);
 
   // Switches to per-LP trace stores for a partitioned kernel run. Must be
-  // called before any trace starts (BladerunnerCluster calls it right after
-  // Simulator::ConfigureParallel). Each LP roots traces in its own store
+  // called before any trace starts (BladerunnerCluster calls it from its
+  // constructor when its simulator has more than one LP). Each LP roots
+  // traces in its own store
   // with its own id counter; the creating LP rides in the id's top bits so
   // any LP can route a carried context back to the owning store. Cross-LP
   // touches (a device closing a backend-rooted delivery span, the backend
@@ -102,7 +103,7 @@ class TraceCollector {
   const TraceRecord* FindTrace(TraceId id) const;
   const Span* FindSpan(const TraceContext& ctx) const;
 
-  // Retained traces of the global store (everything, when sequential) in
+  // Retained traces of the global store (everything, with one LP) in
   // insertion (trace-start) order. Partitioned callers that want the whole
   // fleet use AllTraces().
   const std::deque<TraceRecord>& Traces() const { return traces_; }
@@ -121,8 +122,8 @@ class TraceCollector {
   void Clear();
 
  private:
-  // One LP's retained traces. The legacy (sequential) collector is exactly
-  // the global store with locking disabled.
+  // One LP's retained traces. A one-LP run's collector is exactly the
+  // global store with locking disabled.
   struct LpStore {
     std::mutex mu;
     uint64_t id_counter = 0;
@@ -133,7 +134,7 @@ class TraceCollector {
     std::unordered_map<TraceId, uint64_t> index;
   };
   // Borrowed view of one store's fields; `mu` is null when no locking is
-  // needed (sequential mode touches only the global store).
+  // needed (a one-LP run touches only the global store).
   struct StoreRef {
     std::mutex* mu = nullptr;
     uint64_t* id_counter = nullptr;
@@ -151,8 +152,8 @@ class TraceCollector {
 
   TraceConfig config_;
   bool partitioned_ = false;
-  // Global store (LP 0 + the whole world when sequential); kept as plain
-  // members so the sequential path compiles to exactly the pre-LP code.
+  // Global store (LP 0, the whole world with one LP); kept as plain
+  // members so the one-LP path compiles to exactly the pre-LP code.
   uint64_t id_counter_ = 0;
   uint64_t traces_started_ = 0;   // sampled + retained starts
   uint64_t traces_evicted_ = 0;

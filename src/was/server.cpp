@@ -368,7 +368,7 @@ RpcChannel* WebAppServer::ChannelToPylon(PylonServer* server) {
   auto it = pylon_channels_.find(server->server_id());
   if (it == pylon_channels_.end()) {
     auto channel = std::make_unique<RpcChannel>(
-        ctx_.sim(), server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
+        ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
     it = pylon_channels_.emplace(server->server_id(), std::move(channel)).first;
   }
   return it->second.get();

@@ -112,12 +112,11 @@ ObjectId CommentFeedApplier::Apply(const CommentFeedOp& op, int index) {
   return kInvalidObjectId;
 }
 
-void CommentFeedApplier::ScheduleAll(Simulator& sim, const std::vector<CommentFeedOp>& ops,
-                                     SimTime start) {
+void CommentFeedApplier::ScheduleAll(const std::vector<CommentFeedOp>& ops, SimTime start) {
   for (size_t i = 0; i < ops.size(); ++i) {
     const CommentFeedOp& op = ops[i];
-    sim.Schedule(start + op.at - sim.Now(),
-                 [this, &op, i]() { Apply(op, static_cast<int>(i)); });
+    ctx_.Schedule(start + op.at - ctx_.Now(),
+                  [this, &op, i]() { Apply(op, static_cast<int>(i)); });
   }
 }
 

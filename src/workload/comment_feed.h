@@ -62,9 +62,9 @@ class CommentFeedApplier {
   // kInvalidObjectId otherwise.
   ObjectId Apply(const CommentFeedOp& op, int index);
 
-  // Schedules every op at `start + op.at` on `sim`. The op list must
-  // outlive the run.
-  void ScheduleAll(Simulator& sim, const std::vector<CommentFeedOp>& ops, SimTime start = 0);
+  // Schedules every op at `start + op.at`. The op list must outlive the
+  // run.
+  void ScheduleAll(const std::vector<CommentFeedOp>& ops, SimTime start = 0);
 
  private:
   SimContext ctx_;

@@ -219,6 +219,8 @@ ScenarioRow RunScenario(const ScenarioSpec& spec, const ClusterParallelConfig& p
 
   std::vector<std::unique_ptr<KvFailureInjector>> injectors;
   BladerunnerCluster* cl = &cluster;
+  // Failures, heals and upgrades act on backend state: the global LP.
+  const SimContext backend(&sim);
   int phase_index = 0;
   for (const ScenarioPhase& phase : spec.phases) {
     ++phase_index;
@@ -245,7 +247,7 @@ ScenarioRow RunScenario(const ScenarioSpec& spec, const ClusterParallelConfig& p
       }
       case ScenarioPhaseKind::kPopFailure: {
         const size_t pop = phase.pop_index;
-        sim.Schedule(phase.at, [cl, pop]() {
+        backend.Schedule(phase.at, [cl, pop]() {
           if (pop < cl->NumPops()) {
             cl->pop(pop).FailPop();
           }
@@ -254,7 +256,7 @@ ScenarioRow RunScenario(const ScenarioSpec& spec, const ClusterParallelConfig& p
       }
       case ScenarioPhaseKind::kRegionalPartition: {
         const RegionId r = phase.region;
-        sim.Schedule(phase.at, [cl, r]() {
+        backend.Schedule(phase.at, [cl, r]() {
           for (size_t h = 0; h < cl->NumBrassHosts(); ++h) {
             BrassHost& host = cl->brass_host(h);
             if (host.region() == r && host.alive()) {
@@ -269,7 +271,7 @@ ScenarioRow RunScenario(const ScenarioSpec& spec, const ClusterParallelConfig& p
         });
         // Heal: KV first (a reviving host re-registers its subscriptions
         // through Pylon), then the hosts.
-        sim.Schedule(phase.at + phase.duration, [cl, r]() {
+        backend.Schedule(phase.at + phase.duration, [cl, r]() {
           for (size_t k = 0; k < cl->pylon()->NumKvNodes(); ++k) {
             if (cl->pylon()->KvNodeAt(k)->region() == r) {
               cl->pylon()->KvNodeAt(k)->Recover(/*lose_state=*/false);
@@ -290,20 +292,20 @@ ScenarioRow RunScenario(const ScenarioSpec& spec, const ClusterParallelConfig& p
             MakeKvCampaignConfig(spec.seed * 1000003ull + static_cast<uint64_t>(phase_index),
                                  phase.duration, phase.kv_mtbf, phase.kv_mean_outage)));
         KvFailureInjector* injector = injectors.back().get();
-        sim.Schedule(phase.at, [injector]() { injector->Start(); });
+        backend.Schedule(phase.at, [injector]() { injector->Start(); });
         break;
       }
       case ScenarioPhaseKind::kHostUpgrades: {
         const int ticks = static_cast<int>(phase.duration / phase.upgrade_interval);
         for (int k = 0; k < ticks; ++k) {
           const size_t victim = static_cast<size_t>(k) % cluster.NumBrassHosts();
-          sim.Schedule(phase.at + phase.upgrade_interval * (k + 1), [cl, victim]() {
+          backend.Schedule(phase.at + phase.upgrade_interval * (k + 1), [cl, victim, backend]() {
             BrassHost& host = cl->brass_host(victim);
             if (!host.alive()) {
               return;
             }
             host.Drain();
-            cl->sim().Schedule(Minutes(2), [cl, victim]() {
+            backend.Schedule(Minutes(2), [cl, victim]() {
               cl->brass_host(victim).Revive();
             });
           });

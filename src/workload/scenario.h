@@ -137,8 +137,8 @@ struct ScenarioRow {
   std::string ToJson() const;
 };
 
-// Runs one composed scenario on a fresh cluster. `parallel` picks the
-// kernel (sequential by default); the row's contents are independent of
+// Runs one composed scenario on a fresh cluster. `parallel` picks the LP
+// layout (one LP by default); the row's contents are independent of
 // `parallel.threads` for a fixed LP layout.
 ScenarioRow RunScenario(const ScenarioSpec& spec,
                         const ClusterParallelConfig& parallel = ClusterParallelConfig{});

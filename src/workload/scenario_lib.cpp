@@ -47,10 +47,12 @@ void ScheduleCommentLoad(BladerunnerCluster& cluster,
 
 void ScheduleTickerTicks(BladerunnerCluster& cluster, int num_channels, int ticks_per_channel,
                          SimTime tick_gap, SimTime start, TickerPublishState* state) {
+  // Ticks publish through the WAS, which lives in the global LP.
+  const SimContext backend(&cluster.sim());
   for (int64_t c = 1; c <= num_channels; ++c) {
     for (int t = 0; t < ticks_per_channel; ++t) {
       SimTime at = start + tick_gap * t + (tick_gap * (c - 1)) / num_channels;
-      cluster.sim().Schedule(at, [&cluster, state, c]() {
+      backend.Schedule(at, [&cluster, state, c]() {
         PublishSpec spec;
         spec.topic = TickerTopic(c);
         spec.metadata.Set("tick", state->per_channel[c] + 1);

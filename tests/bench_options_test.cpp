@@ -1,7 +1,7 @@
 // Strict bench-flag parsing (bench/bench_util.h): unrecognized flags,
-// missing values, and non-numeric values are hard errors instead of being
-// silently ignored — a typo'd `--lp-gruops=8` used to run the sequential
-// kernel and "pass" a parallel-kernel check.
+// missing values, non-numeric values and out-of-range LP counts are hard
+// errors instead of being silently ignored — a typo'd `--lp-gruops=8` used
+// to run one LP and "pass" a parallel-kernel check.
 
 #include <string>
 #include <vector>
@@ -64,7 +64,7 @@ TEST(BenchOptionsTest, SmokeImpliesPerf) {
 }
 
 TEST(BenchOptionsTest, RejectsTypoedFlag) {
-  // The motivating bug: this used to silently run the sequential kernel.
+  // The motivating bug: this used to silently run one LP.
   ParseResult r = Parse({"--lp-gruops=8"});
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find("--lp-gruops=8"), std::string::npos) << r.error;
@@ -103,6 +103,26 @@ TEST(BenchOptionsTest, BenchmarkFlagsPassThrough) {
   ParseResult r = Parse({"--benchmark_filter=Fanout", "--smoke", "--benchmark_list_tests"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.opts.smoke);
+}
+
+TEST(BenchOptionsTest, LpGroupsMustFitTheKernelLpLimit) {
+  // LP 0 plus the groups may be at most kMaxLps (4095) LPs.
+  ParseResult r = Parse({"--lp-groups=4094"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.opts.lp_groups, 4094);
+
+  r = Parse({"--lp-groups=0"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.opts.lp_groups, 0);
+
+  r = Parse({"--lp-groups", "4095"});
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("0..4094"), std::string::npos) << r.error;
+
+  // A negative count is rejected, not read as "derive from --threads".
+  r = Parse({"--lp-groups=-1"});
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("0..4094"), std::string::npos) << r.error;
 }
 
 TEST(BenchOptionsTest, ThreadsClampedToOne) {

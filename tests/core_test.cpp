@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/cluster.h"
 #include "src/core/device.h"
@@ -106,6 +108,45 @@ TEST(ClusterTest, RoutingPoliciesPropagateToRouter) {
     }
   }
   EXPECT_EQ(hosts_with_streams, 1);
+}
+
+// RPC replies run in the channel owner's LP, wherever the call is issued
+// from: a device's WAS channel answers in the device's LP, a backend channel
+// in the global LP.
+TEST(ClusterTest, RpcRepliesRunInTheOwnersLp) {
+  ClusterConfig config;
+  config.seed = 8;
+  config.parallel.device_lp_groups = 4;
+  BladerunnerCluster cluster(config, Topology::OneRegion());
+  UserId user = CreateUser(cluster.tao(), "u", "en");
+  UserId other = CreateUser(cluster.tao(), "o", "en");
+  cluster.sim().RunFor(Seconds(1));
+  DeviceAgent device(&cluster, user, 0, DeviceProfile::kWifi);
+  const uint32_t device_lp = cluster.DeviceLp(user).value;
+  ASSERT_NE(device_lp, kGlobalLp.value);
+
+  const std::string query = "{ user(id: " + std::to_string(other) + ") { name } }";
+  std::vector<uint32_t> device_reply_lps;
+  auto on_device_reply = [&device_reply_lps](bool ok, Value) {
+    EXPECT_TRUE(ok);
+    device_reply_lps.push_back(CurrentExecutionLp().value);
+  };
+  device.Query(query, on_device_reply);  // from setup, outside any event
+  device.ctx().Schedule(Millis(1), [&]() { device.Query(query, on_device_reply); });
+
+  std::unique_ptr<RpcChannel> backend = cluster.BackendWasChannel(0);
+  auto request = std::make_shared<WasQueryRequest>();
+  request->query = query;
+  request->viewer = user;
+  std::vector<uint32_t> backend_reply_lps;
+  backend->Call("was.query", request, [&backend_reply_lps](RpcStatus status, MessagePtr) {
+    EXPECT_EQ(status, RpcStatus::kOk);
+    backend_reply_lps.push_back(CurrentExecutionLp().value);
+  });
+
+  cluster.sim().RunFor(Seconds(5));
+  EXPECT_EQ(device_reply_lps, (std::vector<uint32_t>{device_lp, device_lp}));
+  EXPECT_EQ(backend_reply_lps, (std::vector<uint32_t>{kGlobalLp.value}));
 }
 
 class DeviceAgentTest : public ::testing::Test {

@@ -1,10 +1,16 @@
-// Unit tests for the simulation kernel: event ordering, cancellation,
-// deterministic RNG distributions, histograms, metrics, time helpers.
+// Unit tests for the simulation kernel: event ordering, cancellation, random
+// programs against a reference interpreter, LP layout and the scheduling
+// rule, deterministic RNG distributions, histograms, metrics, time helpers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/histogram.h"
@@ -287,38 +293,222 @@ TEST(SimulatorTest, StressPopOrderIsTimeThenFifo) {
   }
 }
 
-// ---- partitioned kernel: LPs, lookahead channels, determinism ----
+// ---- the kernel against a reference interpreter ----
 
-TEST(PartitionedSimTest, SingleLpMatchesSequentialExactly) {
-  // The same program on the sequential kernel and on a partitioned kernel
-  // with only the global LP must produce the identical execution log.
-  auto run = [](bool partitioned) {
-    Simulator sim(7);
-    if (partitioned) {
-      SimParallelOptions po;
-      po.threads = 1;
-      po.num_lps = 1;
-      sim.ConfigureParallel(po);
+// The textbook discrete-event loop: a std::map keyed by (at, seq). The
+// kernel must run any program exactly as this does.
+class ReferenceKernel {
+ public:
+  uint64_t Schedule(SimTime delay, std::function<void()> fn) {
+    SimTime at = now_ + std::max<SimTime>(delay, 0);
+    uint64_t seq = next_seq_++;
+    queue_.emplace(std::make_pair(at, seq), std::move(fn));
+    pending_.emplace(seq, at);
+    return seq;
+  }
+  bool Cancel(uint64_t seq) {
+    auto it = pending_.find(seq);
+    if (it == pending_.end()) {
+      return false;
     }
-    std::vector<std::pair<SimTime, int>> log;
-    Rng rng(99);
-    for (int i = 0; i < 200; ++i) {
-      sim.Schedule(Micros(rng.UniformInt(0, 3000)),
-                   [&log, &sim, i]() { log.push_back({sim.Now(), i}); });
+    queue_.erase({it->second, seq});
+    pending_.erase(it);
+    return true;
+  }
+  SimTime Now() const { return now_; }
+  uint64_t RunUntil(SimTime deadline) {
+    uint64_t n = 0;
+    while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
+      Step();
+      ++n;
     }
-    sim.RunFor(Millis(10));
-    return log;
+    now_ = std::max(now_, deadline);
+    return n;
+  }
+  uint64_t Run() {
+    uint64_t n = 0;
+    while (!queue_.empty()) {
+      Step();
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  void Step() {
+    auto node = queue_.extract(queue_.begin());
+    now_ = node.key().first;
+    pending_.erase(node.key().second);
+    node.mapped()();
+  }
+
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 1;
+  std::map<std::pair<SimTime, uint64_t>, std::function<void()>> queue_;
+  std::map<uint64_t, SimTime> pending_;  // seq -> at, for Cancel
+};
+
+// The kernel under test behind the same interface, scheduling into LP 0.
+struct KernelUnderTest {
+  Simulator& sim;
+  uint64_t Schedule(SimTime delay, std::function<void()> fn) {
+    return sim.Schedule(kGlobalLp, delay, std::move(fn));
+  }
+  bool Cancel(uint64_t id) { return sim.Cancel(id); }
+  SimTime Now() const { return sim.Now(); }
+  uint64_t RunUntil(SimTime deadline) { return sim.RunUntil(deadline); }
+  uint64_t Run() { return sim.Run(); }
+};
+
+// A seeded random program: root events with many same-instant ties, events
+// that schedule children (delay 0 included) and cancel pending, fired and
+// their own timers, RunUntil slices (repeated and backwards deadlines
+// included) with setup-time scheduling between them, and a final Run.
+// Returns everything the program observed.
+template <typename Kernel>
+std::vector<std::string> RunRandomProgram(Kernel& kernel, uint64_t seed) {
+  constexpr size_t kMaxEvents = 600;
+  constexpr SimTime kDelays[] = {0, 0, 1, 1, 2, 3, 5, 8, 13};
+  Rng rng(seed);
+  std::vector<uint64_t> handles;  // by event id
+  std::vector<std::string> log;
+  auto cancel = [&](int by, size_t target) {
+    bool cancelled = kernel.Cancel(handles[target]);
+    log.push_back("cancel " + std::to_string(target) + " by " + std::to_string(by) + " -> " +
+                  std::to_string(cancelled));
   };
-  EXPECT_EQ(run(false), run(true));
+  std::function<void(SimTime)> schedule;
+  auto fire = [&](int id) {
+    log.push_back("event " + std::to_string(id) + " @" + std::to_string(kernel.Now()));
+    int children = static_cast<int>(rng.UniformInt(0, 2));
+    for (int c = 0; c < children && handles.size() < kMaxEvents; ++c) {
+      schedule(kDelays[rng.Index(std::size(kDelays))]);
+    }
+    double u = rng.Uniform();
+    if (u < 0.25) {
+      cancel(id, rng.Index(handles.size()));  // pending, fired or cancelled
+    } else if (u < 0.35) {
+      cancel(id, static_cast<size_t>(id));  // its own timer: already firing
+    }
+  };
+  schedule = [&](SimTime delay) {
+    int id = static_cast<int>(handles.size());
+    handles.push_back(kInvalidTimerId);
+    handles[static_cast<size_t>(id)] = kernel.Schedule(delay, [&fire, id]() { fire(id); });
+  };
+
+  for (int i = 0; i < 60; ++i) {
+    schedule(rng.UniformInt(0, 40));
+  }
+  SimTime deadline = 0;
+  for (int slice = 0; slice < 25; ++slice) {
+    deadline += rng.UniformInt(0, 6);
+    SimTime until = rng.Bernoulli(0.1) ? deadline - 3 : deadline;
+    uint64_t ran = kernel.RunUntil(until);
+    log.push_back("until " + std::to_string(until) + " ran " + std::to_string(ran) + " now " +
+                  std::to_string(kernel.Now()));
+    schedule(rng.UniformInt(0, 10));
+    if (rng.Bernoulli(0.5)) {
+      cancel(-1, rng.Index(handles.size()));
+    }
+  }
+  log.push_back("run ran " + std::to_string(kernel.Run()));
+  return log;
+}
+
+TEST(SimulatorTest, RandomProgramsMatchReferenceInterpreter) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    ReferenceKernel reference;
+    std::vector<std::string> expected = RunRandomProgram(reference, seed);
+    // The program must exercise what it claims to: ties, cancels that hit
+    // and cancels that miss.
+    auto count = [&expected](const std::string& needle) {
+      return std::count_if(expected.begin(), expected.end(), [&](const std::string& line) {
+        return line.find(needle) != std::string::npos;
+      });
+    };
+    EXPECT_GT(count("event "), 300);
+    EXPECT_GT(count("-> 1"), 0);
+    EXPECT_GT(count("-> 0"), 0);
+
+    Simulator one_lp(seed);
+    KernelUnderTest one{one_lp};
+    EXPECT_EQ(RunRandomProgram(one, seed), expected) << "seed " << seed;
+    EXPECT_EQ(one_lp.rounds_executed(), 0u);
+
+    // Three LPs with only LP 0 used: the round kernel, rounds far shorter
+    // than the program, must still run it exactly as the reference does.
+    SimParallelOptions po;
+    po.num_lps = 3;
+    po.lookahead = Micros(3);
+    Simulator three_lps(seed, po);
+    KernelUnderTest three{three_lps};
+    EXPECT_EQ(RunRandomProgram(three, seed), expected) << "seed " << seed;
+    EXPECT_GT(three_lps.rounds_executed(), 0u);
+  }
+}
+
+// ---- partitioned kernel: LP layout, the scheduling rule, lookahead
+// channels, determinism ----
+
+TEST(PartitionedSimTest, ShorthandScheduleFromSetupRunsInGlobalLp) {
+  SimParallelOptions po;
+  po.num_lps = 3;
+  Simulator sim(1, po);
+  std::vector<uint32_t> lps;
+  sim.Schedule(Millis(1), [&lps]() { lps.push_back(CurrentExecutionLp().value); });
+  sim.ScheduleAt(Millis(2), [&lps]() { lps.push_back(CurrentExecutionLp().value); });
+  sim.Schedule(LpId(2), Millis(3), [&lps]() { lps.push_back(CurrentExecutionLp().value); });
+  sim.Run();
+  EXPECT_EQ(lps, (std::vector<uint32_t>{0, 0, 2}));
+}
+
+TEST(PartitionedSimDeathTest, ShorthandScheduleFromAnotherLpAsserts) {
+  auto call_from_lp2 = [](bool absolute) {
+    SimParallelOptions po;
+    po.num_lps = 3;
+    Simulator sim(1, po);
+    sim.Schedule(LpId(2), Millis(1), [&sim, absolute]() {
+      if (absolute) {
+        sim.ScheduleAt(Millis(20), []() {});
+      } else {
+        sim.Schedule(Millis(20), []() {});
+      }
+    });
+    sim.Run();
+  };
+  EXPECT_DEBUG_DEATH(call_from_lp2(false), "global LP");
+  EXPECT_DEBUG_DEATH(call_from_lp2(true), "global LP");
+}
+
+TEST(PartitionedSimDeathTest, RejectsMoreLpsThanIdsCanAddress) {
+  SimParallelOptions po;
+  po.num_lps = kMaxLps + 1;
+  EXPECT_DEATH(Simulator(1, po), "at most 4095 are addressable");
+}
+
+TEST(PartitionedSimTest, CancelReachesTheHighestAddressableLp) {
+  // At the limit, a timer in the last LP must cancel that timer and no
+  // other (an LP id that overflowed the TimerId tag would alias LP 0).
+  SimParallelOptions po;
+  po.num_lps = kMaxLps;
+  Simulator sim(1, po);
+  bool global_ran = false;
+  bool last_ran = false;
+  sim.Schedule(kGlobalLp, Millis(1), [&global_ran]() { global_ran = true; });
+  TimerId last = sim.Schedule(LpId(kMaxLps - 1), Millis(1), [&last_ran]() { last_ran = true; });
+  EXPECT_TRUE(sim.Cancel(last));
+  sim.Run();
+  EXPECT_TRUE(global_ran);
+  EXPECT_FALSE(last_ran);
 }
 
 TEST(PartitionedSimTest, CrossLpSendRespectsLookaheadFloor) {
-  Simulator sim(1);
   SimParallelOptions po;
   po.threads = 1;
   po.num_lps = 3;
   po.lookahead = Millis(5);
-  sim.ConfigureParallel(po);
+  Simulator sim(1, po);
   SimTime delivered_at = 0;
   TimerId cross_id = kInvalidTimerId;
   bool cross_ran = false;
@@ -339,12 +529,11 @@ TEST(PartitionedSimTest, CrossLpSendRespectsLookaheadFloor) {
 }
 
 TEST(PartitionedSimTest, CrossLpSendBeyondLookaheadKeepsRequestedTime) {
-  Simulator sim(1);
   SimParallelOptions po;
   po.threads = 1;
   po.num_lps = 2;
   po.lookahead = Millis(5);
-  sim.ConfigureParallel(po);
+  Simulator sim(1, po);
   SimTime delivered_at = 0;
   sim.Schedule(LpId(1), Millis(2), [&]() {
     sim.Schedule(LpId(0), Millis(9), [&]() { delivered_at = sim.Now(); });
@@ -358,11 +547,10 @@ TEST(PartitionedSimTest, PerLpRngStreamsAreStableAndIndependent) {
   // Drawing from one LP's rng must not perturb another's sequence, and the
   // per-LP sequences are a function of the seed alone.
   auto draw = [](bool interleave) {
-    Simulator sim(21);
     SimParallelOptions po;
     po.threads = 1;
     po.num_lps = 3;
-    sim.ConfigureParallel(po);
+    Simulator sim(21, po);
     std::vector<uint64_t> lp2_draws;
     for (int i = 0; i < 4; ++i) {
       sim.Schedule(LpId(2), Millis(1 + i), [&]() {
@@ -379,11 +567,10 @@ TEST(PartitionedSimTest, PerLpRngStreamsAreStableAndIndependent) {
 }
 
 TEST(PartitionedSimTest, RunForIsRelativeInPartitionedMode) {
-  Simulator sim(3);
   SimParallelOptions po;
   po.threads = 1;
   po.num_lps = 2;
-  sim.ConfigureParallel(po);
+  Simulator sim(3, po);
   sim.RunFor(Seconds(1));
   sim.RunFor(Seconds(1));
   EXPECT_EQ(sim.Now(), Seconds(2));
@@ -395,12 +582,11 @@ TEST(PartitionedSimTest, RunForIsRelativeInPartitionedMode) {
 TEST(PartitionedSimTest, DeterministicAcrossThreadCounts) {
   constexpr uint32_t kLps = 9;
   auto run = [](int threads) {
-    Simulator sim(4242);
     SimParallelOptions po;
     po.threads = threads;
     po.num_lps = kLps;
     po.lookahead = Millis(5);
-    sim.ConfigureParallel(po);
+    Simulator sim(4242, po);
     std::vector<std::vector<uint64_t>> logs(kLps);
     for (uint32_t lp = 0; lp < kLps; ++lp) {
       for (int k = 0; k < 6; ++k) {
