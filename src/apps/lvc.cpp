@@ -180,29 +180,6 @@ void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, EventDecision& d
   }
 }
 
-void LiveVideoCommentsApp::SendEnvelope(EventDecision& decision, BrassStream& stream) {
-  if (!decision.envelope.has_value()) {
-    // The envelope carries only what the edge consumes: object identity +
-    // version (conflation, payload cache) and the coarse-filter field.
-    // Everything else stays regional — on a POP cache miss the payload is
-    // re-fetched here, keyed by exactly these fields.
-    const Value& metadata = decision.event.metadata;
-    DeliverOptions& deliver = decision.envelope_options;
-    deliver.event_created_at = decision.event.created_at;
-    deliver.conflation_key = "comment:" + std::to_string(metadata.Get("id").AsInt(0));
-    deliver.version = static_cast<uint64_t>(metadata.Get("version").AsInt(0));
-    Value& envelope = decision.envelope.emplace();
-    envelope.Set("id", metadata.Get("id"));
-    envelope.Set("version", metadata.Get("version"));
-    envelope.Set("quality", metadata.Get("quality"));
-  }
-  TraceContext span = runtime().StartSpan(decision.event.trace, "brass.process");
-  runtime().AnnotateSpan(span, "outcome", Value("envelope"));
-  decision.envelope_options.parent = span;
-  runtime().DeliverEnvelope(stream, *decision.envelope, decision.envelope_options);
-  runtime().EndSpan(span);
-}
-
 void LiveVideoCommentsApp::Decide(EventDecision& decision, BrassStream& stream) {
   auto it = viewers_.find(stream.key);
   assert(it != viewers_.end() && it->second.stream == &stream);
@@ -218,7 +195,7 @@ void LiveVideoCommentsApp::Decide(EventDecision& decision, BrassStream& stream) 
     // small envelope — the POP applies the floor, conflates, paces, and
     // resolves the payload through its versioned edge cache.
     ++decision.positives;
-    SendEnvelope(decision, stream);
+    decision.placed.push_back(&stream);
     return;
   }
   // Buffering is not yet a delivery decision; the decision happens at push
@@ -287,6 +264,25 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
   }
   runtime().CountDecision(false, decision.negatives);
   runtime().CountDecision(true, decision.positives);
+  if (!decision.placed.empty()) {
+    // One envelope for every placed stream the event passed. It carries
+    // only what the edge and the regional re-fetch consume: object identity
+    // + version (conflation, payload cache), the coarse-filter field, and
+    // the author the WAS checks blocks against. On a POP cache miss the
+    // payload is fetched here, keyed by exactly these fields.
+    const Value& metadata = event.metadata;
+    Value envelope;
+    envelope.Set("id", metadata.Get("id"));
+    envelope.Set("version", metadata.Get("version"));
+    envelope.Set("quality", metadata.Get("quality"));
+    envelope.Set("author", metadata.Get("author"));
+    DeliverOptions deliver;
+    deliver.event_created_at = event.created_at;
+    deliver.parent = event.trace;
+    deliver.conflation_key = "comment:" + std::to_string(metadata.Get("id").AsInt(0));
+    deliver.version = static_cast<uint64_t>(metadata.Get("version").AsInt(0));
+    runtime().PushEnvelope(decision.placed, std::move(envelope), deliver);
+  }
 }
 
 void LiveVideoCommentsApp::SchedulePush(const StreamKey& key) {

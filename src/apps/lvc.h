@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -131,7 +130,7 @@ class LiveVideoCommentsApp : public BrassApplication {
 
   // One update event as OnEvent decides it: the fields every viewer's
   // filter reads, decoded once, the outcome tallies, and what the streams
-  // that pass share, built the first time one needs it.
+  // that pass share.
   struct EventDecision {
     explicit EventDecision(const UpdateEvent& event);
 
@@ -141,9 +140,10 @@ class LiveVideoCommentsApp : public BrassApplication {
     const std::string& language;
     int64_t negatives = 0;
     int64_t positives = 0;
-    std::shared_ptr<const Value> metadata;  // for buffered candidates
-    std::optional<Value> envelope;          // for POP-placed streams
-    DeliverOptions envelope_options;
+    // For buffered candidates, built the first time one needs it.
+    std::shared_ptr<const Value> metadata;
+    // The POP-placed streams the event passed; they share one envelope.
+    std::vector<BrassStream*> placed;
   };
 
   // The per-viewer filter: the quality floor (skipped on a placed stream,
@@ -151,10 +151,9 @@ class LiveVideoCommentsApp : public BrassApplication {
   // language.
   bool Passes(const EventDecision& decision, const ViewerState& viewer,
               const BrassStream& stream, bool placed) const;
-  // Filters the event for one stream, then buffers it (regional) or sends
-  // its envelope (placed).
+  // Filters the event for one stream, then buffers it (regional) or lists
+  // the stream for the event's envelope (placed).
   void Decide(EventDecision& decision, BrassStream& stream);
-  void SendEnvelope(EventDecision& decision, BrassStream& stream);
 
   void InsertCandidate(ViewerState& viewer, EventDecision& decision);
   void SchedulePush(const StreamKey& key);

@@ -11,6 +11,7 @@
 #ifndef BLADERUNNER_SRC_BRASS_DELIVERY_QUEUE_H_
 #define BLADERUNNER_SRC_BRASS_DELIVERY_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -91,6 +92,16 @@ class ConflatingDeliveryQueue {
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
+
+  // Whether a pending delivery carries this (non-empty) conflation key at
+  // exactly this version.
+  bool Holds(const std::string& conflation_key, uint64_t version) const {
+    return !conflation_key.empty() &&
+           std::any_of(entries_.begin(), entries_.end(), [&](const PendingDelivery& pending) {
+             return pending.options.version == version &&
+                    pending.options.conflation_key == conflation_key;
+           });
+  }
 
   PendingDelivery PopFront() {
     PendingDelivery front = std::move(entries_.front());

@@ -59,6 +59,10 @@ BrassHost::BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppSer
   m_.durable_truncated_resumes = &metrics_->GetCounter("brass.durable_truncated_resumes");
   m_.durable_token_rewrites = &metrics_->GetCounter("brass.durable_token_rewrites");
   m_.envelopes = &metrics_->GetCounter("brass.envelopes");
+  m_.envelope_frames = &metrics_->GetCounter("brass.envelope_frames");
+  // BurstServer's counter: an envelope for a detached stream is a push it
+  // would have dropped.
+  m_.server_pushes_dropped = &metrics_->GetCounter("burst.server_pushes_dropped");
   m_.pop_fetch_serves = &metrics_->GetCounter("brass.pop_fetch_serves");
   burst_ = std::make_unique<BurstServer>(ctx_.sim(), host_id_, this, burst_config_, metrics_);
   event_rpc_.RegisterMethod("brass.event", [this](MessagePtr request, RpcServer::Respond respond) {
@@ -755,27 +759,66 @@ void BrassHost::PushNow(const std::string& app, BrassStream& stream, Value paylo
   }
 }
 
-void BrassHost::DeliverEnvelope(const std::string& app, BrassStream& stream, Value metadata,
-                                const DeliverOptions& options) {
-  if (stream.stream == nullptr) {
-    m_.deliveries_dropped->Increment();
-    return;
-  }
-  // Envelopes bypass host-side pacing and byte accounting entirely: the
+void BrassHost::PushEnvelope(const std::string& app, const std::vector<BrassStream*>& streams,
+                             Value envelope, const DeliverOptions& options) {
+  // Accounting stays per stream, as one envelope push per stream would
+  // count it. Envelopes bypass host-side pacing and byte accounting: the
   // POP runs the same conflation/pacing knobs at the edge and counts the
   // actual device-bound bytes there.
-  m_.envelopes->Increment();
-  Delta delta = Delta::Envelope(std::move(metadata), options.conflation_key, options.version,
-                                options.event_created_at);
-  delta.trace = options.parent;
-  stream.stream->Push({std::move(delta)});
+  std::vector<std::pair<uint64_t, ServerStream*>> by_connection;
+  by_connection.reserve(streams.size());
+  for (BrassStream* stream : streams) {
+    if (stream->stream == nullptr) {
+      m_.deliveries_dropped->Increment();
+      continue;
+    }
+    m_.envelopes->Increment();
+    if (!stream->attached()) {
+      m_.server_pushes_dropped->Increment();
+      continue;
+    }
+    by_connection.emplace_back(stream->stream->connection_id(), stream->stream);
+  }
+  // One frame per proxy connection, sent along its first stream the way
+  // fills travel; each frame lists its streams in key order.
+  std::stable_sort(by_connection.begin(), by_connection.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t begin = 0; begin < by_connection.size();) {
+    size_t end = begin + 1;
+    while (end < by_connection.size() && by_connection[end].first == by_connection[begin].first) {
+      ++end;
+    }
+    auto frame = std::make_shared<EnvelopeFrame>();
+    frame->streams.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      frame->streams.push_back(by_connection[i].second->key());
+    }
+    frame->metadata = envelope;
+    frame->conflation_key = options.conflation_key;
+    frame->version = options.version;
+    frame->event_created_at = options.event_created_at;
+    if (trace_ != nullptr && options.parent.valid()) {
+      frame->trace = trace_->StartSpan(options.parent, "brass.process", "brass", region_,
+                                       ctx_.Now());
+      trace_->Annotate(frame->trace, "app", Value(app));
+      trace_->Annotate(frame->trace, "outcome", Value("envelope"));
+      trace_->Annotate(frame->trace, "streams", Value(static_cast<int64_t>(end - begin)));
+    }
+    m_.envelope_frames->Increment();
+    by_connection[begin].second->SendFrame(frame);
+    if (frame->trace.valid()) {
+      trace_->EndSpan(frame->trace, ctx_.Now());
+    }
+    begin = end;
+  }
 }
 
 void BrassHost::OnPopFetch(ServerStream& stream, const PopFetchFrame& fetch) {
   m_.pop_fetch_serves->Increment();
-  // One regional fetch answers the whole local flash crowd at the POP: the
-  // fetch pipeline coalesces the viewers onto one WAS round trip (batched
-  // privacy checks), and the fill fans the payload out at the edge.
+  // One regional fetch answers every envelope of this object version
+  // waiting at the POP: the fetch pipeline coalesces the listed viewers
+  // onto one WAS round trip (batched privacy checks, with the envelope's
+  // author for blocks), and the fill fans the payload out at the edge.
   // Per-viewer privacy stays regional — every decision in the fill was
   // computed by the WAS.
   auto fill = std::make_shared<PopFillFrame>();
@@ -794,8 +837,9 @@ void BrassHost::OnPopFetch(ServerStream& stream, const PopFetchFrame& fetch) {
                                [](const auto& decision) { return decision.second; });
         fill->payload = std::move(payload);
         fill->decisions = std::move(decisions);
-        // Answer the POP if the representative stream is still attached (if
-        // not, the POP re-fetches on its next miss).
+        // Answer the POP if the stream the fetch came through is still
+        // attached. If it left the POP, the POP has re-sent the request
+        // through another waiting stream (Pop::ResendFetchesVia).
         ServerStream* s = burst_->FindStream(key);
         if (s != nullptr) {
           s->SendFrame(fill);

@@ -129,12 +129,14 @@ class BrassHost : public BurstServerHandler {
   // the stream; see docs/OVERLOAD.md for the queueing policy.
   void DeliverData(const std::string& app, BrassStream& stream, Value payload,
                    const DeliverOptions& options);
-  // Pushes one event *envelope* (metadata only) on a pop-placed stream; the
-  // POP filters/conflates it and resolves the payload at the edge
-  // (docs/BURST.md "Placement"). Bypasses host-side pacing — the POP runs
-  // the same pacing knobs against its own clock.
-  void DeliverEnvelope(const std::string& app, BrassStream& stream, Value metadata,
-                       const DeliverOptions& options);
+  // Pushes one event *envelope* (metadata only) to pop-placed `streams`:
+  // one EnvelopeFrame per downstream proxy connection, listing that
+  // connection's streams, under one "brass.process" span per frame. The POP
+  // filters, conflates and paces each stream's copy and resolves the
+  // payload at the edge (docs/BURST.md "Placement"). Bypasses host-side
+  // pacing — the POP runs the same pacing knobs against its own clock.
+  void PushEnvelope(const std::string& app, const std::vector<BrassStream*>& streams,
+                    Value envelope, const DeliverOptions& options);
 
   // Appends one event payload to `channel`'s durable log (idempotent on
   // event_id: every subscribed host appends the same Pylon event; the first
@@ -248,6 +250,8 @@ class BrassHost : public BurstServerHandler {
     Counter* durable_truncated_resumes;
     Counter* durable_token_rewrites;
     Counter* envelopes;
+    Counter* envelope_frames;
+    Counter* server_pushes_dropped;
     Counter* pop_fetch_serves;
   };
   struct AppMetrics {

@@ -51,9 +51,9 @@ void BrassRuntime::DeliverData(BrassStream& stream, Value payload,
   host_->DeliverData(app_name_, stream, std::move(payload), options);
 }
 
-void BrassRuntime::DeliverEnvelope(BrassStream& stream, Value metadata,
-                                   const DeliverOptions& options) {
-  host_->DeliverEnvelope(app_name_, stream, std::move(metadata), options);
+void BrassRuntime::PushEnvelope(const std::vector<BrassStream*>& streams, Value envelope,
+                                const DeliverOptions& options) {
+  host_->PushEnvelope(app_name_, streams, std::move(envelope), options);
 }
 
 TraceContext BrassRuntime::StartSpan(const TraceContext& parent, const std::string& name) {

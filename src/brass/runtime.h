@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/brass/application.h"
 #include "src/brass/delivery_queue.h"
@@ -69,12 +70,15 @@ class BrassRuntime {
   // may be queued, conflated against `options.conflation_key`, or shed.
   void DeliverData(BrassStream& stream, Value payload, const DeliverOptions& options);
 
-  // Edge placement: pushes one event *envelope* (metadata only) on a
-  // pop-placed stream (stream.pop_placed). The POP coarse-filters and
-  // conflates it in transit and resolves the payload through its versioned
-  // edge cache; fetch and per-viewer privacy stay regional. Only meaningful
-  // for apps whose descriptor asks for BrassPlacement::kPopFilter*.
-  void DeliverEnvelope(BrassStream& stream, Value metadata, const DeliverOptions& options);
+  // Edge placement: pushes one event *envelope* (metadata only) to every
+  // stream of `streams`, each pop-placed (stream.pop_placed), in one frame
+  // per downstream proxy connection. The POP coarse-filters the envelope
+  // once, conflates and paces it per stream in transit, and resolves the
+  // payload through its versioned edge cache; fetch and per-viewer privacy
+  // stay regional. Only meaningful for apps whose descriptor asks for
+  // BrassPlacement::kPopFilter*.
+  void PushEnvelope(const std::vector<BrassStream*>& streams, Value envelope,
+                    const DeliverOptions& options);
 
   // Durable tier (descriptor.durable apps): appends the event's payload to
   // `channel`'s replayable log and returns its dense per-topic sequence —

@@ -109,8 +109,6 @@ const char* ToString(DeltaKind kind) {
       return "rewrite_request";
     case DeltaKind::kTermination:
       return "termination";
-    case DeltaKind::kEventEnvelope:
-      return "event_envelope";
   }
   return "unknown";
 }
@@ -176,17 +174,6 @@ Delta Delta::Terminate(TerminateReason reason, std::string detail) {
   return d;
 }
 
-Delta Delta::Envelope(Value metadata, std::string conflation_key, uint64_t version,
-                      int64_t event_created_at) {
-  Delta d;
-  d.kind = DeltaKind::kEventEnvelope;
-  d.payload = std::move(metadata);
-  d.conflation_key = std::move(conflation_key);
-  d.version = version;
-  d.event_created_at = event_created_at;
-  return d;
-}
-
 uint64_t Delta::WireSize() const {
   switch (kind) {
     case DeltaKind::kData:
@@ -197,8 +184,6 @@ uint64_t Delta::WireSize() const {
       return 8 + new_header.WireSize();
     case DeltaKind::kTermination:
       return 8 + detail.size();
-    case DeltaKind::kEventEnvelope:
-      return 16 + payload.WireSize() + conflation_key.size() + trace.WireBytes();
   }
   return 8;
 }

@@ -142,11 +142,6 @@ enum class DeltaKind {
   kFlowStatus,  // failure / recovery signalling
   kRewrite,     // replace the stored subscription header
   kTermination, // the stream is over
-  // Inter-node only (stripped by the POP, never seen by devices): event
-  // *metadata* for a stream whose app placed its coarse-filter/conflation
-  // stages at the POP (BrassPlacement::kPopFilter*). Orders of magnitude
-  // smaller than a payload delta — the whole point of edge placement.
-  kEventEnvelope,
 };
 
 enum class FlowStatus {
@@ -173,8 +168,7 @@ const char* ToString(TerminateReason reason);
 
 struct Delta {
   DeltaKind kind = DeltaKind::kData;
-  // kData: the payload; kEventEnvelope: the update-event *metadata* the
-  // POP filters/conflates on (id, version, quality, ...).
+  // kData: the payload.
   Value payload;
   uint64_t seq = 0;
   // kFlowStatus
@@ -187,21 +181,12 @@ struct Delta {
   std::string detail;
   // kData: the update's trace context, carried to the device so the
   // last-mile hops (proxy, POP, client receipt) join the trace.
-  // kEventEnvelope: the regional processing span the POP-side spans join.
   TraceContext trace;
-  // kEventEnvelope: newest-version-wins conflation inputs, mirroring
-  // DeliverOptions (src/brass/delivery_queue.h), plus the origin timestamp
-  // the POP stamps into the delivered payload for e2e latency accounting.
-  std::string conflation_key;
-  uint64_t version = 0;
-  int64_t event_created_at = 0;
 
   static Delta Data(Value payload, uint64_t seq);
   static Delta Flow(FlowStatus status, std::string detail = "");
   static Delta Rewrite(Value new_header);
   static Delta Terminate(TerminateReason reason, std::string detail = "");
-  static Delta Envelope(Value metadata, std::string conflation_key, uint64_t version,
-                        int64_t event_created_at);
 
   uint64_t WireSize() const;
 };
@@ -260,13 +245,49 @@ struct StreamDetachedFrame : Message {
   std::string Describe() const override { return "StreamDetached(" + key.ToString() + ")"; }
 };
 
+// Inter-node (BRASS host -> proxy -> POP; never seen by devices): one update
+// event's *envelope* for the listed streams, whose app placed its
+// coarse-filter and conflation stages at the POP (BrassPlacement::kPopFilter*).
+// The host sends one frame per proxy connection and the proxy splits it per
+// POP, so an event crosses the backbone once per (host, POP) however many
+// of the POP's streams it is for. The POP filters it once, then paces,
+// conflates and resolves a copy per listed stream.
+struct EnvelopeFrame : Message {
+  std::vector<StreamKey> streams;
+  // What the edge and the regional fetch need of the event: id and version
+  // (conflation, payload cache), quality (the coarse filter) and author
+  // (the WAS privacy check).
+  Value metadata;
+  // Newest-version-wins conflation inputs, mirroring DeliverOptions
+  // (src/brass/delivery_queue.h), plus the origin timestamp the POP stamps
+  // into each delivered payload for e2e latency accounting.
+  std::string conflation_key;
+  uint64_t version = 0;
+  int64_t event_created_at = 0;
+  // `trace` is the host's "brass.process" span for this frame; the POP's
+  // per-stream spans are its children.
+
+  std::string Describe() const override {
+    return "Envelope(" + conflation_key + " v" + std::to_string(version) + ", " +
+           std::to_string(streams.size()) + " streams)";
+  }
+  // A frame header, the envelope priced like a delta (16 B + its fields)
+  // and 16 B per listed StreamKey.
+  uint64_t WireSize() const override {
+    return 32 + (16 + metadata.WireSize() + conflation_key.size() + trace.WireBytes()) +
+           16 * streams.size();
+  }
+};
+
 // Inter-node control (POP -> BRASS host, routed like an Ack along `key`'s
 // path): the POP's payload cache missed for this versioned object; fetch it
 // regionally — with per-viewer privacy — and reply with a PopFillFrame.
-// `viewers` lists every viewer the POP currently serves for this app, so
-// one regional fetch covers the whole local flash crowd.
+// `viewers` lists the viewers whose envelope of this object version waits
+// at the POP and whom neither the POP's cache nor an outstanding fetch
+// covers (docs/BURST.md "Placement"), so one regional fetch answers every
+// envelope waiting when it leaves.
 struct PopFetchFrame : Message {
-  StreamKey key;     // representative stream (identifies app + uplink path)
+  StreamKey key;     // the stream the fetch goes up through (and returns by)
   std::string app;
   Value metadata;    // the event metadata to fetch by (id, version, ...)
   std::vector<int64_t> viewers;
@@ -280,15 +301,15 @@ struct PopFetchFrame : Message {
 };
 
 // Inter-node control (BRASS host -> POP): the payload + per-viewer privacy
-// decisions answering a PopFetchFrame. One fill fans out to every waiting
-// stream at the POP — the payload crosses the backbone once per POP, not
-// once per stream.
+// decisions answering a PopFetchFrame, one per requested viewer. One fill
+// fans out to every stream at the POP waiting on those viewers — the
+// payload crosses the backbone once per fetch, not once per stream.
 struct PopFillFrame : Message {
   StreamKey key;
   std::string app;
   int64_t object = 0;
   uint64_t version = 0;
-  bool ok = false;   // false: regional fetch failed; waiters drop
+  bool ok = false;   // false: no viewer allowed, or the fetch failed; waiters drop
   Value payload;
   std::vector<std::pair<int64_t, bool>> decisions;  // viewer -> allowed
 

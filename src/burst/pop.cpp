@@ -6,6 +6,16 @@
 
 namespace bladerunner {
 
+namespace {
+
+// The object an envelope is about (mirrors FetchPipeline::ObjectIdOf).
+int64_t ObjectOf(const Value& metadata) {
+  int64_t object = metadata.Get("id").AsInt(0);
+  return object != 0 ? object : metadata.Get("user").AsInt(0);
+}
+
+}  // namespace
+
 Pop::Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector,
          BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace)
     : ctx_(sim),
@@ -23,6 +33,9 @@ Pop::Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector
   m_.pop_uplink_failures = &metrics_->GetCounter("burst.pop_uplink_failures");
   m_.pop_backbone_bytes_up = &metrics_->GetCounter("burst.pop_backbone_bytes_up");
   m_.pop_backbone_bytes_down = &metrics_->GetCounter("burst.pop_backbone_bytes_down");
+  m_.pop_envelope_bytes = &metrics_->GetCounter("burst.pop_envelope_bytes");
+  m_.pop_fetch_bytes = &metrics_->GetCounter("burst.pop_fetch_bytes");
+  m_.pop_fill_bytes = &metrics_->GetCounter("burst.pop_fill_bytes");
   m_.pop_envelopes = &metrics_->GetCounter("burst.pop_envelopes");
   m_.pop_filtered = &metrics_->GetCounter("burst.pop_filtered");
   m_.pop_conflated = &metrics_->GetCounter("burst.pop_conflated");
@@ -179,6 +192,7 @@ void Pop::HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message) {
         ctx_.Cancel(it->second.drain_timer);
       }
       streams_.erase(it);
+      ResendFetchesVia(cancel->key);
     }
     return;
   }
@@ -196,143 +210,134 @@ void Pop::HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message) {
 
 void Pop::HandleUplinkFrame(ConnectionEnd& on, const MessagePtr& message) {
   (void)on;
-  m_.pop_backbone_bytes_down->Increment(static_cast<int64_t>(message->WireSize()));
-  if (auto fill = std::dynamic_pointer_cast<PopFillFrame>(message)) {
-    HandleFill(*fill);
-    return;
-  }
+  const auto bytes = static_cast<int64_t>(message->WireSize());
+  m_.pop_backbone_bytes_down->Increment(bytes);
   auto response = std::dynamic_pointer_cast<ResponseFrame>(message);
   if (response == nullptr) {
+    if (auto envelope = std::dynamic_pointer_cast<EnvelopeFrame>(message)) {
+      m_.pop_envelope_bytes->Increment(bytes);
+      HandleEnvelope(*envelope);
+    } else if (auto fill = std::dynamic_pointer_cast<PopFillFrame>(message)) {
+      m_.pop_fill_bytes->Increment(bytes);
+      HandleFill(*fill);
+    }
     return;
   }
   auto it = streams_.find(response->key);
   if (it == streams_.end()) {
     return;  // stream was cancelled / GCed while the response was in flight
   }
-  bool has_envelope = false;
-  for (const Delta& delta : response->batch) {
-    if (delta.kind == DeltaKind::kEventEnvelope) {
-      has_envelope = true;
-      break;
-    }
-  }
-  if (!has_envelope) {
-    // Fast path: the pre-placement forwarding behavior, byte-identical.
-    bool terminated = false;
-    for (const Delta& delta : response->batch) {
-      if (delta.kind == DeltaKind::kRewrite) {
-        // Proxies keep the current header so they can repair streams (§3.5);
-        // rewrites update the stored copy as they pass through.
-        it->second.header = delta.new_header;
-      } else if (delta.kind == DeltaKind::kTermination) {
-        terminated = true;
-      } else if (delta.kind == DeltaKind::kData && trace_ != nullptr && delta.trace.valid()) {
-        // Instant hop marker: the update left the backbone at this POP.
-        TraceContext hop = trace_->RecordSpan(delta.trace, "burst.pop", "burst", region_,
-                                              ctx_.Now(), ctx_.Now());
-        trace_->Annotate(hop, "pop", Value(static_cast<int64_t>(pop_id_.value)));
-      }
-    }
-    auto dev = device_conns_.find(it->second.device_conn);
-    if (dev != device_conns_.end()) {
-      dev->second.end->Send(response);
-    }
-    if (terminated) {
-      RemoveStream(response->key);
-    }
-    return;
-  }
-  // Envelope path: consume envelopes here (devices must never see them);
-  // forward any remaining deltas in a trimmed frame.
-  auto forward = std::make_shared<ResponseFrame>();
-  forward->key = response->key;
   bool terminated = false;
-  for (Delta& delta : response->batch) {
-    if (delta.kind == DeltaKind::kEventEnvelope) {
-      m_.pop_envelopes->Increment();
-      if (it->second.placement != BrassPlacement::kRegional && config_.pop_placement_enabled) {
-        ProcessEnvelope(response->key, it->second, delta);
-      }
-      // An incapable POP drops envelopes defensively: the host will stop
-      // sending them once the stream resubscribes with a cleared stamp.
-      continue;
-    }
+  bool host_lost = false;
+  for (const Delta& delta : response->batch) {
     if (delta.kind == DeltaKind::kRewrite) {
+      // Proxies keep the current header so they can repair streams (§3.5);
+      // rewrites update the stored copy as they pass through.
       it->second.header = delta.new_header;
     } else if (delta.kind == DeltaKind::kTermination) {
       terminated = true;
+    } else if (delta.kind == DeltaKind::kFlowStatus && delta.status == FlowStatus::kDegraded) {
+      host_lost = true;  // the proxy lost the stream's host and re-routes it
     } else if (delta.kind == DeltaKind::kData && trace_ != nullptr && delta.trace.valid()) {
+      // Instant hop marker: the update left the backbone at this POP.
       TraceContext hop = trace_->RecordSpan(delta.trace, "burst.pop", "burst", region_,
                                             ctx_.Now(), ctx_.Now());
       trace_->Annotate(hop, "pop", Value(static_cast<int64_t>(pop_id_.value)));
     }
-    forward->batch.push_back(std::move(delta));
   }
-  if (!forward->batch.empty()) {
-    auto dev = device_conns_.find(it->second.device_conn);
-    if (dev != device_conns_.end()) {
-      dev->second.end->Send(forward);
-    }
+  auto dev = device_conns_.find(it->second.device_conn);
+  if (dev != device_conns_.end()) {
+    dev->second.end->Send(response);
   }
   if (terminated) {
     RemoveStream(response->key);
+  } else if (host_lost) {
+    ResendFetchesVia(response->key);
   }
 }
 
-void Pop::ProcessEnvelope(const StreamKey& key, StreamState& state, const Delta& delta) {
-  const BrassAppDescriptor* descriptor = descriptors_ ? descriptors_(state.app) : nullptr;
+void Pop::HandleEnvelope(const EnvelopeFrame& frame) {
+  std::vector<StreamKey> placed;
+  placed.reserve(frame.streams.size());
+  for (const StreamKey& key : frame.streams) {
+    auto it = streams_.find(key);
+    if (it == streams_.end()) {
+      continue;  // cancelled / GCed while the frame was in flight
+    }
+    m_.pop_envelopes->Increment();
+    // An incapable POP drops envelopes defensively: the host will stop
+    // sending them once the stream resubscribes with a cleared stamp.
+    if (it->second.placement != BrassPlacement::kRegional && config_.pop_placement_enabled) {
+      placed.push_back(key);
+    }
+  }
+  if (placed.empty()) {
+    return;
+  }
+  // One application instance sent the frame, so its streams share the app.
+  const std::string app = streams_.find(placed.front())->second.app;
+  const BrassAppDescriptor* descriptor = descriptors_ ? descriptors_(app) : nullptr;
   if (descriptor == nullptr) {
     return;
   }
-  int64_t object = delta.payload.Get("id").AsInt(0);
-  if (object == 0) {
-    object = delta.payload.Get("user").AsInt(0);  // mirrors ObjectIdOf (fetch_pipeline)
-  }
   // Every forwarded event advances the version watermark — the cache's
   // stale-read rule (fetch_pipeline's ObserveEvent, one hop earlier).
-  cache_.ObserveVersion(state.app, object, delta.version);
-  // Viewer-independent coarse filter, in transit.
+  cache_.ObserveVersion(app, ObjectOf(frame.metadata), frame.version);
+  // Viewer-independent coarse filter, in transit, once per frame.
   if (!descriptor->pop_filter.quality_field.empty()) {
-    double quality = delta.payload.Get(descriptor->pop_filter.quality_field).AsDouble(0.0);
+    double quality = frame.metadata.Get(descriptor->pop_filter.quality_field).AsDouble(0.0);
     bool passed = quality >= descriptor->pop_filter.min_quality;
-    if (trace_ != nullptr && delta.trace.valid()) {
-      TraceContext span = trace_->RecordSpan(delta.trace, "pop.filter", "burst", region_,
+    if (trace_ != nullptr && frame.trace.valid()) {
+      TraceContext span = trace_->RecordSpan(frame.trace, "pop.filter", "burst", region_,
                                              ctx_.Now(), ctx_.Now());
       trace_->Annotate(span, "pop", Value(static_cast<int64_t>(pop_id_.value)));
       trace_->Annotate(span, "passed", Value(passed));
     }
     if (!passed) {
-      m_.pop_filtered->Increment();
+      m_.pop_filtered->Increment(static_cast<int64_t>(placed.size()));
       return;
     }
   }
   DeliverOptions options;
-  options.event_created_at = delta.event_created_at;
-  options.parent = delta.trace;
-  options.conflation_key = delta.conflation_key;
-  options.version = delta.version;
+  options.event_created_at = frame.event_created_at;
+  options.parent = frame.trace;
+  options.conflation_key = frame.conflation_key;
+  options.version = frame.version;
+  // Every stream that must wait for a push slot is queued before any fetch
+  // for the frame leaves, so the first fetch asks for its viewers too.
+  std::vector<StreamKey> ready;
+  for (const StreamKey& key : placed) {
+    if (AdmitEnvelope(key, streams_.find(key)->second, *descriptor, frame.metadata, options)) {
+      ready.push_back(key);
+    }
+  }
+  if (!ready.empty()) {
+    ResolveAndDeliver(ready, frame.metadata, options);
+  }
+}
 
-  const SimTime gap = descriptor->pop_push_gap_us;
+bool Pop::AdmitEnvelope(const StreamKey& key, StreamState& state,
+                        const BrassAppDescriptor& descriptor, const Value& metadata,
+                        const DeliverOptions& options) {
+  const SimTime gap = descriptor.pop_push_gap_us;
   if (state.placement != BrassPlacement::kPopFilterConflate || gap <= 0) {
-    ResolveAndDeliver(key, state, delta.payload, options);
-    return;
+    return true;
   }
   SimTime now = ctx_.Now();
   if (state.queue.empty() && now >= state.next_push_at) {
     state.next_push_at = now + gap;
-    ResolveAndDeliver(key, state, delta.payload, options);
-    return;
+    return true;
   }
-  size_t bound = descriptor->pop_max_pending_per_stream > 0
-                     ? descriptor->pop_max_pending_per_stream
+  size_t bound = descriptor.pop_max_pending_per_stream > 0
+                     ? descriptor.pop_max_pending_per_stream
                      : config_.pop_max_pending_per_stream;
   bound = std::max<size_t>(bound, 1);
   ConflatingDeliveryQueue::OfferResult result =
-      state.queue.Offer(delta.payload, options, descriptor->conflatable, bound);
+      state.queue.Offer(metadata, options, descriptor.conflatable, bound);
   if (result.outcome == ConflatingDeliveryQueue::Outcome::kConflated) {
     m_.pop_conflated->Increment();
-    if (trace_ != nullptr && delta.trace.valid()) {
-      TraceContext span = trace_->RecordSpan(delta.trace, "pop.conflate", "burst", region_,
+    if (trace_ != nullptr && options.parent.valid()) {
+      TraceContext span = trace_->RecordSpan(options.parent, "pop.conflate", "burst", region_,
                                              ctx_.Now(), ctx_.Now());
       trace_->Annotate(span, "pop", Value(static_cast<int64_t>(pop_id_.value)));
       trace_->Annotate(span, "outcome", Value("conflated"));
@@ -350,6 +355,7 @@ void Pop::ProcessEnvelope(const StreamKey& key, StreamState& state, const Delta&
     SimTime delay = std::max<SimTime>(state.next_push_at - now, 0);
     state.drain_timer = ctx_.Schedule(delay, [this, key]() { DrainStreamQueue(key); });
   }
+  return false;
 }
 
 void Pop::DrainStreamQueue(const StreamKey& key) {
@@ -372,7 +378,7 @@ void Pop::DrainStreamQueue(const StreamKey& key) {
   SimTime gap = descriptor != nullptr ? descriptor->pop_push_gap_us : 0;
   PendingDelivery pending = state.queue.PopFront();
   state.next_push_at = now + gap;
-  ResolveAndDeliver(key, state, std::move(pending.payload), pending.options);
+  ResolveAndDeliver({key}, pending.payload, pending.options);
   // ResolveAndDeliver may touch streams_ only via lookups; `it` stays valid,
   // but re-find defensively in case a termination raced in.
   auto again = streams_.find(key);
@@ -383,81 +389,154 @@ void Pop::DrainStreamQueue(const StreamKey& key) {
   }
 }
 
-std::vector<int64_t> Pop::PlacedViewersFor(const std::string& app) const {
+void Pop::ResolveAndDeliver(const std::vector<StreamKey>& keys, const Value& metadata,
+                            const DeliverOptions& options) {
+  const std::string app = streams_.find(keys.front())->second.app;
+  const int64_t object = ObjectOf(metadata);
+  auto record_cache_span = [this, &options](const char* outcome) {
+    if (trace_ != nullptr && options.parent.valid()) {
+      TraceContext span = trace_->RecordSpan(options.parent, "pop.cache", "burst", region_,
+                                             ctx_.Now(), ctx_.Now());
+      trace_->Annotate(span, "pop", Value(static_cast<int64_t>(pop_id_.value)));
+      trace_->Annotate(span, "outcome", Value(outcome));
+    }
+  };
+  const PopPayloadCache::Entry* entry = cache_.Get(app, object, options.version);
+  std::vector<StreamKey> missed;
+  for (const StreamKey& key : keys) {
+    const StreamState& state = streams_.find(key)->second;
+    if (entry != nullptr) {
+      auto decision = entry->decisions.find(state.viewer);
+      if (decision != entry->decisions.end()) {
+        m_.pop_cache_hits->Increment();
+        record_cache_span("hit");
+        if (decision->second) {
+          DeliverToDevice(key, state, entry->payload, options);
+        } else {
+          m_.pop_privacy_drops->Increment();
+        }
+        continue;
+      }
+    }
+    m_.pop_cache_misses->Increment();
+    record_cache_span(entry != nullptr ? "miss_viewer_decision" : "miss");
+    missed.push_back(key);
+  }
+  if (missed.empty()) {
+    return;
+  }
+  FlightKey fkey{app, object, options.version};
+  auto fit = flights_.find(fkey);
+  if (fit == flights_.end()) {
+    // A new flight asks at once for every viewer whose envelope of this
+    // version waits at the POP, so the queued streams hit the cache later.
+    auto via = std::find_if(missed.begin(), missed.end(),
+                            [this](const StreamKey& key) { return HasUplink(key); });
+    if (via == missed.end()) {
+      return;  // no uplink: the streams are being repaired; the next envelope retries
+    }
+    std::vector<int64_t> viewers = FetchSet(app, object, missed, options);
+    Flight& flight = flights_[fkey];
+    flight.metadata = metadata;
+    for (const StreamKey& key : missed) {
+      flight.waiters.push_back(Flight::Waiter{key, options});
+    }
+    flight.pending_viewers.insert(viewers.begin(), viewers.end());
+    flight.requests.push_back(Flight::Request{*via, std::move(viewers)});
+    SendFetch(app, flight, flight.requests.back());
+    return;
+  }
+  // Join the flight in the air; viewers no outstanding request covers get
+  // one more request.
+  Flight& flight = fit->second;
+  std::vector<int64_t> ask;
+  const StreamKey* via = nullptr;  // the first asking stream with an uplink
+  for (const StreamKey& key : missed) {
+    const StreamState& state = streams_.find(key)->second;
+    if (!flight.pending_viewers.contains(state.viewer)) {
+      ask.push_back(state.viewer);
+      if (via == nullptr && HasUplink(key)) {
+        via = &key;
+      }
+    }
+    flight.waiters.push_back(Flight::Waiter{key, options});
+  }
+  if (via != nullptr) {
+    std::sort(ask.begin(), ask.end());
+    ask.erase(std::unique(ask.begin(), ask.end()), ask.end());
+    flight.pending_viewers.insert(ask.begin(), ask.end());
+    flight.requests.push_back(Flight::Request{*via, std::move(ask)});
+    SendFetch(app, flight, flight.requests.back());
+  }
+}
+
+std::vector<int64_t> Pop::FetchSet(const std::string& app, int64_t object,
+                                   const std::vector<StreamKey>& waiting,
+                                   const DeliverOptions& options) const {
   std::vector<int64_t> viewers;
+  for (const StreamKey& key : waiting) {
+    viewers.push_back(streams_.find(key)->second.viewer);
+  }
   for (const auto& [key, state] : streams_) {
-    if (state.placement != BrassPlacement::kRegional && state.app == app) {
+    if (state.placement != BrassPlacement::kRegional && state.app == app &&
+        state.queue.Holds(options.conflation_key, options.version)) {
       viewers.push_back(state.viewer);
     }
+  }
+  if (const PopPayloadCache::Entry* entry = cache_.Peek(app, object, options.version)) {
+    std::erase_if(viewers, [entry](int64_t viewer) { return entry->decisions.contains(viewer); });
   }
   std::sort(viewers.begin(), viewers.end());
   viewers.erase(std::unique(viewers.begin(), viewers.end()), viewers.end());
   return viewers;
 }
 
-void Pop::ResolveAndDeliver(const StreamKey& key, StreamState& state, Value metadata,
-                            const DeliverOptions& options) {
-  int64_t object = metadata.Get("id").AsInt(0);
-  if (object == 0) {
-    object = metadata.Get("user").AsInt(0);
-  }
-  const PopPayloadCache::Entry* entry = cache_.Get(state.app, object, options.version);
-  if (entry != nullptr) {
-    auto decision = entry->decisions.find(state.viewer);
-    if (decision != entry->decisions.end()) {
-      m_.pop_cache_hits->Increment();
-      if (trace_ != nullptr && options.parent.valid()) {
-        TraceContext span = trace_->RecordSpan(options.parent, "pop.cache", "burst", region_,
-                                               ctx_.Now(), ctx_.Now());
-        trace_->Annotate(span, "pop", Value(static_cast<int64_t>(pop_id_.value)));
-        trace_->Annotate(span, "outcome", Value("hit"));
+bool Pop::HasUplink(const StreamKey& key) const {
+  auto it = streams_.find(key);
+  return it != streams_.end() && uplinks_.find(it->second.up_region) != uplinks_.end();
+}
+
+void Pop::SendFetch(const std::string& app, const Flight& flight, const Flight::Request& request) {
+  auto fetch = std::make_shared<PopFetchFrame>();
+  fetch->key = request.via;
+  fetch->app = app;
+  fetch->metadata = flight.metadata;
+  fetch->viewers = request.viewers;
+  m_.pop_fetches->Increment();
+  m_.pop_fetch_bytes->Increment(static_cast<int64_t>(fetch->WireSize()));
+  SendUp(uplinks_.find(streams_.find(request.via)->second.up_region)->second, fetch);
+}
+
+void Pop::ResendFetchesVia(const StreamKey& key) {
+  for (auto fit = flights_.begin(); fit != flights_.end();) {
+    Flight& flight = fit->second;
+    bool touched = std::erase_if(flight.waiters, [this](const Flight::Waiter& waiter) {
+                     return streams_.find(waiter.key) == streams_.end();
+                   }) > 0;
+    auto via = std::find_if(flight.waiters.begin(), flight.waiters.end(),
+                            [this](const Flight::Waiter& waiter) { return HasUplink(waiter.key); });
+    for (auto request = flight.requests.begin(); request != flight.requests.end();) {
+      if (request->via != key) {
+        ++request;
+        continue;
       }
-      if (decision->second) {
-        DeliverToDevice(key, state, entry->payload, options);
-      } else {
-        m_.pop_privacy_drops->Increment();
+      touched = true;
+      if (via == flight.waiters.end()) {
+        for (int64_t viewer : request->viewers) {
+          flight.pending_viewers.erase(viewer);
+        }
+        request = flight.requests.erase(request);
+        continue;
       }
-      return;
+      request->via = via->key;
+      SendFetch(fit->first.app, flight, *request);
+      ++request;
     }
-  }
-  m_.pop_cache_misses->Increment();
-  if (trace_ != nullptr && options.parent.valid()) {
-    TraceContext span = trace_->RecordSpan(options.parent, "pop.cache", "burst", region_,
-                                           ctx_.Now(), ctx_.Now());
-    trace_->Annotate(span, "pop", Value(static_cast<int64_t>(pop_id_.value)));
-    trace_->Annotate(span, "outcome",
-                     Value(entry != nullptr ? "miss_viewer_decision" : "miss"));
-  }
-  FlightKey fkey{state.app, object, options.version};
-  auto [fit, fresh] = flights_.try_emplace(fkey);
-  fit->second.waiters.push_back(Flight::Waiter{key, options});
-  auto up = uplinks_.find(state.up_region);
-  if (up == uplinks_.end()) {
-    return;  // no uplink: the stream is being repaired; next envelope retries
-  }
-  if (fresh) {
-    fit->second.metadata = metadata;
-    // One regional fetch covers every placed viewer of the app currently on
-    // this POP — the flash-crowd fan-out collapses to a single fill.
-    std::vector<int64_t> viewers = PlacedViewersFor(state.app);
-    fit->second.requested_viewers.insert(viewers.begin(), viewers.end());
-    auto fetch = std::make_shared<PopFetchFrame>();
-    fetch->key = key;
-    fetch->app = state.app;
-    fetch->metadata = std::move(metadata);
-    fetch->viewers = std::move(viewers);
-    m_.pop_fetches->Increment();
-    SendUp(up->second, fetch);
-  } else if (fit->second.requested_viewers.insert(state.viewer).second) {
-    // Joined an outstanding flight whose fetch predates this viewer's
-    // subscription; ask for the missing decision.
-    auto fetch = std::make_shared<PopFetchFrame>();
-    fetch->key = key;
-    fetch->app = state.app;
-    fetch->metadata = std::move(metadata);
-    fetch->viewers = {state.viewer};
-    m_.pop_fetches->Increment();
-    SendUp(up->second, fetch);
+    if (touched && (flight.waiters.empty() || flight.requests.empty())) {
+      fit = flights_.erase(fit);
+    } else {
+      ++fit;
+    }
   }
 }
 
@@ -471,33 +550,48 @@ void Pop::HandleFill(const PopFillFrame& fill) {
   }
   auto fit = flights_.find(FlightKey{fill.app, fill.object, fill.version});
   if (fit == flights_.end()) {
-    return;  // e.g. an incremental fill after the flight already resolved
+    return;  // e.g. a re-sent request's twin after the flight resolved
   }
-  Flight flight = std::move(fit->second);
-  flights_.erase(fit);
-  if (!fill.ok) {
-    return;  // regional fetch failed; waiters drop (next envelope retries)
+  Flight& flight = fit->second;
+  // The request this fill answers: same path, same viewers.
+  std::vector<int64_t> answered;
+  answered.reserve(fill.decisions.size());
+  for (const auto& [viewer, allowed] : fill.decisions) {
+    answered.push_back(viewer);
   }
+  std::sort(answered.begin(), answered.end());
+  auto request = std::find_if(
+      flight.requests.begin(), flight.requests.end(),
+      [&](const Flight::Request& r) { return r.via == fill.key && r.viewers == answered; });
+  if (request != flight.requests.end()) {
+    for (int64_t viewer : request->viewers) {
+      flight.pending_viewers.erase(viewer);
+    }
+    flight.requests.erase(request);
+  }
+  // Serve the waiters this fill covers; the others wait for their own
+  // request's fill.
   std::map<int64_t, bool> decisions(fill.decisions.begin(), fill.decisions.end());
-  for (const Flight::Waiter& waiter : flight.waiters) {
+  std::vector<Flight::Waiter> waiting;
+  for (Flight::Waiter& waiter : flight.waiters) {
     auto sit = streams_.find(waiter.key);
     if (sit == streams_.end()) {
       continue;  // stream gone while the fetch was in flight
     }
     auto decision = decisions.find(sit->second.viewer);
     if (decision == decisions.end()) {
-      // The fill does not cover this viewer (subscribed mid-flight and the
-      // incremental fetch is still outstanding, or raced the fill): resolve
-      // again — the cache now holds the payload, so this only re-requests
-      // the missing privacy decision.
-      ResolveAndDeliver(waiter.key, sit->second, flight.metadata, waiter.options);
-      continue;
-    }
-    if (!decision->second) {
+      waiting.push_back(std::move(waiter));
+    } else if (!fill.ok) {
+      continue;  // no viewer may see it, or the regional fetch failed
+    } else if (!decision->second) {
       m_.pop_privacy_drops->Increment();
-      continue;
+    } else {
+      DeliverToDevice(waiter.key, sit->second, fill.payload, waiter.options);
     }
-    DeliverToDevice(waiter.key, sit->second, fill.payload, waiter.options);
+  }
+  flight.waiters = std::move(waiting);
+  if (flight.requests.empty()) {
+    flights_.erase(fit);
   }
 }
 
@@ -560,6 +654,7 @@ void Pop::RemoveStream(const StreamKey& key) {
   if (it == streams_.end()) {
     return;
   }
+  const StreamKey gone = key;
   if (it->second.drain_timer != kInvalidTimerId) {
     ctx_.Cancel(it->second.drain_timer);
   }
@@ -572,6 +667,7 @@ void Pop::RemoveStream(const StreamKey& key) {
     up->second.streams.erase(key);
   }
   streams_.erase(it);
+  ResendFetchesVia(gone);
 }
 
 void Pop::OnDisconnect(ConnectionEnd& on, DisconnectReason reason) {
@@ -617,6 +713,7 @@ void Pop::HandleDeviceDisconnect(uint64_t conn_id) {
       ctx_.Cancel(it->second.drain_timer);
     }
     streams_.erase(it);
+    ResendFetchesVia(key);
   }
   dev->second.end->set_handler(nullptr);
   device_conns_.erase(dev);
@@ -680,6 +777,10 @@ void Pop::HandleUplinkDisconnect(RegionId up_region) {
     }
     m_.pop_initiated_reconnects->Increment();
     ForwardSubscribeUp(key, stream->second, /*resubscribe=*/true);
+  }
+  // Fetches that went up the failed uplink will not be answered.
+  for (const StreamKey& key : affected) {
+    ResendFetchesVia(key);
   }
 }
 

@@ -12,10 +12,11 @@
 // Edge placement (docs/BURST.md "Placement"): when the deployment enables
 // it, apps whose descriptor asks for BrassPlacement::kPopFilter* have their
 // viewer-independent stages run *here*, in transit. The regional host then
-// sends small event envelopes instead of payloads; the POP coarse-filters
-// them, conflates newest-version-wins per stream, and resolves surviving
-// envelopes to payloads through a bounded versioned cache — asking the
-// region (once per POP, not once per stream) only on a miss. Fetch and
+// sends one small event envelope frame per (host, POP, event) instead of a
+// payload per stream; the POP coarse-filters it once, conflates and paces
+// newest-version-wins per listed stream, and resolves surviving envelopes
+// to payloads through a bounded versioned cache — asking the region, on a
+// miss, for exactly the viewers whose envelopes wait here. Fetch and
 // per-viewer privacy always stay regional.
 
 #ifndef BLADERUNNER_SRC_BURST_POP_H_
@@ -122,17 +123,27 @@ class Pop : public ConnectionHandler {
     std::set<StreamKey> streams;
   };
 
-  // One outstanding regional fetch for a versioned object; concurrent
-  // misses for the same (app, object, version) coalesce onto it
-  // (singleflight, like the fetch pipeline's Flights).
+  // The regional fetches of one versioned object; every miss for the same
+  // (app, object, version) joins it (singleflight, like the fetch
+  // pipeline's Flights). Each fill answers the request that asked for it;
+  // waiters it does not cover wait for their own request's fill.
   struct Flight {
     struct Waiter {
       StreamKey key;
       DeliverOptions options;
     };
-    Value metadata;  // the event metadata the fetch was issued with
+    // One PopFetch in the air: the stream it went up through and the
+    // viewers it asked for, sorted.
+    struct Request {
+      StreamKey via;
+      std::vector<int64_t> viewers;
+    };
+    Value metadata;  // the event metadata the fetches are issued with
     std::vector<Waiter> waiters;
-    std::set<int64_t> requested_viewers;
+    std::vector<Request> requests;
+    // The viewers the outstanding requests ask for: a miss for one of them
+    // waits for that request's fill instead of asking again.
+    std::set<int64_t> pending_viewers;
   };
   struct FlightKey {
     std::string app;
@@ -148,7 +159,6 @@ class Pop : public ConnectionHandler {
       return version < o.version;
     }
   };
-
   // Returns (establishing if needed) the uplink toward `target_region`.
   UplinkState* EnsureUplink(RegionId target_region, ProxyId exclude_proxy_id = ProxyId{});
 
@@ -163,15 +173,38 @@ class Pop : public ConnectionHandler {
   // The placement this POP will run for the subscription, after gating on
   // the master enable, the descriptor, and the durable exclusion.
   BrassPlacement ResolvePlacement(const StreamHeaderView& view) const;
-  // One event envelope arriving on a placed stream: observe the version,
-  // coarse-filter, then pace/conflate or resolve immediately.
-  void ProcessEnvelope(const StreamKey& key, StreamState& state, const Delta& delta);
+  // One envelope frame: observe the version and coarse-filter once, queue
+  // every listed placed stream that must wait for a push slot, then resolve
+  // the others together — so the frame's first fetch covers all of it.
+  void HandleEnvelope(const EnvelopeFrame& frame);
+  // Paces one stream's copy of an envelope: true when its push slot is free
+  // (resolve now), otherwise queued, conflated or shed behind the slot.
+  bool AdmitEnvelope(const StreamKey& key, StreamState& state,
+                     const BrassAppDescriptor& descriptor, const Value& metadata,
+                     const DeliverOptions& options);
   // Pacing drain for one stream's conflation queue.
   void DrainStreamQueue(const StreamKey& key);
-  // Resolves an envelope to a payload via the cache, joining or starting a
-  // regional fetch flight on a miss.
-  void ResolveAndDeliver(const StreamKey& key, StreamState& state, Value metadata,
+  // Resolves one envelope to a payload for each of `keys` (placed streams
+  // of one app) via the cache; the misses join the object version's flight,
+  // which asks the region for the viewers no outstanding request covers.
+  void ResolveAndDeliver(const std::vector<StreamKey>& keys, const Value& metadata,
                          const DeliverOptions& options);
+  // The viewers a new flight asks for: those of `waiting` and of every other
+  // placed stream of `app` holding the object version queued, less those
+  // the cache already decided.
+  std::vector<int64_t> FetchSet(const std::string& app, int64_t object,
+                                const std::vector<StreamKey>& waiting,
+                                const DeliverOptions& options) const;
+  // Sends `flight`'s `request` as a PopFetch up through its `via` stream.
+  void SendFetch(const std::string& app, const Flight& flight, const Flight::Request& request);
+  // Whether a fetch can go up through `key` (its stream is here, with an
+  // uplink).
+  bool HasUplink(const StreamKey& key) const;
+  // The fetches that went up through `key` will not be answered (the stream
+  // left the POP, or its path was lost and repaired): drops waiters whose
+  // stream is gone, re-sends each such request through a waiting stream,
+  // and erases flights left with no waiter or no outstanding request.
+  void ResendFetchesVia(const StreamKey& key);
   void HandleFill(const PopFillFrame& fill);
   // Pushes the resolved payload to the stream's device, stamping the e2e
   // latency fields and opening the "burst.deliver" span the client ends.
@@ -179,9 +212,6 @@ class Pop : public ConnectionHandler {
                        const DeliverOptions& options);
   // All uplink sends go through this so backbone bytes are accounted.
   void SendUp(UplinkState& uplink, const MessagePtr& frame);
-  // Every viewer with a placed stream of `app` on this POP (the fetch
-  // prefetch set: one regional fill covers the whole local flash crowd).
-  std::vector<int64_t> PlacedViewersFor(const std::string& app) const;
 
   // Metric handles resolved once at construction (docs/PERF.md).
   struct Metrics {
@@ -189,9 +219,13 @@ class Pop : public ConnectionHandler {
     Counter* pop_failures;
     Counter* pop_initiated_reconnects;
     Counter* pop_uplink_failures;
-    // Backbone accounting (POP <-> proxy leg), always on.
+    // Backbone accounting (POP <-> proxy leg), always on, and the share of
+    // it each placement frame kind carries.
     Counter* pop_backbone_bytes_up;
     Counter* pop_backbone_bytes_down;
+    Counter* pop_envelope_bytes;
+    Counter* pop_fetch_bytes;
+    Counter* pop_fill_bytes;
     // Edge placement.
     Counter* pop_envelopes;
     Counter* pop_filtered;

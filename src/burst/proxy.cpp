@@ -201,20 +201,21 @@ void ReverseProxy::HandlePopFrame(ConnectionEnd& on, const MessagePtr& message) 
 
 void ReverseProxy::HandleHostFrame(ConnectionEnd& on, const MessagePtr& message) {
   (void)on;
-  if (auto fill = std::dynamic_pointer_cast<PopFillFrame>(message)) {
-    // Forward down along the representative stream's POP connection; the
-    // POP fans the one payload out to every waiting local stream.
-    auto it = streams_.find(fill->key);
-    if (it != streams_.end()) {
-      auto pop = pop_conns_.find(it->second.pop_conn);
-      if (pop != pop_conns_.end()) {
-        pop->second.end->Send(fill);
-      }
-    }
-    return;
-  }
   auto response = std::dynamic_pointer_cast<ResponseFrame>(message);
   if (response == nullptr) {
+    if (auto envelope = std::dynamic_pointer_cast<EnvelopeFrame>(message)) {
+      ForwardEnvelope(envelope);
+    } else if (auto fill = std::dynamic_pointer_cast<PopFillFrame>(message)) {
+      // Forward down along the POP connection of the stream the fetch went
+      // up through; the POP fans the payload out to its waiting streams.
+      auto it = streams_.find(fill->key);
+      if (it != streams_.end()) {
+        auto pop = pop_conns_.find(it->second.pop_conn);
+        if (pop != pop_conns_.end()) {
+          pop->second.end->Send(fill);
+        }
+      }
+    }
     return;
   }
   auto it = streams_.find(response->key);
@@ -240,6 +241,32 @@ void ReverseProxy::HandleHostFrame(ConnectionEnd& on, const MessagePtr& message)
   }
   if (terminated) {
     RemoveStream(response->key);
+  }
+}
+
+void ReverseProxy::ForwardEnvelope(const std::shared_ptr<EnvelopeFrame>& frame) {
+  // Split the frame by POP connection: each POP gets one frame listing its
+  // own streams. A stream the proxy no longer knows is dropped, like a
+  // response for an unknown stream.
+  std::map<uint64_t, std::vector<StreamKey>> by_pop;
+  for (const StreamKey& key : frame->streams) {
+    auto it = streams_.find(key);
+    if (it != streams_.end()) {
+      by_pop[it->second.pop_conn].push_back(key);
+    }
+  }
+  for (auto& [conn_id, keys] : by_pop) {
+    auto pop = pop_conns_.find(conn_id);
+    if (pop == pop_conns_.end()) {
+      continue;
+    }
+    if (keys.size() == frame->streams.size()) {
+      pop->second.end->Send(frame);  // every stream sits on this POP
+      continue;
+    }
+    auto part = std::make_shared<EnvelopeFrame>(*frame);
+    part->streams = std::move(keys);
+    pop->second.end->Send(part);
   }
 }
 

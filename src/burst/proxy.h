@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/burst/config.h"
 #include "src/burst/frames.h"
@@ -114,6 +115,8 @@ class ReverseProxy : public ConnectionHandler {
   void RedirectDownstream(const StreamKey& key, const std::string& detail);
   void HandlePopFrame(ConnectionEnd& on, const MessagePtr& message);
   void HandleHostFrame(ConnectionEnd& on, const MessagePtr& message);
+  // Forwards a host's envelope frame as one frame per POP connection.
+  void ForwardEnvelope(const std::shared_ptr<EnvelopeFrame>& frame);
   void HandlePopDisconnect(uint64_t conn_id);
   void HandleHostDisconnect(uint64_t conn_id);
   void ForwardSubscribeToHost(const StreamKey& key, StreamState& state, bool resubscribe);

@@ -33,6 +33,9 @@ class ServerStream {
   const Value& header() const { return header_; }
   const std::string& body() const { return body_; }
   bool attached() const { return down_conn_ != nullptr && down_conn_->open(); }
+  // Id of the proxy connection the stream's frames leave on (0 while
+  // detached). Streams that share one travel to the same proxy.
+  uint64_t connection_id() const { return attached() ? down_conn_->connection_id() : 0; }
   uint64_t last_ack() const { return last_ack_; }
   SimTime established_at() const { return established_at_; }
 
@@ -53,9 +56,9 @@ class ServerStream {
   // current (typically just-rewritten) header.
   void Terminate(TerminateReason reason, std::string detail = "");
 
-  // Sends a raw inter-node control frame (e.g. a PopFillFrame answering a
-  // PopFetchFrame) down the stream's proxy connection. Returns false when
-  // the stream is detached (the POP re-fetches on the next envelope).
+  // Sends a raw inter-node frame (a PopFillFrame answering a PopFetchFrame,
+  // or an EnvelopeFrame for this connection's placed streams) down the
+  // stream's proxy connection. Returns false when the stream is detached.
   bool SendFrame(MessagePtr frame);
 
  private:

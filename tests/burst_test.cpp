@@ -221,6 +221,32 @@ TEST_F(BurstTest, DataFlowsDownstream) {
   EXPECT_EQ(observer_.data[0].payload.Get("msg").AsString(), "hello");
 }
 
+// A POP without placement drops an envelope frame: devices never see it,
+// while ordinary data on the same stream still flows.
+TEST_F(BurstTest, PopWithoutPlacementForwardsNothingFromAnEnvelopeFrame) {
+  uint64_t sid = client_->Subscribe(MakeHeader("test"));
+  sim_.RunFor(Seconds(1));
+  FakeAppHandler& app = app1_.started.empty() ? app2_ : app1_;
+  auto envelope = std::make_shared<EnvelopeFrame>();
+  envelope->streams = {app.last_stream->key()};
+  envelope->metadata.Set("id", int64_t{7});
+  envelope->conflation_key = "comment:7";
+  envelope->version = 1;
+  ASSERT_TRUE(app.last_stream->SendFrame(envelope));
+  sim_.RunFor(Seconds(1));
+  EXPECT_TRUE(observer_.data.empty());
+  EXPECT_EQ(metrics_.GetCounter("burst.pop_envelopes").value(), 1);
+  EXPECT_EQ(metrics_.GetCounter("burst.pop_envelope_bytes").value(),
+            static_cast<int64_t>(envelope->WireSize()));
+
+  Value payload;
+  payload.Set("msg", "after");
+  app.last_stream->PushData(payload);
+  sim_.RunFor(Seconds(1));
+  ASSERT_EQ(observer_.data.size(), 1u);
+  EXPECT_EQ(observer_.data[0].sid, sid);
+}
+
 TEST_F(BurstTest, BatchesApplyAtomically) {
   client_->Subscribe(MakeHeader("test"));
   sim_.RunFor(Seconds(1));
@@ -543,17 +569,73 @@ TEST_F(BurstTest, RadioPromotionDelaysIdleUplinkSends) {
   EXPECT_EQ(metrics_.GetCounter("burst.radio_promotions").value(), promotions_mid);
 }
 
-// Captures proxy -> POP response frames (for asserting on flow signals).
+// Captures proxy -> POP response and envelope frames.
 class FrameRecorder : public ConnectionHandler {
  public:
   void OnMessage(ConnectionEnd&, MessagePtr message) override {
     if (auto response = std::dynamic_pointer_cast<ResponseFrame>(message)) {
       responses.push_back(std::move(response));
+    } else if (auto envelope = std::dynamic_pointer_cast<EnvelopeFrame>(message)) {
+      envelopes.push_back(std::move(envelope));
     }
   }
   void OnDisconnect(ConnectionEnd&, DisconnectReason) override {}
   std::vector<std::shared_ptr<ResponseFrame>> responses;
+  std::vector<std::shared_ptr<EnvelopeFrame>> envelopes;
 };
+
+// A host's envelope frame lists streams of two POPs that share its proxy
+// connection: the proxy sends each POP one frame listing just its own
+// streams, and drops a stream it does not know.
+TEST(ProxyRouteTest, EnvelopeFrameIsSplitPerPop) {
+  Simulator sim(34);
+  MetricsRegistry metrics;
+  BurstConfig config;
+  FakeAppHandler app;
+  FakeDirectory directory(&sim);
+  BurstServer server(&sim, 1, &app, config, &metrics);
+  directory.AddHost(1, &server);
+  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, config, &metrics);
+
+  FrameRecorder pops[2];
+  std::vector<std::shared_ptr<ConnectionEnd>> pop_ends;
+  for (FrameRecorder& pop : pops) {
+    auto [pop_end, proxy_end] = CreateConnection(&sim, LatencyModel::Fixed(2.0), Millis(50));
+    pop_end->set_handler(&pop);
+    proxy.AttachPopConnection(std::move(proxy_end));
+    pop_ends.push_back(std::move(pop_end));
+  }
+  const StreamKey on_first{100, 1};
+  const StreamKey on_second[] = {{200, 1}, {201, 1}};
+  auto subscribe = [&](const StreamKey& key, size_t pop) {
+    auto frame = std::make_shared<SubscribeFrame>();
+    frame->key = key;
+    frame->header = std::move(StreamHeader().set_app("test").set_viewer(key.device_id)).Take();
+    pop_ends[pop]->Send(frame);
+  };
+  subscribe(on_first, 0);
+  subscribe(on_second[0], 1);
+  subscribe(on_second[1], 1);
+  sim.RunFor(Seconds(1));
+  ASSERT_EQ(server.StreamCount(), 3u);
+
+  auto envelope = std::make_shared<EnvelopeFrame>();
+  envelope->streams = {on_first, on_second[0], on_second[1], StreamKey{999, 1}};
+  envelope->conflation_key = "comment:7";
+  envelope->version = 3;
+  ASSERT_TRUE(server.FindStream(on_first)->SendFrame(envelope));
+  sim.RunFor(Seconds(1));
+
+  ASSERT_EQ(pops[0].envelopes.size(), 1u);
+  EXPECT_EQ(pops[0].envelopes[0]->streams, std::vector<StreamKey>({on_first}));
+  ASSERT_EQ(pops[1].envelopes.size(), 1u);
+  EXPECT_EQ(pops[1].envelopes[0]->streams,
+            std::vector<StreamKey>({on_second[0], on_second[1]}));
+  for (const FrameRecorder& pop : pops) {
+    EXPECT_EQ(pop.envelopes[0]->conflation_key, "comment:7");
+    EXPECT_EQ(pop.envelopes[0]->version, 3u);
+  }
+}
 
 TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
   Simulator sim(33);

@@ -1,8 +1,10 @@
 // Edge placement (docs/BURST.md "Placement"): the POP-side payload cache's
 // versioned invalidation semantics, and the end-to-end placement dataflow —
-// envelopes at the host, coarse filter + conflation + cache at the POP,
-// fetch and privacy regional — including the mid-stream fallback to fully
-// regional processing when the capable POP fails.
+// one envelope frame per (host, POP, event), coarse filter + conflation +
+// cache at the POP, fetch and privacy regional — including what one
+// comment costs on the backbone, blocks on the POP path, fetches whose
+// stream leaves, and the mid-stream fallback to fully regional processing
+// when the capable POP fails.
 
 #include <gtest/gtest.h>
 
@@ -108,10 +110,12 @@ class PopPlacementTest : public ::testing::Test {
     config.apps.lvc.non_friend_quality = 0.0;
     config.apps.lvc.filter_language = false;
     config.apps.lvc.push_interval = Seconds(1);
+    config.brass_hosts_per_region = hosts_per_region_;
     cluster_ = std::make_unique<BladerunnerCluster>(config);
     SocialGraphConfig graph_config;
     graph_config.num_users = num_users;
     graph_config.num_videos = 1;
+    graph_config.block_probability = block_probability_;
     graph_ = GenerateSocialGraph(cluster_->tao(), cluster_->sim().rng(), graph_config);
     cluster_->sim().RunFor(Seconds(2));
   }
@@ -124,6 +128,32 @@ class PopPlacementTest : public ::testing::Test {
   int64_t Counter(const std::string& name) {
     return cluster_->metrics().GetCounter(name).value();
   }
+
+  // Posts one comment on the test video and runs until it has settled.
+  ObjectId PostAndSettle(DeviceAgent& poster, SimTime settle = Seconds(15)) {
+    ObjectId comment = 0;
+    poster.Mutate("mutation { postComment(video: " + std::to_string(graph_.videos[0]) +
+                      ", text: \"hi\", language: \"en\") { id } }",
+                  [&comment](bool ok, Value data) {
+                    if (ok) {
+                      comment = data.Get("postComment").Get("id").AsInt(0);
+                    }
+                  });
+    cluster_->sim().RunFor(settle);
+    return comment;
+  }
+
+  // Runs until the first PopFetch has left a POP (at most 10 s).
+  void RunUntilFirstFetch() {
+    const SimTime deadline = cluster_->sim().Now() + Seconds(10);
+    while (Counter("burst.pop_fetches") == 0 && cluster_->sim().Now() < deadline) {
+      cluster_->sim().RunFor(Millis(1));
+    }
+  }
+
+  // Set before Build().
+  int hosts_per_region_ = 3;
+  double block_probability_ = 0.02;
 
   std::unique_ptr<BladerunnerCluster> cluster_;
   SocialGraph graph_;
@@ -243,36 +273,31 @@ TEST_F(PopPlacementTest, EditStormConflatesAtThePopNewestVersionWins) {
   EXPECT_GE(viewer->payloads_received(), 2u);  // original + a conflated edit
 }
 
-// A flash crowd on one POP larger than the host's privacy batch
-// (max_batch_viewers = 64): the host answers the POP's single fetch with
-// one fill holding a decision for every requested viewer, and every allowed
-// viewer gets the payload exactly once.
+// A flash crowd on one POP and one host, larger than the host's privacy
+// batch (max_batch_viewers = 64): the comment crosses the backbone as one
+// envelope frame, and the POP's single fetch is answered by one fill
+// holding a decision for every viewer; every allowed viewer gets the
+// payload exactly once.
 TEST_F(PopPlacementTest, CrowdBeyondPrivacyBatchIsAnsweredByOneFill) {
   constexpr size_t kCrowd = 80;
+  hosts_per_region_ = 1;
   Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true, /*min_quality=*/0.0,
         /*num_users=*/kCrowd + 1);
   auto poster = MakeDevice(kCrowd);
   std::vector<std::unique_ptr<DeviceAgent>> viewers;
-  ObjectId video = graph_.videos[0];
   for (size_t i = 0; i < kCrowd; ++i) {
     viewers.push_back(MakeDevice(i));
-    viewers.back()->SubscribeLvc(video);
+    viewers.back()->SubscribeLvc(graph_.videos[0]);
   }
   cluster_->sim().RunFor(Seconds(5));
 
-  ObjectId comment = 0;
-  poster->Mutate("mutation { postComment(video: " + std::to_string(video) +
-                     ", text: \"crowd\", language: \"en\") { id } }",
-                 [&comment](bool ok, Value data) {
-                   if (ok) {
-                     comment = data.Get("postComment").Get("id").AsInt(0);
-                   }
-                 });
-  cluster_->sim().RunFor(Seconds(15));
+  ObjectId comment = PostAndSettle(*poster);
   ASSERT_NE(comment, 0);
 
-  // One fetch up, one fill down, and the host needed privacy top-ups past
-  // its 64-viewer batch to build it.
+  // One envelope frame down, one fetch up, one fill down, and the host
+  // needed privacy top-ups past its 64-viewer batch to build it.
+  EXPECT_EQ(Counter("brass.envelopes"), static_cast<int64_t>(kCrowd));
+  EXPECT_EQ(Counter("brass.envelope_frames"), 1);
   EXPECT_EQ(Counter("burst.pop_fetches"), 1);
   EXPECT_EQ(Counter("brass.pop_fetch_serves"), 1);
   EXPECT_GE(Counter("brass.fetch.privacy_rpcs"), 1);
@@ -290,6 +315,187 @@ TEST_F(PopPlacementTest, CrowdBeyondPrivacyBatchIsAnsweredByOneFill) {
   EXPECT_GT(allowed, 64);
   EXPECT_EQ(Counter("burst.pop_deliveries"), allowed);
   EXPECT_EQ(Counter("burst.pop_privacy_drops"), static_cast<int64_t>(kCrowd) - allowed);
+}
+
+// Viewers of one POP spread over several hosts: each host sends its own
+// envelope frame, and the POP fetches no more often than frames arrive,
+// asking for each viewer's decision once.
+TEST_F(PopPlacementTest, CrowdOverHostsAsksForEachViewerOnce) {
+  constexpr size_t kCrowd = 24;
+  Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true, /*min_quality=*/0.0,
+        /*num_users=*/kCrowd + 1);
+  auto poster = MakeDevice(kCrowd);
+  std::vector<std::unique_ptr<DeviceAgent>> viewers;
+  for (size_t i = 0; i < kCrowd; ++i) {
+    viewers.push_back(MakeDevice(i));
+    viewers.back()->SubscribeLvc(graph_.videos[0]);
+  }
+  cluster_->sim().RunFor(Seconds(5));
+
+  ObjectId comment = PostAndSettle(*poster);
+  ASSERT_NE(comment, 0);
+
+  const int64_t frames = Counter("brass.envelope_frames");
+  EXPECT_GE(frames, 2);  // the crowd really is spread over hosts
+  EXPECT_GE(Counter("burst.pop_fetches"), 1);
+  EXPECT_LE(Counter("burst.pop_fetches"), frames);
+  // Every regional fetch request came from the POP: one per viewer.
+  EXPECT_EQ(Counter("brass.fetch.requests"), static_cast<int64_t>(kCrowd));
+  const PopPayloadCache::Entry* entry = cluster_->pop(0).payload_cache().Peek("LVC", comment, 1);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->decisions.size(), kCrowd);
+  for (size_t i = 0; i < kCrowd; ++i) {
+    EXPECT_EQ(viewers[i]->payloads_received(), entry->decisions.at(graph_.users[i]) ? 1u : 0u)
+        << "viewer " << i;
+  }
+}
+
+// The POP path enforces blocks in both directions: the envelope carries
+// the author, so the WAS denies a viewer who blocked the author and a
+// viewer the author blocked, while an unblocked viewer on the same POP
+// still gets the comment.
+TEST_F(PopPlacementTest, BlockedViewersGetNoPopDelivery) {
+  hosts_per_region_ = 1;
+  block_probability_ = 0.0;
+  Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true);
+  const UserId author = graph_.users[0];
+  BlockUser(cluster_->tao(), graph_.users[1], author);  // viewer blocked the author
+  BlockUser(cluster_->tao(), author, graph_.users[2]);  // the author blocked the viewer
+  auto poster = MakeDevice(0);
+  auto blocker = MakeDevice(1);
+  auto blocked = MakeDevice(2);
+  auto unblocked = MakeDevice(3);
+  for (DeviceAgent* viewer : {blocker.get(), blocked.get(), unblocked.get()}) {
+    viewer->SubscribeLvc(graph_.videos[0]);
+  }
+  cluster_->sim().RunFor(Seconds(3));
+
+  ASSERT_NE(PostAndSettle(*poster), 0);
+
+  EXPECT_EQ(blocker->payloads_received(), 0u);
+  EXPECT_EQ(blocked->payloads_received(), 0u);
+  EXPECT_EQ(unblocked->payloads_received(), 1u);
+  EXPECT_EQ(Counter("burst.pop_privacy_drops"), 2);
+  EXPECT_EQ(Counter("burst.pop_deliveries"), 1);
+  EXPECT_EQ(Counter("brass.deliveries"), 0);
+}
+
+// Regression: a fetch whose stream leaves the POP before its fill returns
+// must not strand the other waiters. The POP re-sends it through a
+// waiting stream, whichever of the two viewers cancels.
+TEST_F(PopPlacementTest, FetchIsResentWhenItsStreamLeaves) {
+  for (size_t cancelled = 0; cancelled < 2; ++cancelled) {
+    SCOPED_TRACE("cancelled viewer " + std::to_string(cancelled));
+    Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true);
+    auto poster = MakeDevice(2);
+    std::vector<std::unique_ptr<DeviceAgent>> viewers;
+    std::vector<uint64_t> sids;
+    for (size_t i = 0; i < 2; ++i) {
+      viewers.push_back(MakeDevice(i));
+      sids.push_back(viewers.back()->SubscribeLvc(graph_.videos[0]));
+    }
+    cluster_->sim().RunFor(Seconds(3));
+
+    poster->PostComment(graph_.videos[0], "hi", "en");
+    RunUntilFirstFetch();
+    ASSERT_EQ(Counter("burst.pop_fetches"), 1);
+    viewers[cancelled]->CancelStream(sids[cancelled]);
+    cluster_->sim().RunFor(Seconds(30));
+
+    const size_t survivor = 1 - cancelled;
+    EXPECT_EQ(viewers[survivor]->payloads_received(), 1u);
+    EXPECT_EQ(viewers[cancelled]->payloads_received(), 0u);
+    EXPECT_EQ(Counter("burst.pop_deliveries"), 1);
+  }
+}
+
+// Regression: a fetch lost with its path — the stream's host or the POP's
+// uplink proxy fails while the fetch is in the air — is re-sent once the
+// path is repaired, so the waiting viewer still gets the comment.
+TEST_F(PopPlacementTest, FetchIsResentWhenItsPathIsLost) {
+  for (bool lose_host : {true, false}) {
+    SCOPED_TRACE(lose_host ? "host lost" : "proxy lost");
+    hosts_per_region_ = 2;
+    Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true);
+    auto viewer = MakeDevice(0);
+    auto poster = MakeDevice(1);
+    viewer->SubscribeLvc(graph_.videos[0]);
+    cluster_->sim().RunFor(Seconds(3));
+
+    poster->PostComment(graph_.videos[0], "hi", "en");
+    RunUntilFirstFetch();
+    ASSERT_EQ(Counter("burst.pop_fetches"), 1);
+    // The viewer's stream is the only one: its host and its proxy are the
+    // ones holding a stream.
+    if (lose_host) {
+      for (size_t i = 0; i < cluster_->NumBrassHosts(); ++i) {
+        if (cluster_->brass_host(i).StreamCount() > 0) {
+          cluster_->brass_host(i).FailHost();
+          break;
+        }
+      }
+    } else {
+      for (size_t i = 0; i < cluster_->NumProxies(); ++i) {
+        if (cluster_->proxy(i).StreamCount() > 0) {
+          cluster_->proxy(i).FailProxy();
+          break;
+        }
+      }
+    }
+    cluster_->sim().RunFor(Seconds(30));
+
+    EXPECT_EQ(viewer->payloads_received(), 1u);
+    EXPECT_EQ(Counter("burst.pop_deliveries"), 1);
+    EXPECT_EQ(Counter("burst.pop_fetches"), 2);
+  }
+}
+
+// A listed stream whose device path is gone (detached at the host) counts
+// one dropped push, and nothing crosses the backbone for it.
+TEST_F(PopPlacementTest, DetachedListedStreamCountsADroppedPush) {
+  Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true);
+  auto viewer = MakeDevice(0);
+  auto poster = MakeDevice(1);
+  viewer->SubscribeLvc(graph_.videos[0]);
+  cluster_->sim().RunFor(Seconds(3));
+  viewer->burst().SetAutoReconnect(false);
+  viewer->burst().SimulateConnectionDrop();
+  cluster_->sim().RunFor(Seconds(1));
+
+  ASSERT_NE(PostAndSettle(*poster, Seconds(3)), 0);
+
+  EXPECT_EQ(Counter("brass.envelopes"), 1);
+  EXPECT_EQ(Counter("burst.server_pushes_dropped"), 1);
+  EXPECT_EQ(Counter("brass.envelope_frames"), 0);
+  EXPECT_EQ(Counter("burst.pop_envelopes"), 0);
+}
+
+// The per-kind backbone counters split the POP's backbone bytes: each
+// placement frame kind moves bytes on a placed flood, and together they are
+// part of (never more than) the whole.
+TEST_F(PopPlacementTest, PerKindBackboneBytesArePartOfTheBackbone) {
+  Build(BrassPlacement::kPopFilterConflate, /*placement_enabled=*/true);
+  std::vector<std::unique_ptr<DeviceAgent>> viewers;
+  for (size_t i = 0; i < 6; ++i) {
+    viewers.push_back(MakeDevice(i));
+    viewers.back()->SubscribeLvc(graph_.videos[0]);
+  }
+  auto poster = MakeDevice(6);
+  cluster_->sim().RunFor(Seconds(3));
+  for (int i = 0; i < 5; ++i) {
+    poster->PostComment(graph_.videos[0], "flood " + std::to_string(i), "en");
+    cluster_->sim().RunFor(Millis(300));
+  }
+  cluster_->sim().RunFor(Seconds(15));
+
+  const int64_t envelope = Counter("burst.pop_envelope_bytes");
+  const int64_t fetch = Counter("burst.pop_fetch_bytes");
+  const int64_t fill = Counter("burst.pop_fill_bytes");
+  EXPECT_GT(envelope, 0);
+  EXPECT_GT(fetch, 0);
+  EXPECT_GT(fill, 0);
+  EXPECT_LE(envelope + fetch + fill,
+            Counter("burst.pop_backbone_bytes_up") + Counter("burst.pop_backbone_bytes_down"));
 }
 
 TEST_F(PopPlacementTest, PopFailureMidStreamFallsBackToRegional) {
