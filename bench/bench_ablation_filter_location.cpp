@@ -18,20 +18,20 @@
 // the placement changes is *where bytes flow*: backbone bytes (POP<->proxy),
 // last-mile payload bytes (device battery proxy), and delivery latency.
 //
-// With --perf/--smoke the bench emits deterministic rows for the CI gate
-// (BENCH_PR9.json). Rows are higher-is-better — the regression check mirrors
-// bench_micro's floor rule — so the headline row is delivered payloads per
-// backbone megabyte (the inverse of backbone bytes per delivered payload).
+// With --perf/--smoke/--check the bench emits deterministic rows (simulated
+// byte counters) for the CI gate against BENCH_PR9.json. The gate checks
+// every row as higher-is-better (bench/baseline_gate.h), so the headline row
+// is delivered payloads per backbone megabyte (the inverse of backbone bytes
+// per delivered payload).
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/baseline_gate.h"
 #include "bench/bench_util.h"
 #include "src/core/cluster.h"
 #include "src/core/device.h"
@@ -89,8 +89,7 @@ Result RunArm(BrassPlacement placement, DeviceProfile profile, const Shape& shap
   // the language filter, so it must be off for the delivered-set audit.
   config.apps.lvc.filter_language = false;
   config.apps.lvc.push_interval = Seconds(1);
-  if (placement == BrassPlacement::kPopFilter ||
-      placement == BrassPlacement::kPopFilterConflate) {
+  if (placement == BrassPlacement::kPopFilterConflate) {
     config.burst.pop_placement_enabled = true;
   }
   SocialGraphConfig graph_config;
@@ -209,96 +208,6 @@ void PrintArmTable(const char* profile, const Result& device, const Result& regi
            static_cast<long long>(pop.cache_hits));
 }
 
-// ---- deterministic perf rows for the CI gate (BENCH_PR9.json) ----
-// Same row shape and higher-is-better floor rule as bench_micro's harness;
-// values come from simulated byte counters, so they are exactly reproducible.
-
-struct PerfRow {
-  std::string bench;
-  std::string metric;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::string RowsToJson(const std::vector<PerfRow>& rows) {
-  std::ostringstream out;
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out << "  {\"bench\": \"" << rows[i].bench << "\", \"metric\": \"" << rows[i].metric
-        << "\", \"value\": " << std::fixed << rows[i].value << ", \"unit\": \"" << rows[i].unit
-        << "\"}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  return out.str();
-}
-
-std::vector<PerfRow> ParseBaseline(const std::string& path) {
-  std::vector<PerfRow> rows;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    PerfRow row;
-    auto field = [&line](const char* key) -> std::string {
-      std::string marker = std::string("\"") + key + "\": ";
-      size_t at = line.find(marker);
-      if (at == std::string::npos) {
-        return "";
-      }
-      at += marker.size();
-      size_t end;
-      if (line[at] == '"') {
-        ++at;
-        end = line.find('"', at);
-      } else {
-        end = line.find_first_of(",}", at);
-      }
-      return end == std::string::npos ? "" : line.substr(at, end - at);
-    };
-    row.bench = field("bench");
-    row.metric = field("metric");
-    std::string value = field("value");
-    if (row.bench.empty() || row.metric.empty() || value.empty()) {
-      continue;
-    }
-    row.value = std::stod(value);
-    row.unit = field("unit");
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-int CheckAgainstBaseline(const std::vector<PerfRow>& rows, const std::string& path,
-                         double tolerance) {
-  std::vector<PerfRow> baseline = ParseBaseline(path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "perf-check: no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  int failures = 0;
-  for (const PerfRow& row : rows) {
-    const PerfRow* base = nullptr;
-    for (const PerfRow& b : baseline) {
-      if (b.bench == row.bench && b.metric == row.metric) {
-        base = &b;
-        break;
-      }
-    }
-    if (base == nullptr) {
-      std::printf("perf-check: %s/%s not in baseline (skipped)\n", row.bench.c_str(),
-                  row.metric.c_str());
-      continue;
-    }
-    double floor = base->value * (1.0 - tolerance);
-    bool ok = row.value >= floor;
-    std::printf("perf-check: %s/%s %.2f vs baseline %.2f (floor %.2f) %s\n", row.bench.c_str(),
-                row.metric.c_str(), row.value, base->value, floor, ok ? "ok" : "REGRESSED");
-    if (!ok) {
-      ++failures;
-    }
-  }
-  return failures == 0 ? 0 : 1;
-}
-
 double PayloadsPerBackboneMb(const Result& r) {
   return static_cast<double>(r.payloads) /
          (static_cast<double>(std::max<int64_t>(1, r.backbone_bytes)) / 1e6);
@@ -370,15 +279,7 @@ int main(int argc, char** argv) {
                     static_cast<double>(region.backbone_bytes) /
                         static_cast<double>(std::max<int64_t>(1, pop.backbone_bytes)),
                     "x"});
-    std::string json = RowsToJson(rows);
-    std::fputs(json.c_str(), stdout);
-    if (!opts.out_path.empty()) {
-      std::ofstream out(opts.out_path);
-      out << json;
-    }
-    if (!opts.check_path.empty()) {
-      return CheckAgainstBaseline(rows, opts.check_path, opts.tolerance);
-    }
+    return ReportPerfRows(rows, opts.out_path, opts.check_path, opts.tolerance);
   }
   return 0;
 }

@@ -10,21 +10,20 @@
 //   --perf            run the harness at full size
 //   --smoke           shrink the workloads (CI sanity; seconds, not minutes)
 //   --out FILE        write the JSON rows to FILE (default: stdout only)
-//   --check FILE      compare against a committed baseline (BENCH_PR7.json);
-//                     exit nonzero if any matching throughput row regressed
-//                     by more than --tolerance (default 0.25)
+//   --check FILE      gate against a committed baseline (BENCH_PR7.json;
+//                     implies --perf): exit nonzero if any row is missing
+//                     from it or regressed by more than --tolerance
+//                     (default 0.25)
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/baseline_gate.h"
 #include "bench/bench_util.h"
 #include "src/burst/durable_log.h"
 #include "src/burst/frames.h"
@@ -167,16 +166,6 @@ void BM_StreamKeyHash(benchmark::State& state) {
 BENCHMARK(BM_StreamKeyHash);
 
 // ---- perf harness (--perf / --smoke) ----
-
-// One measurement row of BENCH_PR7.json. All metrics emitted by the
-// harness are throughputs (higher is better); the regression check in
-// CheckAgainstBaseline relies on that.
-struct PerfRow {
-  std::string bench;
-  std::string metric;
-  double value = 0.0;
-  std::string unit;
-};
 
 struct PerfShape {
   // Kernel: total timer events pushed through a bare Simulator.
@@ -414,93 +403,10 @@ PerfRow BenchDurableLog(const PerfShape& shape) {
   return row;
 }
 
-std::string RowsToJson(const std::vector<PerfRow>& rows) {
-  std::ostringstream out;
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out << "  {\"bench\": \"" << rows[i].bench << "\", \"metric\": \"" << rows[i].metric
-        << "\", \"value\": " << std::fixed << rows[i].value << ", \"unit\": \"" << rows[i].unit
-        << "\"}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  return out.str();
-}
-
-// Minimal parser for the committed baseline: BENCH_PR7.json is written by
-// RowsToJson above, so one row per line with fixed key order is assumed.
-std::vector<PerfRow> ParseBaseline(const std::string& path) {
-  std::vector<PerfRow> rows;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    PerfRow row;
-    auto field = [&line](const char* key) -> std::string {
-      std::string marker = std::string("\"") + key + "\": ";
-      size_t at = line.find(marker);
-      if (at == std::string::npos) {
-        return "";
-      }
-      at += marker.size();
-      size_t end;
-      if (line[at] == '"') {
-        ++at;
-        end = line.find('"', at);
-      } else {
-        end = line.find_first_of(",}", at);
-      }
-      return end == std::string::npos ? "" : line.substr(at, end - at);
-    };
-    row.bench = field("bench");
-    row.metric = field("metric");
-    std::string value = field("value");
-    if (row.bench.empty() || row.metric.empty() || value.empty()) {
-      continue;
-    }
-    row.value = std::stod(value);
-    row.unit = field("unit");
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-// Exit-code contract for CI: 0 when every row matched in the baseline is
-// within tolerance, 1 on a regression. Rows missing from the baseline are
-// reported but not fatal (a new bench must be committable).
-int CheckAgainstBaseline(const std::vector<PerfRow>& rows, const std::string& path,
-                         double tolerance) {
-  std::vector<PerfRow> baseline = ParseBaseline(path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "perf-check: no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  int failures = 0;
-  for (const PerfRow& row : rows) {
-    const PerfRow* base = nullptr;
-    for (const PerfRow& b : baseline) {
-      if (b.bench == row.bench && b.metric == row.metric) {
-        base = &b;
-        break;
-      }
-    }
-    if (base == nullptr) {
-      std::printf("perf-check: %s/%s not in baseline (skipped)\n", row.bench.c_str(),
-                  row.metric.c_str());
-      continue;
-    }
-    double floor = base->value * (1.0 - tolerance);
-    bool ok = row.value >= floor;
-    std::printf("perf-check: %s/%s %.0f vs baseline %.0f (floor %.0f) %s\n", row.bench.c_str(),
-                row.metric.c_str(), row.value, base->value, floor, ok ? "ok" : "REGRESSED");
-    if (!ok) {
-      ++failures;
-    }
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int RunPerfHarness(bool smoke, const std::string& out_path, const std::string& check_path,
-                   double tolerance) {
-  PerfShape shape = smoke ? SmokeShape() : PerfShape{};
+// Every row is a throughput, so the baseline gate checks each as
+// higher-is-better.
+int RunPerfHarness(const BenchOptions& opts) {
+  PerfShape shape = opts.smoke ? SmokeShape() : PerfShape{};
   std::vector<PerfRow> rows;
   rows.push_back(BenchKernel(shape));
   rows.push_back(BenchPylonFanout(shape));
@@ -508,23 +414,15 @@ int RunPerfHarness(bool smoke, const std::string& out_path, const std::string& c
   rows.push_back(BenchLiveQueryFold(shape));
   rows.push_back(BenchDurableLog(shape));
 
-  std::string json = RowsToJson(rows);
-  std::fputs(json.c_str(), stdout);
+  int status = ReportPerfRows(rows, opts.out_path, opts.check_path, opts.tolerance);
   for (const PerfRow& row : rows) {
     if (!(row.value > 0.0)) {
       std::fprintf(stderr, "perf: %s/%s produced a non-positive value\n", row.bench.c_str(),
                    row.metric.c_str());
-      return 1;
+      status = 1;
     }
   }
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
-  if (!check_path.empty()) {
-    return CheckAgainstBaseline(rows, check_path, tolerance);
-  }
-  return 0;
+  return status;
 }
 
 }  // namespace
@@ -533,8 +431,7 @@ int RunPerfHarness(bool smoke, const std::string& out_path, const std::string& c
 int main(int argc, char** argv) {
   bladerunner::BenchOptions opts = bladerunner::ParseBenchOptions(argc, argv);
   if (opts.perf) {
-    return bladerunner::RunPerfHarness(opts.smoke, opts.out_path, opts.check_path,
-                                       opts.tolerance);
+    return bladerunner::RunPerfHarness(opts);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -11,20 +11,21 @@
 //   --smoke            shrunken cells for CI; audits become hard failures
 //   --cell NAME        run only the named cell(s); repeatable
 //   --out PATH         write the JSON rows to PATH
-//   --check PATH       gate against a previous --out / committed baseline:
-//                      delivered >= (1 - tolerance) x base,
-//                      p99 <= (1 + tolerance) x base, audits must pass
+//   --check PATH       gate against a previous --out / committed baseline
+//                      (bench/baseline_gate.h): delivered >= (1 - tolerance)
+//                      x base, p99 <= (1 + tolerance) x base, audits must pass
 //   --tolerance X      allowed relative regression (default 0.25)
 //   --threads/--lp-groups  run the cells on the partitioned kernel (rows
 //                      are byte-identical for a fixed LP layout)
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/baseline_gate.h"
 #include "bench/bench_util.h"
 #include "src/workload/scenario.h"
 
@@ -232,47 +233,6 @@ std::vector<Cell> BuildMatrix() {
   return cells;
 }
 
-// ---- --check: line-oriented baseline parsing (bench_micro's pattern) ----
-
-bool ExtractString(const std::string& line, const std::string& key, std::string* out) {
-  std::string needle = "\"" + key + "\":\"";
-  size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  at += needle.size();
-  size_t end = line.find('"', at);
-  if (end == std::string::npos) return false;
-  *out = line.substr(at, end - at);
-  return true;
-}
-
-bool ExtractNumber(const std::string& line, const std::string& key, double* out) {
-  std::string needle = "\"" + key + "\":";
-  size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  *out = std::atof(line.c_str() + at + needle.size());
-  return true;
-}
-
-struct BaselineRow {
-  double delivered = 0;
-  double p99_ms = 0;
-  bool found = false;
-};
-
-BaselineRow FindBaseline(const std::vector<std::string>& lines, const std::string& scenario,
-                         const std::string& scale) {
-  BaselineRow base;
-  for (const std::string& line : lines) {
-    std::string s, sc;
-    if (!ExtractString(line, "scenario", &s) || !ExtractString(line, "scale", &sc)) continue;
-    if (s != scenario || sc != scale) continue;
-    base.found = ExtractNumber(line, "delivered", &base.delivered) &&
-                 ExtractNumber(line, "delivery_p99_ms", &base.p99_ms);
-    return base;
-  }
-  return base;
-}
-
 int Run(const BenchOptions& opts) {
   const bool smoke = opts.smoke;
   std::vector<Cell> matrix = BuildMatrix();
@@ -297,16 +257,13 @@ int Run(const BenchOptions& opts) {
     matrix = std::move(selected);
   }
 
-  std::vector<std::string> baseline;
+  std::optional<BaselineGate> gate;
   if (!opts.check_path.empty()) {
-    std::FILE* f = std::fopen(opts.check_path.c_str(), "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open baseline %s\n", opts.check_path.c_str());
-      return 2;
+    gate.emplace(opts.check_path);
+    if (!gate->ok()) {
+      std::fprintf(stderr, "%s\n", gate->error().c_str());
+      return 1;
     }
-    char buf[2048];
-    while (std::fgets(buf, sizeof(buf), f) != nullptr) baseline.emplace_back(buf);
-    std::fclose(f);
   }
 
   PrintHeader(smoke ? "Scenario matrix (smoke)" : "Scenario matrix",
@@ -343,27 +300,14 @@ int Run(const BenchOptions& opts) {
       std::fprintf(stderr, "scenario %s: audit FAILED\n", cell.name);
       ++failures;
     }
-    if (!baseline.empty()) {
-      BaselineRow base = FindBaseline(baseline, row.scenario, row.scale);
-      if (!base.found) {
-        std::fprintf(stderr, "scenario %s (%s): no baseline row\n", cell.name,
-                     row.scale.c_str());
-        ++failures;
-      } else {
-        const double delivered_floor = base.delivered * (1.0 - opts.tolerance);
-        const double p99_ceiling = base.p99_ms * (1.0 + opts.tolerance);
-        if (static_cast<double>(row.delivered) < delivered_floor) {
-          std::fprintf(stderr, "scenario %s: delivered %lld < floor %.0f (base %.0f)\n",
-                       cell.name, static_cast<long long>(row.delivered), delivered_floor,
-                       base.delivered);
-          ++failures;
-        }
-        if (base.p99_ms > 0 && row.delivery_p99_ms > p99_ceiling) {
-          std::fprintf(stderr, "scenario %s: p99 %.1fms > ceiling %.1fms (base %.1fms)\n",
-                       cell.name, row.delivery_p99_ms, p99_ceiling, base.p99_ms);
-          ++failures;
-        }
-      }
+    if (gate) {
+      const std::vector<std::pair<std::string, std::string>> id = {{"scenario", row.scenario},
+                                                                   {"scale", row.scale}};
+      failures += !gate->Check({id, "delivered", Better::kHigher,
+                                static_cast<double>(row.delivered)},
+                               opts.tolerance);
+      failures += !gate->Check({id, "delivery_p99_ms", Better::kLower, row.delivery_p99_ms},
+                               opts.tolerance);
     }
   }
 

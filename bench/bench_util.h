@@ -33,7 +33,9 @@ namespace bladerunner {
 //   --smoke            quick mode (implies --perf in harness benches)
 //   --perf             perf-harness mode where the bench supports it
 //   --out PATH         write machine-readable results (JSON) to PATH
-//   --check PATH       compare against a previous --out file
+//   --check PATH       gate against a committed baseline or a previous --out
+//                      file (bench/baseline_gate.h: a row missing from it
+//                      fails); implies --perf in harness benches
 //   --tolerance X      allowed relative regression for --check (default .25)
 //   --threads N        worker threads for the kernel's rounds; N > 1 also
 //                      partitions the cluster unless --lp-groups says
@@ -160,6 +162,7 @@ inline bool ParseBenchOptionsInto(int argc, char** argv, BenchOptions* opts,
       opts->out_path = value;
     } else if (flag == "--check") {
       opts->check_path = value;
+      opts->perf = true;  // a check needs the harness rows it gates
     } else if (flag == "--cell") {
       opts->cells.push_back(value);
     } else if (flag == "--tolerance") {

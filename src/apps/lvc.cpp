@@ -5,6 +5,21 @@
 
 namespace bladerunner {
 
+namespace {
+
+// A comment's delivery: queued versions of one comment conflate
+// newest-version-wins.
+DeliverOptions CommentDelivery(const Value& metadata, SimTime created_at, TraceContext parent) {
+  DeliverOptions deliver;
+  deliver.event_created_at = created_at;
+  deliver.parent = parent;
+  deliver.conflation_key = "comment:" + std::to_string(ObjectIdOf(metadata));
+  deliver.version = ObjectVersionOf(metadata);
+  return deliver;
+}
+
+}  // namespace
+
 void LvcFriendIndex::Add(const StreamKey& key, const std::vector<UserId>& friends) {
   for (UserId f : friends) {
     std::vector<StreamKey>& keys = streams_by_friend_[f];
@@ -183,9 +198,8 @@ void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, EventDecision& d
 void LiveVideoCommentsApp::Decide(EventDecision& decision, BrassStream& stream) {
   auto it = viewers_.find(stream.key);
   assert(it != viewers_.end() && it->second.stream == &stream);
-  const bool placed = stream.pop_placed &&
-                      (config_.placement == BrassPlacement::kPopFilter ||
-                       config_.placement == BrassPlacement::kPopFilterConflate);
+  const bool placed =
+      stream.pop_placed && config_.placement == BrassPlacement::kPopFilterConflate;
   if (!Passes(decision, it->second, stream, placed)) {
     ++decision.negatives;
     return;
@@ -221,12 +235,8 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
     for (BrassStream* stream : streams) {
       runtime().CountDecision(true);
       StreamKey key = stream->key;
-      DeliverOptions deliver;
-      deliver.event_created_at = event.created_at;
-      deliver.conflation_key = "comment:" + std::to_string(event.metadata.Get("id").AsInt(0));
-      deliver.version = static_cast<uint64_t>(event.metadata.Get("version").AsInt(0));
       TraceContext span = runtime().StartSpan(event.trace, "brass.process");
-      deliver.parent = span;
+      DeliverOptions deliver = CommentDelivery(event.metadata, event.created_at, span);
       runtime().FetchPayload(
           event.metadata, FetchOptions{.viewer = stream->viewer, .parent = span},
           [this, key, deliver, span](bool allowed, Value payload) {
@@ -276,12 +286,8 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
     envelope.Set("version", metadata.Get("version"));
     envelope.Set("quality", metadata.Get("quality"));
     envelope.Set("author", metadata.Get("author"));
-    DeliverOptions deliver;
-    deliver.event_created_at = event.created_at;
-    deliver.parent = event.trace;
-    deliver.conflation_key = "comment:" + std::to_string(metadata.Get("id").AsInt(0));
-    deliver.version = static_cast<uint64_t>(metadata.Get("version").AsInt(0));
-    runtime().PushEnvelope(decision.placed, std::move(envelope), deliver);
+    runtime().PushEnvelope(decision.placed, std::move(envelope),
+                           CommentDelivery(metadata, event.created_at, event.trace));
   }
 }
 
@@ -349,11 +355,7 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
   StreamKey stream_key = key;
   TraceContext span = best.span;
   UserId viewer_id = viewer.stream->viewer;
-  DeliverOptions deliver;
-  deliver.event_created_at = best.created_at;
-  deliver.parent = span;
-  deliver.conflation_key = "comment:" + std::to_string(best.metadata->Get("id").AsInt(0));
-  deliver.version = static_cast<uint64_t>(best.metadata->Get("version").AsInt(0));
+  DeliverOptions deliver = CommentDelivery(*best.metadata, best.created_at, span);
   runtime().FetchPayload(
       *best.metadata, FetchOptions{.viewer = viewer_id, .parent = span},
       [this, stream_key, deliver, span](bool allowed, Value payload) {

@@ -57,10 +57,10 @@ struct LvcConfig {
   // Where LVC's per-event stages run (docs/BURST.md "Placement"):
   //  - kRegional (default): filter, rank, pace, fetch at the BRASS host —
   //    byte-identical to the pre-placement behavior.
-  //  - kPopFilter / kPopFilterConflate: the viewer-independent quality
-  //    floor (and, for conflate, newest-version-wins pacing) runs at the
-  //    device-facing POP on small event envelopes; self/friend/language
-  //    filters, fetch, and privacy stay regional.
+  //  - kPopFilterConflate: the viewer-independent quality floor and
+  //    newest-version-wins pacing run at the device-facing POP on small
+  //    event envelopes; self/friend/language filters, fetch, and privacy
+  //    stay regional.
   //  - kDeviceFirehose: the DESIGN.md §5.4 ablation — no server-side
   //    filtering or rate limiting; every event is fetched and pushed, and
   //    the *device* makes the relevance decisions (the firehose the

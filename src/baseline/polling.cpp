@@ -1,57 +1,9 @@
 #include "src/baseline/polling.h"
 
 #include "src/was/messages.h"
+#include "src/was/resolvers.h"
 
 namespace bladerunner {
-
-namespace {
-
-constexpr size_t kPollPageSize = 25;
-
-std::string LvcPollQuery(ObjectId video, SimTime after) {
-  return "query { comments(video: " + std::to_string(video) + ", after: " +
-         std::to_string(after) + ", first: " + std::to_string(kPollPageSize) +
-         ") { id text author time indexTime suppressed } }";
-}
-
-// Processes a poll result: updates the watermark/seen-set, records the
-// per-comment discovery latency into `histogram`.
-struct PollBookkeeping {
-  SimTime* watermark;
-  std::set<ObjectId>* seen;
-  uint64_t* counter;
-
-  size_t fresh = 0;      // new, displayable comments in this page
-  size_t page_size = 0;  // total entries in this page (incl. suppressed)
-
-  void Apply(const Value& data, Simulator& sim, Histogram& histogram) {
-    for (const Value& comment : data.Get("comments").AsList()) {
-      ++page_size;
-      SimTime index_time = comment.Get("indexTime").AsInt(0);
-      if (index_time > *watermark) {
-        *watermark = index_time;
-      }
-      if (comment.Get("suppressed").AsBool(false)) {
-        continue;
-      }
-      ObjectId id = comment.Get("id").AsInt(0);
-      SimTime created = comment.Get("time").AsInt(0);
-      if (id == 0 || !seen->insert(id).second) {
-        continue;
-      }
-      ++fresh;
-      *counter += 1;
-      if (created > 0) {
-        histogram.Record(static_cast<double>(sim.Now() - created));
-      }
-    }
-  }
-
-  // A full page means a backlog remains; the client pages again now.
-  bool HasMore() const { return page_size >= kPollPageSize; }
-};
-
-}  // namespace
 
 // ---- LvcPollingClient ----
 
@@ -101,19 +53,23 @@ void LvcPollingClient::PollOnce() {
   polls_ += 1;
   polls_counter_->Increment();
   auto request = std::make_shared<WasQueryRequest>();
-  request->query = LvcPollQuery(video_, watermark_);
+  request->query = CommentPollQuery(video_, watermark_);
   request->viewer = user_;
   channel_->Call("was.query", request, [this](RpcStatus status, MessagePtr response) {
     if (status == RpcStatus::kOk) {
       auto result = std::static_pointer_cast<WasQueryResponse>(response);
-      PollBookkeeping book{&watermark_, &seen_, &comments_seen_};
-      book.Apply(result->data, cluster_->sim(),
-                 *latency_us_);
-      if (book.fresh == 0) {
+      CommentPollPage page =
+          WalkCommentPollPage(result->data, &watermark_, &seen_, [this](SimTime created) {
+            comments_seen_ += 1;
+            if (created > 0) {
+              latency_us_->Record(static_cast<double>(ctx_.Now() - created));
+            }
+          });
+      if (page.fresh == 0) {
         empty_polls_ += 1;
         empty_polls_counter_->Increment();
       }
-      if (book.HasMore() && running_) {
+      if (page.full && running_) {
         // Backlog: page again immediately instead of waiting the interval.
         timer_ = ctx_.Schedule(Millis(50), [this]() { PollOnce(); });
         return;
@@ -175,44 +131,29 @@ void LvcServerPollAgent::PollOnce() {
   polls_ += 1;
   polls_counter_->Increment();
   auto request = std::make_shared<WasQueryRequest>();
-  request->query = LvcPollQuery(video_, watermark_);
+  request->query = CommentPollQuery(video_, watermark_);
   request->viewer = user_;
   channel_->Call("was.query", request, [this](RpcStatus status, MessagePtr response) {
     if (status == RpcStatus::kOk) {
       auto result = std::static_pointer_cast<WasQueryResponse>(response);
-      size_t fresh = 0;
-      size_t page_size = 0;
-      for (const Value& comment : result->data.Get("comments").AsList()) {
-        ++page_size;
-        SimTime index_time = comment.Get("indexTime").AsInt(0);
-        if (index_time > watermark_) {
-          watermark_ = index_time;
-        }
-        if (comment.Get("suppressed").AsBool(false)) {
-          continue;
-        }
-        ObjectId id = comment.Get("id").AsInt(0);
-        SimTime created = comment.Get("time").AsInt(0);
-        if (id == 0 || !seen_.insert(id).second) {
-          continue;
-        }
-        ++fresh;
-        // Push to the device over the persistent connection: one last-mile
-        // delivery delay from *now*.
-        SimTime delivery = last_mile_.Sample(ctx_.rng());
-        ctx_.Schedule(delivery, [this, created]() {
-          comments_pushed_ += 1;
-          pushed_counter_->Increment();
-          if (created > 0) {
-            latency_us_->Record(static_cast<double>(ctx_.Now() - created));
-          }
-        });
-      }
-      if (fresh == 0) {
+      CommentPollPage page =
+          WalkCommentPollPage(result->data, &watermark_, &seen_, [this](SimTime created) {
+            // Push to the device over the persistent connection: one
+            // last-mile delivery delay from *now*.
+            SimTime delivery = last_mile_.Sample(ctx_.rng());
+            ctx_.Schedule(delivery, [this, created]() {
+              comments_pushed_ += 1;
+              pushed_counter_->Increment();
+              if (created > 0) {
+                latency_us_->Record(static_cast<double>(ctx_.Now() - created));
+              }
+            });
+          });
+      if (page.fresh == 0) {
         empty_polls_ += 1;
         empty_polls_counter_->Increment();
       }
-      if (page_size >= kPollPageSize && running_) {
+      if (page.full && running_) {
         timer_ = ctx_.Schedule(Millis(50), [this]() { PollOnce(); });
         return;
       }
@@ -291,16 +232,20 @@ void LvcTriggerClient::PollOnce() {
   polls_ += 1;
   polls_counter_->Increment();
   auto request = std::make_shared<WasQueryRequest>();
-  request->query = LvcPollQuery(video_, watermark_);
+  request->query = CommentPollQuery(video_, watermark_);
   request->viewer = user_;
   poll_channel_->Call("was.query", request, [this](RpcStatus status, MessagePtr response) {
     poll_in_flight_ = false;
     if (status == RpcStatus::kOk) {
       auto result = std::static_pointer_cast<WasQueryResponse>(response);
-      PollBookkeeping book{&watermark_, &seen_, &comments_seen_};
-      book.Apply(result->data, cluster_->sim(),
-                 *latency_us_);
-      if (book.HasMore()) {
+      CommentPollPage page =
+          WalkCommentPollPage(result->data, &watermark_, &seen_, [this](SimTime created) {
+            comments_seen_ += 1;
+            if (created > 0) {
+              latency_us_->Record(static_cast<double>(ctx_.Now() - created));
+            }
+          });
+      if (page.full) {
         poll_again_ = true;
       }
     }

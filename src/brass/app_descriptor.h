@@ -39,11 +39,11 @@ enum class BrassPlacement {
   // to the pre-placement codebase).
   kRegional = 0,
   // The POP applies the app's viewer-independent coarse filter to event
-  // envelopes before resolving payloads; the regional host still applies
-  // the viewer-dependent filters and privacy.
-  kPopFilter = 1,
-  // kPopFilter plus newest-version-wins conflation and pacing at the POP,
-  // backed by the POP-local versioned payload cache.
+  // envelopes, then conflates newest-version-wins and paces each stream,
+  // resolving payloads through the POP-local versioned payload cache; the
+  // regional host still applies the viewer-dependent filters and privacy.
+  // (Value 1 is unused: the stamp carries these values on the wire, so the
+  // others keep theirs.)
   kPopFilterConflate = 2,
   // Ablation seam: no filtering or rate limiting anywhere on the server
   // path — every event is fetched and pushed and the *device* decides
@@ -56,8 +56,6 @@ inline const char* ToString(BrassPlacement p) {
   switch (p) {
     case BrassPlacement::kRegional:
       return "regional";
-    case BrassPlacement::kPopFilter:
-      return "pop_filter";
     case BrassPlacement::kPopFilterConflate:
       return "pop_filter_conflate";
     case BrassPlacement::kDeviceFirehose:
@@ -112,7 +110,7 @@ struct BrassAppDescriptor {
   // conflated-away sequence could never be replayed consistently.
   bool durable = false;
   // Where this app's per-event stages run (see BrassPlacement above). POPs
-  // honor kPopFilter/kPopFilterConflate only when the deployment enables
+  // honor kPopFilterConflate only when the deployment enables
   // edge placement (BurstConfig::pop_placement_enabled) and the app is not
   // durable — durable sequences cannot be conflated or filtered in transit.
   BrassPlacement placement = BrassPlacement::kRegional;
@@ -123,9 +121,6 @@ struct BrassAppDescriptor {
   // so this header stays a stdlib-only leaf). 0 = no pacing: resolve and
   // push every surviving envelope immediately.
   int64_t pop_push_gap_us = 0;
-  // Bound on conflation-queued envelopes per stream at the POP; 0 inherits
-  // BurstConfig::pop_max_pending_per_stream.
-  size_t pop_max_pending_per_stream = 0;
 };
 
 // Registration-time validation (docs/BURST.md "Descriptor validation").

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/graphql/value.h"
@@ -22,6 +23,29 @@
 #include "src/trace/collector.h"
 
 namespace bladerunner {
+
+// The object an update event is about: its metadata's "id", or "user" for
+// active-status events, which mutate the user object itself.
+inline int64_t ObjectIdOf(const Value& metadata) {
+  int64_t id = metadata.Get("id").AsInt(0);
+  return id != 0 ? id : metadata.Get("user").AsInt(0);
+}
+
+// The TAO object version an update event carries (0 when it has none).
+inline uint64_t ObjectVersionOf(const Value& metadata) {
+  return static_cast<uint64_t>(metadata.Get("version").AsInt(0));
+}
+
+// One version of one object of one app: keys the POP's payload cache and its
+// in-flight fetches.
+struct ObjectVersionKey {
+  std::string app;
+  int64_t object = 0;
+  uint64_t version = 0;
+  bool operator<(const ObjectVersionKey& o) const {
+    return std::tie(app, object, version) < std::tie(o.app, o.object, o.version);
+  }
+};
 
 // Options for one BrassRuntime::DeliverData push (mirrors FetchOptions).
 struct DeliverOptions {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/brass/delivery_queue.h"
 #include "src/was/messages.h"
 
 namespace bladerunner {
@@ -45,20 +46,7 @@ std::string FetchPipeline::Key(const std::string& app, const Value& metadata) co
   // can carry per-viewer or per-stream fields (e.g. Messenger's mailbox
   // "seq"), and those must never share a cached payload.
   uint64_t fp = std::hash<std::string>{}(metadata.ToJson());
-  return app + "#" + std::to_string(VersionOf(metadata)) + "#" + std::to_string(fp);
-}
-
-ObjectId FetchPipeline::ObjectIdOf(const Value& metadata) {
-  ObjectId id = metadata.Get("id").AsInt(0);
-  if (id == 0) {
-    // Active-status events mutate the user object itself.
-    id = metadata.Get("user").AsInt(0);
-  }
-  return id;
-}
-
-uint64_t FetchPipeline::VersionOf(const Value& metadata) {
-  return static_cast<uint64_t>(metadata.Get("version").AsInt(0));
+  return app + "#" + std::to_string(ObjectVersionOf(metadata)) + "#" + std::to_string(fp);
 }
 
 void FetchPipeline::Fetch(const std::string& app, const Value& metadata,
@@ -182,7 +170,7 @@ FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& fligh
   flight.app = app;
   flight.metadata = metadata;
   flight.object_id = ObjectIdOf(metadata);
-  flight.version = VersionOf(metadata);
+  flight.version = ObjectVersionOf(metadata);
   flight.need_payload = need_payload;
   if (!need_payload) {
     flight.cached_payload = *cached_payload;
@@ -386,7 +374,7 @@ void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata, W
 
 void FetchPipeline::ObserveEvent(const Value& metadata) {
   ObjectId id = ObjectIdOf(metadata);
-  uint64_t version = VersionOf(metadata);
+  uint64_t version = ObjectVersionOf(metadata);
   if (id == 0 || version == 0) {
     return;
   }

@@ -151,8 +151,6 @@ class FetchPipeline {
   };
 
   std::string Key(const std::string& app, const Value& metadata) const;
-  static ObjectId ObjectIdOf(const Value& metadata);
-  static uint64_t VersionOf(const Value& metadata);
 
   // Hands one viewer's decision to its caller or batch.
   static void Answer(Waiter& waiter, bool allowed, const Value& payload);

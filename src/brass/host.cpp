@@ -824,11 +824,8 @@ void BrassHost::OnPopFetch(ServerStream& stream, const PopFetchFrame& fetch) {
   auto fill = std::make_shared<PopFillFrame>();
   fill->key = fetch.key;
   fill->app = fetch.app;
-  fill->object = fetch.metadata.Get("id").AsInt(0);
-  if (fill->object == 0) {
-    fill->object = fetch.metadata.Get("user").AsInt(0);
-  }
-  fill->version = static_cast<uint64_t>(fetch.metadata.Get("version").AsInt(0));
+  fill->object = ObjectIdOf(fetch.metadata);
+  fill->version = ObjectVersionOf(fetch.metadata);
   StreamKey key = stream.key();
   fetch_pipeline_->FetchForViewers(
       fetch.app, fetch.metadata, fetch.viewers, fetch.trace,

@@ -76,7 +76,7 @@ class BrassRuntime {
   // once, conflates and paces it per stream in transit, and resolves the
   // payload through its versioned edge cache; fetch and per-viewer privacy
   // stay regional. Only meaningful for apps whose descriptor asks for
-  // BrassPlacement::kPopFilter*.
+  // BrassPlacement::kPopFilterConflate.
   void PushEnvelope(const std::vector<BrassStream*>& streams, Value envelope,
                     const DeliverOptions& options);
 

@@ -53,10 +53,6 @@ struct BurstConfig {
   // stale-read rule: a fill superseded by a newer observed version is
   // delivered to its waiters but never cached).
   size_t pop_payload_cache_capacity = 256;
-
-  // Default bound on conflation-queued envelopes per stream at the POP when
-  // the app descriptor leaves pop_max_pending_per_stream at 0.
-  size_t pop_max_pending_per_stream = 8;
 };
 
 }  // namespace bladerunner

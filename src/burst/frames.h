@@ -247,11 +247,12 @@ struct StreamDetachedFrame : Message {
 
 // Inter-node (BRASS host -> proxy -> POP; never seen by devices): one update
 // event's *envelope* for the listed streams, whose app placed its
-// coarse-filter and conflation stages at the POP (BrassPlacement::kPopFilter*).
-// The host sends one frame per proxy connection and the proxy splits it per
-// POP, so an event crosses the backbone once per (host, POP) however many
-// of the POP's streams it is for. The POP filters it once, then paces,
-// conflates and resolves a copy per listed stream.
+// coarse-filter and conflation stages at the POP
+// (BrassPlacement::kPopFilterConflate). The host sends one frame per proxy
+// connection and the proxy splits it per POP, so an event crosses the
+// backbone once per (host, POP) however many of the POP's streams it is
+// for. The POP filters it once, then paces, conflates and resolves a copy
+// per listed stream.
 struct EnvelopeFrame : Message {
   std::vector<StreamKey> streams;
   // What the edge and the regional fetch need of the event: id and version

@@ -8,11 +8,9 @@ namespace bladerunner {
 
 namespace {
 
-// The object an envelope is about (mirrors FetchPipeline::ObjectIdOf).
-int64_t ObjectOf(const Value& metadata) {
-  int64_t object = metadata.Get("id").AsInt(0);
-  return object != 0 ? object : metadata.Get("user").AsInt(0);
-}
+// Bound on conflation-queued envelopes per placed stream; beyond it the
+// oldest is shed.
+constexpr size_t kPopMaxPendingPerStream = 8;
 
 }  // namespace
 
@@ -129,13 +127,9 @@ BrassPlacement Pop::ResolvePlacement(const StreamHeaderView& view) const {
     // Durable sequences cannot be filtered or conflated in transit.
     return BrassPlacement::kRegional;
   }
-  switch (descriptor->placement) {
-    case BrassPlacement::kPopFilter:
-    case BrassPlacement::kPopFilterConflate:
-      return descriptor->placement;
-    default:
-      return BrassPlacement::kRegional;
-  }
+  return descriptor->placement == BrassPlacement::kPopFilterConflate
+             ? BrassPlacement::kPopFilterConflate
+             : BrassPlacement::kRegional;
 }
 
 void Pop::HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message) {
@@ -282,7 +276,7 @@ void Pop::HandleEnvelope(const EnvelopeFrame& frame) {
   }
   // Every forwarded event advances the version watermark — the cache's
   // stale-read rule (fetch_pipeline's ObserveEvent, one hop earlier).
-  cache_.ObserveVersion(app, ObjectOf(frame.metadata), frame.version);
+  cache_.ObserveVersion(app, ObjectIdOf(frame.metadata), frame.version);
   // Viewer-independent coarse filter, in transit, once per frame.
   if (!descriptor->pop_filter.quality_field.empty()) {
     double quality = frame.metadata.Get(descriptor->pop_filter.quality_field).AsDouble(0.0);
@@ -320,7 +314,7 @@ bool Pop::AdmitEnvelope(const StreamKey& key, StreamState& state,
                         const BrassAppDescriptor& descriptor, const Value& metadata,
                         const DeliverOptions& options) {
   const SimTime gap = descriptor.pop_push_gap_us;
-  if (state.placement != BrassPlacement::kPopFilterConflate || gap <= 0) {
+  if (gap <= 0) {
     return true;
   }
   SimTime now = ctx_.Now();
@@ -328,12 +322,8 @@ bool Pop::AdmitEnvelope(const StreamKey& key, StreamState& state,
     state.next_push_at = now + gap;
     return true;
   }
-  size_t bound = descriptor.pop_max_pending_per_stream > 0
-                     ? descriptor.pop_max_pending_per_stream
-                     : config_.pop_max_pending_per_stream;
-  bound = std::max<size_t>(bound, 1);
   ConflatingDeliveryQueue::OfferResult result =
-      state.queue.Offer(metadata, options, descriptor.conflatable, bound);
+      state.queue.Offer(metadata, options, descriptor.conflatable, kPopMaxPendingPerStream);
   if (result.outcome == ConflatingDeliveryQueue::Outcome::kConflated) {
     m_.pop_conflated->Increment();
     if (trace_ != nullptr && options.parent.valid()) {
@@ -392,7 +382,7 @@ void Pop::DrainStreamQueue(const StreamKey& key) {
 void Pop::ResolveAndDeliver(const std::vector<StreamKey>& keys, const Value& metadata,
                             const DeliverOptions& options) {
   const std::string app = streams_.find(keys.front())->second.app;
-  const int64_t object = ObjectOf(metadata);
+  const int64_t object = ObjectIdOf(metadata);
   auto record_cache_span = [this, &options](const char* outcome) {
     if (trace_ != nullptr && options.parent.valid()) {
       TraceContext span = trace_->RecordSpan(options.parent, "pop.cache", "burst", region_,
@@ -425,7 +415,7 @@ void Pop::ResolveAndDeliver(const std::vector<StreamKey>& keys, const Value& met
   if (missed.empty()) {
     return;
   }
-  FlightKey fkey{app, object, options.version};
+  ObjectVersionKey fkey{app, object, options.version};
   auto fit = flights_.find(fkey);
   if (fit == flights_.end()) {
     // A new flight asks at once for every viewer whose envelope of this
@@ -548,7 +538,7 @@ void Pop::HandleFill(const PopFillFrame& fill) {
       m_.pop_cache_stale_fills->Increment();
     }
   }
-  auto fit = flights_.find(FlightKey{fill.app, fill.object, fill.version});
+  auto fit = flights_.find(ObjectVersionKey{fill.app, fill.object, fill.version});
   if (fit == flights_.end()) {
     return;  // e.g. a re-sent request's twin after the flight resolved
   }

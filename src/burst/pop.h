@@ -10,8 +10,8 @@
 // upstream BRASSes and garbage-collects its stream state (§4 axiom 1).
 //
 // Edge placement (docs/BURST.md "Placement"): when the deployment enables
-// it, apps whose descriptor asks for BrassPlacement::kPopFilter* have their
-// viewer-independent stages run *here*, in transit. The regional host then
+// it, apps whose descriptor asks for BrassPlacement::kPopFilterConflate have
+// their viewer-independent stages run *here*, in transit. The regional host then
 // sends one small event envelope frame per (host, POP, event) instead of a
 // payload per stream; the POP coarse-filters it once, conflates and paces
 // newest-version-wins per listed stream, and resolves surviving envelopes
@@ -145,20 +145,6 @@ class Pop : public ConnectionHandler {
     // waits for that request's fill instead of asking again.
     std::set<int64_t> pending_viewers;
   };
-  struct FlightKey {
-    std::string app;
-    int64_t object = 0;
-    uint64_t version = 0;
-    bool operator<(const FlightKey& o) const {
-      if (app != o.app) {
-        return app < o.app;
-      }
-      if (object != o.object) {
-        return object < o.object;
-      }
-      return version < o.version;
-    }
-  };
   // Returns (establishing if needed) the uplink toward `target_region`.
   UplinkState* EnsureUplink(RegionId target_region, ProxyId exclude_proxy_id = ProxyId{});
 
@@ -257,7 +243,7 @@ class Pop : public ConnectionHandler {
   std::map<uint64_t, RegionId> uplink_by_conn_;    // connection id -> region
 
   PopPayloadCache cache_;
-  std::map<FlightKey, Flight> flights_;
+  std::map<ObjectVersionKey, Flight> flights_;
 };
 
 }  // namespace bladerunner

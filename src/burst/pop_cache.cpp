@@ -13,7 +13,7 @@ size_t PopPayloadCache::ObserveVersion(const std::string& app, int64_t object,
   // for the object are contiguous in the index (version is the last key
   // component), so one range scan finds them all.
   size_t dropped = 0;
-  auto it = index_.lower_bound(Key{app, object, 0});
+  auto it = index_.lower_bound(ObjectVersionKey{app, object, 0});
   while (it != index_.end() && it->first.app == app && it->first.object == object) {
     if (it->first.version < version) {
       lru_.erase(it->second);
@@ -41,7 +41,7 @@ bool PopPayloadCache::Put(const std::string& app, int64_t object, uint64_t versi
     return false;
   }
   watermark = version;
-  Key key{app, object, version};
+  ObjectVersionKey key{app, object, version};
   auto existing = index_.find(key);
   if (existing != index_.end()) {
     // Already cached (e.g. two coalescing windows raced); merge decisions.
@@ -69,7 +69,7 @@ bool PopPayloadCache::Put(const std::string& app, int64_t object, uint64_t versi
 
 const PopPayloadCache::Entry* PopPayloadCache::Get(const std::string& app, int64_t object,
                                                    uint64_t version) {
-  auto it = index_.find(Key{app, object, version});
+  auto it = index_.find(ObjectVersionKey{app, object, version});
   if (it == index_.end()) {
     return nullptr;
   }
@@ -79,13 +79,13 @@ const PopPayloadCache::Entry* PopPayloadCache::Get(const std::string& app, int64
 
 const PopPayloadCache::Entry* PopPayloadCache::Peek(const std::string& app, int64_t object,
                                                     uint64_t version) const {
-  auto it = index_.find(Key{app, object, version});
+  auto it = index_.find(ObjectVersionKey{app, object, version});
   return it == index_.end() ? nullptr : &it->second->entry;
 }
 
 void PopPayloadCache::AddDecisions(const std::string& app, int64_t object, uint64_t version,
                                    const std::vector<std::pair<int64_t, bool>>& decisions) {
-  auto it = index_.find(Key{app, object, version});
+  auto it = index_.find(ObjectVersionKey{app, object, version});
   if (it == index_.end()) {
     return;
   }

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/brass/delivery_queue.h"
 #include "src/graphql/value.h"
 
 namespace bladerunner {
@@ -66,28 +67,14 @@ class PopPayloadCache {
   uint64_t stale_rejects() const { return stale_rejects_; }
 
  private:
-  struct Key {
-    std::string app;
-    int64_t object = 0;
-    uint64_t version = 0;
-    bool operator<(const Key& o) const {
-      if (app != o.app) {
-        return app < o.app;
-      }
-      if (object != o.object) {
-        return object < o.object;
-      }
-      return version < o.version;
-    }
-  };
   struct Slot {
-    Key key;
+    ObjectVersionKey key;
     Entry entry;
   };
   using LruList = std::list<Slot>;
 
   LruList lru_;  // front = most recently used
-  std::map<Key, LruList::iterator> index_;
+  std::map<ObjectVersionKey, LruList::iterator> index_;
   // Newest version seen per (app, object) — via envelope or fill.
   std::map<std::pair<std::string, int64_t>, uint64_t> observed_;
   size_t capacity_;

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "src/was/messages.h"
+#include "src/was/resolvers.h"
 
 namespace bladerunner {
 
@@ -12,17 +13,6 @@ namespace {
 // standard scenarios. Multi-device users can construct extra agents with
 // distinct synthetic ids.
 int64_t DeviceIdFor(UserId user) { return user; }
-
-// The degraded-mode poll mirrors the polling baseline's query shape
-// (src/baseline/polling.cpp), so degrade-to-poll really is "fall back to
-// the baseline" rather than a bespoke protocol.
-constexpr size_t kFallbackPollPageSize = 25;
-
-std::string FallbackPollQuery(ObjectId video, SimTime after) {
-  return "query { comments(video: " + std::to_string(video) + ", after: " +
-         std::to_string(after) + ", first: " + std::to_string(kFallbackPollPageSize) +
-         ") { id text author time indexTime suppressed } }";
-}
 
 }  // namespace
 
@@ -364,7 +354,9 @@ void DeviceAgent::FallbackPollOnce(uint64_t sid) {
   it->second.timer = kInvalidTimerId;
   fallback_polls_ += 1;
   m_.fallback_polls->Increment();
-  Query(FallbackPollQuery(it->second.video, it->second.watermark),
+  // The polling baseline's query and page walk, so degrade-to-poll really
+  // is "fall back to the baseline" rather than a bespoke protocol.
+  Query(CommentPollQuery(it->second.video, it->second.watermark),
         [this, sid](bool ok, Value data) {
           // Like the polling baseline, use whatever data came back even when
           // the response carries per-field errors (suppressed entries are
@@ -375,25 +367,13 @@ void DeviceAgent::FallbackPollOnce(uint64_t sid) {
             return;  // resumed (or terminated) while the poll was in flight
           }
           FallbackPoller& poller = it2->second;
-          size_t page_size = 0;
-          for (const Value& comment : data.Get("comments").AsList()) {
-            ++page_size;
-            SimTime index_time = comment.Get("indexTime").AsInt(0);
-            if (index_time > poller.watermark) {
-              poller.watermark = index_time;
-            }
-            if (comment.Get("suppressed").AsBool(false)) {
-              continue;
-            }
-            ObjectId id = comment.Get("id").AsInt(0);
-            if (id == 0 || !poller.seen.insert(id).second) {
-              continue;
-            }
-            fallback_comments_ += 1;
-            m_.fallback_comments->Increment();
-          }
+          CommentPollPage page =
+              WalkCommentPollPage(data, &poller.watermark, &poller.seen, [this](SimTime) {
+                fallback_comments_ += 1;
+                m_.fallback_comments->Increment();
+              });
           // A full page means a backlog remains; page again immediately.
-          SimTime delay = page_size >= kFallbackPollPageSize ? 0 : fallback_poll_interval_;
+          SimTime delay = page.full ? 0 : fallback_poll_interval_;
           poller.timer = ctx_.Schedule(delay, [this, sid]() { FallbackPollOnce(sid); });
         });
 }

@@ -65,11 +65,8 @@ struct PylonConfig {
   // ---- Subscriber-KV fault tolerance (crash/recovery) ----
 
   // A recovering KV node re-fetches its topics' subscriber sets from peer
-  // replicas (anti-entropy) before rejoining quorums. Disabling makes a
-  // state-losing crash permanent until publish-time divergence repair.
-  bool anti_entropy_on_recovery = true;
-
-  // Deadline for the per-peer snapshot fetches of an anti-entropy pass.
+  // replicas (anti-entropy) before rejoining quorums; this is the deadline
+  // for each per-peer snapshot fetch of that pass.
   SimTime kv_snapshot_timeout = Seconds(2);
 };
 

@@ -63,7 +63,7 @@ void KvNode::Recover(bool lose_state) {
   }
   state_ = KvNodeState::kRecovering;
   m_.node_recoveries->Increment();
-  if (cluster_ != nullptr && config_->anti_entropy_on_recovery) {
+  if (cluster_ != nullptr) {
     // The cluster fetches peer snapshots and calls FinishRecovery() when
     // the pass completes; until then the node stays out of quorums.
     cluster_->StartAntiEntropy(this);

@@ -16,6 +16,7 @@ namespace bladerunner {
 namespace {
 
 constexpr size_t kDefaultPageSize = 25;
+constexpr size_t kCommentPollPageSize = 25;
 constexpr SimTime kOnlineTtl = Seconds(60);
 
 // ---- shared building blocks ----
@@ -829,6 +830,34 @@ void BlockUser(TaoStore& tao, UserId blocker, UserId blocked) {
   edge.atype = AssocType::kBlocked;
   edge.id2 = blocked;
   tao.AddAssoc(std::move(edge));
+}
+
+std::string CommentPollQuery(ObjectId video, SimTime after) {
+  return "query { comments(video: " + std::to_string(video) + ", after: " +
+         std::to_string(after) + ", first: " + std::to_string(kCommentPollPageSize) +
+         ") { id text author time indexTime suppressed } }";
+}
+
+CommentPollPage WalkCommentPollPage(const Value& data, SimTime* watermark,
+                                    std::set<ObjectId>* seen,
+                                    const std::function<void(SimTime created)>& on_fresh) {
+  CommentPollPage page;
+  size_t entries = 0;
+  for (const Value& comment : data.Get("comments").AsList()) {
+    ++entries;
+    *watermark = std::max<SimTime>(*watermark, comment.Get("indexTime").AsInt(0));
+    if (comment.Get("suppressed").AsBool(false)) {
+      continue;
+    }
+    ObjectId id = comment.Get("id").AsInt(0);
+    if (id == 0 || !seen->insert(id).second) {
+      continue;
+    }
+    ++page.fresh;
+    on_fresh(comment.Get("time").AsInt(0));
+  }
+  page.full = entries >= kCommentPollPageSize;
+  return page;
 }
 
 }  // namespace bladerunner

@@ -2,12 +2,18 @@
 // missing values, non-numeric values and out-of-range LP counts are hard
 // errors instead of being silently ignored — a typo'd `--lp-gruops=8` used
 // to run one LP and "pass" a parallel-kernel check.
+//
+// The committed-baseline gate (bench/baseline_gate.h): its rule at the
+// tolerance edges, the failures that used to pass vacuously, and the
+// committed baselines CI gates against.
 
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/baseline_gate.h"
 #include "bench/bench_util.h"
 
 namespace bladerunner {
@@ -61,6 +67,15 @@ TEST(BenchOptionsTest, SmokeImpliesPerf) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.opts.smoke);
   EXPECT_TRUE(r.opts.perf);
+}
+
+TEST(BenchOptionsTest, CheckImpliesPerf) {
+  // Without the harness rows a --check has nothing to gate and used to exit
+  // 0 after running the microbenchmarks.
+  ParseResult r = Parse({"--check", "BENCH_PR7.json"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.opts.perf);
+  EXPECT_FALSE(r.opts.smoke);
 }
 
 TEST(BenchOptionsTest, RejectsTypoedFlag) {
@@ -129,6 +144,125 @@ TEST(BenchOptionsTest, ThreadsClampedToOne) {
   ParseResult r = Parse({"--threads", "0"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.opts.threads, 1);
+}
+
+// ---- baseline gate ----
+
+std::string WriteBaseline(const std::string& name, const std::string& text) {
+  std::string path = testing::TempDir() + "baseline_gate_" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+GatedValue Perf(const std::string& bench, const std::string& metric, double value) {
+  return {{{"bench", bench}, {"metric", metric}}, "value", Better::kHigher, value};
+}
+
+GatedValue Scenario(const std::string& scenario, const std::string& field, Better better,
+                    double value) {
+  return {{{"scenario", scenario}, {"scale", "smoke"}}, field, better, value};
+}
+
+TEST(BaselineGateTest, FloorAndCeilingExactlyAtTheTolerance) {
+  BaselineGate gate(WriteBaseline(
+      "edges.json", "{\"scenario\":\"a\",\"scale\":\"smoke\",\"delivered\":100,"
+                    "\"delivery_p99_ms\":100.0}\n"));
+  ASSERT_TRUE(gate.ok()) << gate.error();
+  EXPECT_TRUE(gate.Check(Scenario("a", "delivered", Better::kHigher, 75.0), 0.25));
+  EXPECT_FALSE(gate.Check(Scenario("a", "delivered", Better::kHigher, 74.99), 0.25));
+  EXPECT_TRUE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 125.0), 0.25));
+  EXPECT_FALSE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 125.01), 0.25));
+}
+
+TEST(BaselineGateTest, MissingRowOrFieldFails) {
+  BaselineGate gate(WriteBaseline(
+      "missing_row.json", "[\n  {\"bench\": \"kernel\", \"metric\": \"events_per_sec\", "
+                          "\"value\": 10.0, \"unit\": \"events/s\"}\n]\n"));
+  ASSERT_TRUE(gate.ok()) << gate.error();
+  EXPECT_TRUE(gate.Check(Perf("kernel", "events_per_sec", 10.0), 0.25));
+  EXPECT_FALSE(gate.Check(Perf("kernel", "new_metric", 10.0), 0.25));
+  EXPECT_FALSE(gate.Check(Perf("new_bench", "events_per_sec", 10.0), 0.25));
+  EXPECT_FALSE(gate.Check({{{"bench", "kernel"}}, "unit", Better::kHigher, 10.0}, 0.25));
+}
+
+TEST(BaselineGateTest, MissingEmptyOrMalformedFileFails) {
+  const std::vector<std::string> bad = {
+      testing::TempDir() + "baseline_gate_no_such_file.json",
+      WriteBaseline("empty.json", ""),
+      WriteBaseline("empty_array.json", "[\n]\n"),
+      WriteBaseline("bad_value.json",
+                    "[\n  {\"bench\": \"kernel\", \"metric\": \"events_per_sec\", "
+                    "\"value\": 12abc, \"unit\": \"events/s\"}\n]\n"),
+      WriteBaseline("unterminated.json", "{\"bench\": \"kernel\", \"value\": 1.0\n"),
+      WriteBaseline("open_string.json", "{\"bench\": \"kernel, \"value\": 1.0}\n"),
+      WriteBaseline("not_json.json", "kernel events_per_sec 10\n"),
+  };
+  for (const std::string& path : bad) {
+    BaselineGate gate(path);
+    EXPECT_FALSE(gate.ok()) << path;
+    EXPECT_FALSE(gate.error().empty()) << path;
+    EXPECT_FALSE(gate.Check(Perf("kernel", "events_per_sec", 10.0), 0.25)) << path;
+  }
+}
+
+TEST(BaselineGateTest, ZeroBaselineAdmitsOnlyAZeroRun) {
+  BaselineGate gate(WriteBaseline(
+      "zero.json", "{\"scenario\":\"a\",\"scale\":\"smoke\",\"delivery_p99_ms\":0.000}\n"));
+  ASSERT_TRUE(gate.ok()) << gate.error();
+  EXPECT_TRUE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 0.0), 0.25));
+  EXPECT_FALSE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 10214.5), 0.25));
+}
+
+TEST(BaselineGateTest, ReadsArrayAndJsonLinesFiles) {
+  BaselineGate array(WriteBaseline(
+      "array.json",
+      "[\n  {\"bench\": \"a\", \"metric\": \"m\", \"value\": 1.5, \"unit\": \"x\"},\n"
+      "  {\"bench\": \"b\", \"metric\": \"m\", \"value\": 2.5, \"unit\": \"x\"}\n]\n"));
+  ASSERT_TRUE(array.ok()) << array.error();
+  EXPECT_TRUE(array.Check(Perf("a", "m", 1.5), 0.0));
+  EXPECT_FALSE(array.Check(Perf("a", "m", 1.4), 0.0));
+  EXPECT_TRUE(array.Check(Perf("b", "m", 2.5), 0.0));
+
+  BaselineGate lines(WriteBaseline(
+      "lines.json",
+      "{\"scenario\":\"a\",\"scale\":\"full\",\"delivered\":7,\"durable_log_ok\":true}\n"
+      "{\"scenario\":\"a\",\"scale\":\"smoke\",\"delivered\":3,\"durable_log_ok\":true}\n"));
+  ASSERT_TRUE(lines.ok()) << lines.error();
+  EXPECT_TRUE(lines.Check(Scenario("a", "delivered", Better::kHigher, 3.0), 0.0));
+  EXPECT_FALSE(lines.Check(Scenario("a", "delivered", Better::kHigher, 2.0), 0.0));
+}
+
+// Every row CI gates is present and numeric in the committed baselines, so a
+// baseline edit that stops parsing fails here rather than in the perf job.
+// At tolerance 1 a run value of 0 passes any non-negative baseline value, so
+// each check fails only on a row or field that is missing or does not parse.
+TEST(BaselineGateTest, CommittedBaselinesHoldEveryGatedRow) {
+  const std::string root = BR_SOURCE_DIR;
+  BaselineGate pr7(root + "/BENCH_PR7.json");
+  ASSERT_TRUE(pr7.ok()) << pr7.error();
+  for (const auto& [bench, metric] : std::vector<std::pair<std::string, std::string>>{
+           {"kernel", "events_per_sec"},
+           {"pylon_fanout", "fanout_sends_per_sec"},
+           {"e2e_lvc", "sim_events_per_wall_sec"},
+           {"livequery_fold", "folds_per_sec"},
+           {"durable_log", "log_ops_per_sec"}}) {
+    EXPECT_TRUE(pr7.Check(Perf(bench, metric, 0.0), 1.0)) << bench;
+  }
+
+  BaselineGate pr9(root + "/BENCH_PR9.json");
+  ASSERT_TRUE(pr9.ok()) << pr9.error();
+  for (const char* metric : {"pop_payloads_per_backbone_mb", "backbone_reduction_vs_regional"}) {
+    EXPECT_TRUE(pr9.Check(Perf("ablation_filter_location", metric, 0.0), 1.0)) << metric;
+  }
+
+  BaselineGate pr10(root + "/SCENARIO_PR10.json");
+  ASSERT_TRUE(pr10.ok()) << pr10.error();
+  for (const char* cell : {"flash_crowd+pop_failure@2k", "reconnect_storm@10k-durable",
+                           "flash_crowd+placed@2k"}) {
+    EXPECT_TRUE(pr10.Check(Scenario(cell, "delivered", Better::kHigher, 0.0), 1.0)) << cell;
+    EXPECT_TRUE(pr10.Check(Scenario(cell, "delivery_p99_ms", Better::kLower, 0.0), 1.0))
+        << cell;
+  }
 }
 
 }  // namespace
