@@ -216,7 +216,7 @@ double PayloadsPerBackboneMb(const Result& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ParseBenchOptions(argc, argv);
+  ParseBenchOptions(argc, argv, BaselineCheck::kGated);
   const BenchOptions& opts = bench_options();
   PrintHeader("Ablation 4", "processing placement: device firehose vs region vs POP");
 

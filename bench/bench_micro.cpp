@@ -429,7 +429,8 @@ int RunPerfHarness(const BenchOptions& opts) {
 }  // namespace bladerunner
 
 int main(int argc, char** argv) {
-  bladerunner::BenchOptions opts = bladerunner::ParseBenchOptions(argc, argv);
+  bladerunner::BenchOptions opts =
+      bladerunner::ParseBenchOptions(argc, argv, bladerunner::BaselineCheck::kGated);
   if (opts.perf) {
     return bladerunner::RunPerfHarness(opts);
   }

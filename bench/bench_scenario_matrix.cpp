@@ -337,5 +337,6 @@ int Run(const BenchOptions& opts) {
 }  // namespace bladerunner
 
 int main(int argc, char** argv) {
-  return bladerunner::Run(bladerunner::ParseBenchOptions(argc, argv));
+  return bladerunner::Run(
+      bladerunner::ParseBenchOptions(argc, argv, bladerunner::BaselineCheck::kGated));
 }

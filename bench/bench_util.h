@@ -35,8 +35,10 @@ namespace bladerunner {
 //   --out PATH         write machine-readable results (JSON) to PATH
 //   --check PATH       gate against a committed baseline or a previous --out
 //                      file (bench/baseline_gate.h: a row missing from it
-//                      fails); implies --perf in harness benches
-//   --tolerance X      allowed relative regression for --check (default .25)
+//                      fails); implies --perf in harness benches. Only the
+//                      benches that gate (BaselineCheck::kGated) accept it
+//   --tolerance X      allowed relative regression for --check (default .25);
+//                      accepted where --check is
 //   --threads N        worker threads for the kernel's rounds; N > 1 also
 //                      partitions the cluster unless --lp-groups says
 //                      otherwise (with one LP, threads are unused)
@@ -84,6 +86,11 @@ inline BenchOptions& MutableBenchOptions() {
 }
 inline const BenchOptions& bench_options() { return MutableBenchOptions(); }
 
+// Whether a bench gates its rows against a --check baseline. A bench that
+// does not rejects --check and --tolerance: accepting them would let a gate
+// spelled on the wrong bench pass having checked nothing.
+enum class BaselineCheck { kNone, kGated };
+
 // Strict parser: every bench errors out on unrecognized flags, missing
 // values, non-numeric values and out-of-range LP counts instead of
 // silently ignoring them. (A typo'd `--lp-gruops=8` used to run one LP and
@@ -95,7 +102,8 @@ inline const BenchOptions& bench_options() { return MutableBenchOptions(); }
 // exercise rejection paths; benches call ParseBenchOptions below, which
 // prints the error and exits 2.
 inline bool ParseBenchOptionsInto(int argc, char** argv, BenchOptions* opts,
-                                  std::string* error) {
+                                  std::string* error,
+                                  BaselineCheck baseline = BaselineCheck::kNone) {
   auto parse_long = [error](const std::string& flag, const std::string& text, long* out) {
     char* end = nullptr;
     errno = 0;
@@ -140,6 +148,11 @@ inline bool ParseBenchOptionsInto(int argc, char** argv, BenchOptions* opts,
       *error = "unrecognized flag '" + arg +
                "' (shared bench flags: --smoke --perf --out --check --tolerance "
                "--threads --lp-groups --fleet --cell)";
+      return false;
+    }
+    if ((flag == "--check" || flag == "--tolerance") && baseline == BaselineCheck::kNone) {
+      *error = flag + " is not supported: this bench gates no baseline (bench_micro, "
+                      "bench_ablation_filter_location and bench_scenario_matrix do)";
       return false;
     }
     if (is_bool) {
@@ -196,10 +209,11 @@ inline bool ParseBenchOptionsInto(int argc, char** argv, BenchOptions* opts,
   return true;
 }
 
-inline BenchOptions ParseBenchOptions(int argc, char** argv) {
+inline BenchOptions ParseBenchOptions(int argc, char** argv,
+                                      BaselineCheck baseline = BaselineCheck::kNone) {
   BenchOptions opts;
   std::string error;
-  if (!ParseBenchOptionsInto(argc, argv, &opts, &error)) {
+  if (!ParseBenchOptionsInto(argc, argv, &opts, &error, baseline)) {
     std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench", error.c_str());
     std::exit(2);
   }

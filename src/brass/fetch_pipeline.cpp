@@ -178,12 +178,14 @@ FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& fligh
     // Prefetch decisions for every current viewer of the app on this host:
     // their streams will want this payload too, and one batched RPC is the
     // whole point (one round trip per host, not per stream).
-    flight.rpc_viewers = viewers_for_app_ ? viewers_for_app_(app) : std::vector<UserId>();
-    std::sort(flight.rpc_viewers.begin(), flight.rpc_viewers.end());
-    flight.rpc_viewers.erase(std::unique(flight.rpc_viewers.begin(), flight.rpc_viewers.end()),
-                             flight.rpc_viewers.end());
-    if (flight.rpc_viewers.size() > config_.max_batch_viewers) {
-      flight.rpc_viewers.resize(config_.max_batch_viewers);
+    if (viewers_for_app_) {
+      const std::vector<UserId>& viewers = viewers_for_app_(app);
+      assert(std::adjacent_find(viewers.begin(), viewers.end(), std::greater_equal<UserId>()) ==
+             viewers.end());
+      flight.rpc_viewers.assign(
+          viewers.begin(),
+          viewers.begin() + static_cast<std::ptrdiff_t>(
+                                std::min<size_t>(viewers.size(), config_.max_batch_viewers)));
     }
   }
   if (std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==

@@ -64,8 +64,9 @@ class FetchPipeline {
   // payload is null when not allowed or on RPC failure.
   using Callback = std::function<void(bool, Value)>;
   // Current viewers of an application on this host, for privacy-check
-  // batching. May return duplicates; the pipeline dedups.
-  using ViewerProvider = std::function<std::vector<UserId>(const std::string&)>;
+  // batching: sorted and without duplicates. A new flight copies the first
+  // max_batch_viewers of them at once.
+  using ViewerProvider = std::function<const std::vector<UserId>&(const std::string&)>;
   // (viewer, allowed) pairs in the order the decisions were made.
   using ViewerDecisions = std::vector<std::pair<UserId, bool>>;
   // callback(decisions, payload): one decision per requested viewer, and

@@ -74,7 +74,8 @@ BrassHost::BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppSer
                         : LatencyModel::IntraRegion());
   fetch_pipeline_ = std::make_unique<FetchPipeline>(
       ctx_.sim(), region_, was_channel_.get(), config_.was_call_timeout, config_.fetch, metrics_,
-      trace_, [this](const std::string& app) { return ViewersForApp(app); });
+      trace_,
+      [this](const std::string& app) -> const std::vector<UserId>& { return ViewersForApp(app); });
   if (pylon_ != nullptr) {
     pylon_->RegisterSubscriberHost(host_id_, region_, &event_rpc_);
   }
@@ -244,8 +245,7 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
         trace_->StartSpan(sub_span, "brass.stream", "brass", region_, ctx_.Now());
     trace_->Annotate(host_stream.stream_span, "app", Value(app));
   }
-  auto [it, inserted] = streams_.insert_or_assign(key, std::move(host_stream));
-  (void)inserted;
+  HostStream& installed = InstallStream(key, std::move(host_stream));
 
   // Durable tier: position the stream on its channel's log. An absent
   // resume token means a fresh subscriber (live tail from the current log
@@ -253,9 +253,9 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
   // after. Token 0 with a non-empty log replays everything retained.
   const BrassAppDescriptor* descriptor = DescriptorFor(app);
   const bool durable_app =
-      descriptor != nullptr && descriptor->durable && !it->second.state.topics.empty();
+      descriptor != nullptr && descriptor->durable && !installed.state.topics.empty();
   if (durable_app) {
-    HostStream& state = it->second;
+    HostStream& state = installed;
     state.durable = true;
     state.durable_channel = state.state.topics.front();
     StreamHeaderView view(stream->header());
@@ -268,7 +268,7 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
   // Edge placement: the device-facing POP stamped the header when it runs
   // this app's viewer-independent stages in transit. Durable apps never
   // place — a conflated-away sequence could not be replayed consistently.
-  it->second.state.pop_placed =
+  installed.state.pop_placed =
       !durable_app && StreamHeaderView(stream->header()).placement() != 0;
 
   // Sticky routing (§3.5): patch the stream's stored request everywhere
@@ -279,14 +279,14 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
   header.set_brass_host(host_id_);
   if (durable_app) {
     header.set_durable(true);
-    header.set_resume_token(static_cast<int64_t>(it->second.durable_delivered));
+    header.set_resume_token(static_cast<int64_t>(installed.durable_delivered));
   }
   stream->Rewrite(std::move(header).Take());
 
-  for (const Topic& topic : it->second.state.topics) {
+  for (const Topic& topic : installed.state.topics) {
     SubscribeTopic(topic, key, sub_span);
   }
-  instance->app->OnStreamStarted(it->second.state);
+  instance->app->OnStreamStarted(installed.state);
   if (durable_app) {
     StartDurableReplay(key);
   }
@@ -294,7 +294,11 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
 
 void BrassHost::SubscribeTopic(const Topic& topic, const StreamKey& key, TraceContext parent) {
   TopicEntry& entry = topics_[topic];
-  entry.streams.insert(key);
+  if (entry.streams.insert(key).second) {
+    // The key's stream is installed: it counts this topic's events from now.
+    memberships_[key].push_back(Membership{&entry, entry.events});
+    entry.plan.reset();
+  }
   // Counterfactual for the subscription-manager ablation: without host-
   // level dedup, every (stream, topic) attach would be a Pylon operation.
   m_.topic_attaches->Increment();
@@ -303,19 +307,11 @@ void BrassHost::SubscribeTopic(const Topic& topic, const StreamKey& key, TraceCo
   }
   entry.in_flight = true;
   m_.pylon_subscribes->Increment();
-  PylonServer* server = pylon_->RouteServer(topic);
-  auto channel = std::make_shared<RpcChannel>(
-      ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
-  auto request = std::make_shared<PylonSubscribeRequest>();
-  request->topic = topic;
-  request->host_id = host_id_;
-  request->subscribe = true;
   // The quorum write's "pylon.subscribe" span nests under the stream that
   // triggered this host-level (deduplicated) subscription.
-  request->trace = parent;
-  channel->Call(
-      "pylon.subscribe", request,
-      [this, topic, channel](RpcStatus status, MessagePtr response) {
+  CallPylonSubscribe(
+      topic, /*subscribe=*/true, parent,
+      [this, topic](RpcStatus status, MessagePtr response) {
         auto it = topics_.find(topic);
         if (it == topics_.end()) {
           return;  // all streams left while subscribing
@@ -334,6 +330,23 @@ void BrassHost::SubscribeTopic(const Topic& topic, const StreamKey& key, TraceCo
         TerminateStreamsOnTopic(topic, "pylon subscription failed");
       },
       Seconds(3));
+}
+
+void BrassHost::CallPylonSubscribe(const Topic& topic, bool subscribe, TraceContext parent,
+                                   RpcResponseCallback callback, SimTime timeout) {
+  PylonServer* server = pylon_->RouteServer(topic);
+  auto it = pylon_channels_.find(server->server_id());
+  if (it == pylon_channels_.end()) {
+    auto channel = std::make_unique<RpcChannel>(
+        ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
+    it = pylon_channels_.emplace(server->server_id(), std::move(channel)).first;
+  }
+  auto request = std::make_shared<PylonSubscribeRequest>();
+  request->topic = topic;
+  request->host_id = host_id_;
+  request->subscribe = subscribe;
+  request->trace = parent;
+  it->second->Call("pylon.subscribe", request, std::move(callback), timeout);
 }
 
 void BrassHost::TerminateStreamsOnTopic(const Topic& topic, const std::string& detail) {
@@ -358,13 +371,12 @@ void BrassHost::TerminateStreamsOnTopic(const Topic& topic, const std::string& d
       }
       closed_stream_records_.push_back(StreamRecord{key, hs->second.app,
                                                     hs->second.state.started_at, ctx_.Now(),
-                                                    hs->second.events_targeted});
+                                                    EventsTargeted(key, hs->second)});
       auto app = apps_.find(hs->second.app);
       if (app != apps_.end()) {
         app->second.app->OnStreamClosed(key);
       }
-      streams_.erase(hs);
-      ++stream_epoch_;
+      EraseStream(hs);
     }
   }
 }
@@ -376,26 +388,31 @@ void BrassHost::UnsubscribeStreamTopics(const StreamKey& key) {
   }
   for (const Topic& topic : hs->second.state.topics) {
     auto it = topics_.find(topic);
-    if (it == topics_.end()) {
+    if (it == topics_.end() || it->second.streams.erase(key) == 0) {
+      continue;  // a topic listed twice, already left
+    }
+    // Settle the topic's events into the stream and drop the membership.
+    // The topic's plan needs no reset: both callers erase the stream next,
+    // which moves stream_epoch_.
+    TopicEntry& entry = it->second;
+    std::vector<Membership>& members = memberships_[key];
+    auto member = std::find_if(members.begin(), members.end(),
+                               [&entry](const Membership& m) { return m.topic == &entry; });
+    assert(member != members.end());
+    hs->second.events_targeted += entry.events - member->baseline;
+    members.erase(member);
+    if (members.empty()) {
+      memberships_.erase(key);
+    }
+    if (!entry.streams.empty()) {
       continue;
     }
-    it->second.streams.erase(key);
-    if (!it->second.streams.empty()) {
-      continue;
-    }
-    bool was_subscribed = it->second.subscribed;
+    bool was_subscribed = entry.subscribed;
     topics_.erase(it);
     if (was_subscribed && pylon_ != nullptr) {
       m_.pylon_unsubscribes->Increment();
-      PylonServer* server = pylon_->RouteServer(topic);
-      auto channel = std::make_shared<RpcChannel>(
-          ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
-      auto request = std::make_shared<PylonSubscribeRequest>();
-      request->topic = topic;
-      request->host_id = host_id_;
-      request->subscribe = false;
-      channel->Call("pylon.subscribe", request,
-                    [channel](RpcStatus, MessagePtr) { /* best effort */ });
+      CallPylonSubscribe(topic, /*subscribe=*/false, TraceContext(),
+                         [](RpcStatus, MessagePtr) { /* best effort */ });
     }
   }
 }
@@ -428,60 +445,68 @@ void BrassHost::HandlePylonEvent(MessagePtr request, RpcServer::Respond respond)
     m_.events_unsubscribed_topic->Increment();
     return;
   }
-  // Group the topic's streams by application, then dispatch on the event
-  // loop (one VM callback per application instance, in app-name order).
+  TopicEntry& entry = topic_it->second;
+  entry.events += 1;  // Fig. 7 accounting, for every stream on the topic
+  // Dispatch on the event loop: one VM callback per application instance,
+  // in app-name order, each after its own dispatch delay.
+  std::shared_ptr<const DispatchPlan> plan = PlanFor(entry);
+  for (size_t i = 0; i < plan->groups.size(); ++i) {
+    LatencyModel dispatch{config_.event_dispatch_ms, 0.4, config_.event_dispatch_ms / 5.0};
+    ctx_.Schedule(dispatch.Sample(ctx_.rng()), [this, plan, i, event]() {
+      const DispatchGroup& group = plan->groups[i];
+      auto app = apps_.find(group.app);
+      if (app == apps_.end()) {
+        return;
+      }
+      if (plan->epoch == stream_epoch_) {
+        // No stream left the host since the plan was built: every pointer
+        // still names its live stream.
+        app->second.app->OnEvent(event->topic, *event, group.live);
+        return;
+      }
+      std::vector<BrassStream*> live;
+      live.reserve(group.keys.size());
+      for (const StreamKey& key : group.keys) {
+        auto hs = streams_.find(key);
+        if (hs != streams_.end()) {
+          live.push_back(&hs->second.state);
+        }
+      }
+      if (!live.empty()) {
+        app->second.app->OnEvent(event->topic, *event, live);
+      }
+    });
+  }
+}
+
+std::shared_ptr<const BrassHost::DispatchPlan> BrassHost::PlanFor(TopicEntry& entry) {
+  if (entry.plan != nullptr && entry.plan->epoch == stream_epoch_) {
+    return entry.plan;
+  }
   // Keys come from a std::set, so each group is in StreamKey order.
-  struct AppGroup {
-    std::string app;
-    std::vector<StreamKey> keys;
-    std::vector<BrassStream*> live;  // valid while stream_epoch_ is unchanged
-  };
-  std::vector<AppGroup> groups;
-  AppGroup* group = nullptr;
-  for (const StreamKey& key : topic_it->second.streams) {
+  auto plan = std::make_shared<DispatchPlan>();
+  plan->epoch = stream_epoch_;
+  DispatchGroup* group = nullptr;
+  for (const StreamKey& key : entry.streams) {
     auto hs = streams_.find(key);
     if (hs == streams_.end()) {
       continue;
     }
-    hs->second.events_targeted += 1;  // Fig. 7 accounting
     const std::string& app = hs->second.app;
     if (group == nullptr || group->app != app) {
-      auto found = std::find_if(groups.begin(), groups.end(),
-                                [&app](const AppGroup& g) { return g.app == app; });
-      group = found != groups.end() ? &*found : &groups.emplace_back(AppGroup{app, {}, {}});
+      auto found = std::find_if(plan->groups.begin(), plan->groups.end(),
+                                [&app](const DispatchGroup& g) { return g.app == app; });
+      group = found != plan->groups.end() ? &*found
+                                          : &plan->groups.emplace_back(DispatchGroup{app, {}, {}});
     }
     group->keys.push_back(key);
     group->live.push_back(&hs->second.state);
   }
-  std::sort(groups.begin(), groups.end(),
-            [](const AppGroup& a, const AppGroup& b) { return a.app < b.app; });
-  for (AppGroup& g : groups) {
-    LatencyModel dispatch{config_.event_dispatch_ms, 0.4, config_.event_dispatch_ms / 5.0};
-    ctx_.Schedule(dispatch.Sample(ctx_.rng()),
-                   [this, g = std::move(g), epoch = stream_epoch_, event]() {
-                     auto app = apps_.find(g.app);
-                     if (app == apps_.end()) {
-                       return;
-                     }
-                     if (epoch == stream_epoch_) {
-                       // No stream left the host since grouping: every
-                       // captured pointer still names its live stream.
-                       app->second.app->OnEvent(event->topic, *event, g.live);
-                       return;
-                     }
-                     std::vector<BrassStream*> live;
-                     live.reserve(g.keys.size());
-                     for (const StreamKey& key : g.keys) {
-                       auto hs = streams_.find(key);
-                       if (hs != streams_.end()) {
-                         live.push_back(&hs->second.state);
-                       }
-                     }
-                     if (!live.empty()) {
-                       app->second.app->OnEvent(event->topic, *event, live);
-                     }
-                   });
-  }
+  std::sort(plan->groups.begin(), plan->groups.end(),
+            [](const DispatchGroup& a, const DispatchGroup& b) { return a.app < b.app; });
+  ++dispatch_plan_builds_;
+  entry.plan = plan;
+  return plan;
 }
 
 void BrassHost::OnStreamResumed(ServerStream& stream) {
@@ -540,25 +565,95 @@ void BrassHost::OnStreamClosed(const StreamKey& key, TerminateReason reason) {
       trace_->EndSpan(hs->second.stream_span, ctx_.Now());
     }
   }
+  UnsubscribeStreamTopics(key);
   closed_stream_records_.push_back(StreamRecord{key, hs->second.app,
                                                 hs->second.state.started_at, ctx_.Now(),
-                                                hs->second.events_targeted});
-  UnsubscribeStreamTopics(key);
+                                                EventsTargeted(key, hs->second)});
   auto app = apps_.find(hs->second.app);
   if (app != apps_.end()) {
     app->second.app->OnStreamClosed(key);
   }
-  streams_.erase(hs);
-  ++stream_epoch_;
+  EraseStream(hs);
 }
 
 std::vector<StreamRecord> BrassHost::OpenStreamRecords() const {
   std::vector<StreamRecord> records;
   records.reserve(streams_.size());
   for (const auto& [key, hs] : streams_) {
-    records.push_back(StreamRecord{key, hs.app, hs.state.started_at, 0, hs.events_targeted});
+    records.push_back(
+        StreamRecord{key, hs.app, hs.state.started_at, 0, EventsTargeted(key, hs)});
   }
   return records;
+}
+
+uint64_t BrassHost::EventsTargeted(const StreamKey& key, const HostStream& hs) const {
+  uint64_t events = hs.events_targeted;
+  auto members = memberships_.find(key);
+  if (members != memberships_.end()) {
+    for (const Membership& m : members->second) {
+      events += m.topic->events - m.baseline;
+    }
+  }
+  return events;
+}
+
+BrassHost::HostStream& BrassHost::InstallStream(const StreamKey& key, HostStream host_stream) {
+  auto replaced = streams_.find(key);
+  if (replaced != streams_.end()) {
+    // A re-subscribe of a live key replaces its stream, count and all.
+    RemoveViewer(replaced->second.app, replaced->second.state.viewer);
+  }
+  HostStream& hs = streams_.insert_or_assign(key, std::move(host_stream)).first->second;
+  AddViewer(hs.app, hs.state.viewer);
+  auto members = memberships_.find(key);
+  if (members != memberships_.end()) {
+    for (Membership& m : members->second) {
+      m.baseline = m.topic->events;
+      m.topic->plan.reset();
+    }
+  }
+  return hs;
+}
+
+void BrassHost::EraseStream(StreamTable::iterator hs) {
+  RemoveViewer(hs->second.app, hs->second.state.viewer);
+  streams_.erase(hs);
+  ++stream_epoch_;
+}
+
+void BrassHost::ClearStreams() {
+  streams_.clear();
+  ++stream_epoch_;
+  viewers_by_app_.clear();
+}
+
+void BrassHost::AddViewer(const std::string& app, UserId viewer) {
+  if (viewer == 0) {
+    return;
+  }
+  AppViewers& index = viewers_by_app_[app];
+  auto it = std::lower_bound(index.viewers.begin(), index.viewers.end(), viewer);
+  const size_t at = static_cast<size_t>(it - index.viewers.begin());
+  if (it != index.viewers.end() && *it == viewer) {
+    index.streams[at] += 1;
+    return;
+  }
+  index.viewers.insert(it, viewer);
+  index.streams.insert(index.streams.begin() + static_cast<std::ptrdiff_t>(at), 1);
+}
+
+void BrassHost::RemoveViewer(const std::string& app, UserId viewer) {
+  if (viewer == 0) {
+    return;
+  }
+  AppViewers& index = viewers_by_app_[app];
+  auto it = std::lower_bound(index.viewers.begin(), index.viewers.end(), viewer);
+  assert(it != index.viewers.end() && *it == viewer);
+  const auto at = it - index.viewers.begin();
+  if (--index.streams[static_cast<size_t>(at)] == 0) {
+    index.viewers.erase(it);
+    index.streams.erase(index.streams.begin() + at);
+  }
 }
 
 void BrassHost::OnAck(ServerStream& stream, uint64_t seq) {
@@ -600,16 +695,10 @@ void BrassHost::FetchPayload(const std::string& app, const Value& metadata,
   fetch_pipeline_->Fetch(app, metadata, options, std::move(callback));
 }
 
-std::vector<UserId> BrassHost::ViewersForApp(const std::string& app) const {
-  std::vector<UserId> viewers;
-  for (const auto& [key, hs] : streams_) {
-    if (hs.app == app && hs.state.viewer != 0) {
-      viewers.push_back(hs.state.viewer);
-    }
-  }
-  std::sort(viewers.begin(), viewers.end());
-  viewers.erase(std::unique(viewers.begin(), viewers.end()), viewers.end());
-  return viewers;
+const std::vector<UserId>& BrassHost::ViewersForApp(const std::string& app) const {
+  static const std::vector<UserId> kNone;
+  auto it = viewers_by_app_.find(app);
+  return it == viewers_by_app_.end() ? kNone : it->second.viewers;
 }
 
 void BrassHost::WasQuery(const std::string& query, const FetchOptions& options,
@@ -1106,18 +1195,18 @@ void BrassHost::WithdrawAllPylonSubscriptions() {
     return;
   }
   for (const auto& [topic, entry] : topics_) {
-    if (!entry.subscribed) {
-      continue;
+    if (entry.subscribed) {
+      CallPylonSubscribe(topic, /*subscribe=*/false, TraceContext(), [](RpcStatus, MessagePtr) {});
     }
-    PylonServer* server = pylon_->RouteServer(topic);
-    auto channel = std::make_shared<RpcChannel>(
-        ctx_, server->rpc(), pylon_->topology()->LinkModel(region_, server->region()));
-    auto request = std::make_shared<PylonSubscribeRequest>();
-    request->topic = topic;
-    request->host_id = host_id_;
-    request->subscribe = false;
-    channel->Call("pylon.subscribe", request, [channel](RpcStatus, MessagePtr) {});
   }
+  // Every topic goes: settle their events into the streams still here.
+  for (const auto& [key, members] : memberships_) {
+    auto hs = streams_.find(key);
+    if (hs != streams_.end()) {
+      hs->second.events_targeted = EventsTargeted(key, hs->second);
+    }
+  }
+  memberships_.clear();
   topics_.clear();
 }
 
@@ -1142,8 +1231,7 @@ void BrassHost::Drain() {
   burst_->Drain();
   WithdrawAllPylonSubscriptions();
   CloseAllStreamSpans("host drain");
-  streams_.clear();
-  ++stream_epoch_;
+  ClearStreams();
   apps_.clear();
   fetch_pipeline_->Clear();
   if (pylon_ != nullptr) {
@@ -1162,8 +1250,7 @@ void BrassHost::FailHost() {
   // (§4): modeled as the withdrawal happening shortly after the crash.
   ctx_.Schedule(Millis(800), [this]() { WithdrawAllPylonSubscriptions(); });
   CloseAllStreamSpans("host failure");
-  streams_.clear();
-  ++stream_epoch_;
+  ClearStreams();
   apps_.clear();
   fetch_pipeline_->Clear();  // a crash loses the payload cache with the host
   if (pylon_ != nullptr) {

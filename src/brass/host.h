@@ -158,9 +158,15 @@ class BrassHost : public BurstServerHandler {
 
   FetchPipeline* fetch_pipeline() { return fetch_pipeline_.get(); }
 
-  // Viewers of the application's streams currently on this host (deduped),
-  // used by the fetch pipeline to batch privacy checks.
-  std::vector<UserId> ViewersForApp(const std::string& app) const;
+  // Viewers of the application's streams currently on this host, sorted and
+  // deduplicated, used by the fetch pipeline to batch privacy checks. Kept
+  // up to date as streams start and close; valid until the next change.
+  const std::vector<UserId>& ViewersForApp(const std::string& app) const;
+
+  // Dispatch plans built so far (docs/PERF.md §11). A topic's event builds
+  // one only if the topic's streams changed, or a stream left the host,
+  // since the topic's plan was built.
+  uint64_t dispatch_plan_builds() const { return dispatch_plan_builds_; }
 
   // ---- BurstServerHandler ----
   void OnStreamStarted(ServerStream& stream) override;
@@ -176,16 +182,46 @@ class BrassHost : public BurstServerHandler {
     std::unique_ptr<BrassApplication> app;
   };
 
+  // The streams an event on one topic goes to: one group per application,
+  // in app-name order, each group's keys in StreamKey order. `live[i]` is
+  // the stream `keys[i]` names while stream_epoch_ equals `epoch`. Shared,
+  // immutable, with the dispatch events of every event that used it.
+  struct DispatchGroup {
+    std::string app;
+    std::vector<StreamKey> keys;
+    std::vector<BrassStream*> live;
+  };
+  struct DispatchPlan {
+    uint64_t epoch = 0;
+    std::vector<DispatchGroup> groups;
+  };
+
   struct TopicEntry {
     std::set<StreamKey> streams;
     bool subscribed = false;   // Pylon ack received
     bool in_flight = false;    // subscribe RPC outstanding
+    // Events this host handled on the topic (Fig. 7): each one targeted
+    // every stream on the topic, so a stream's count is read off this
+    // counter against its Membership baseline instead of bumped per event.
+    uint64_t events = 0;
+    // Dropped when a key joins `streams` or a stream is installed for a key
+    // it lists; stale once stream_epoch_ moves (a key leaves `streams` only
+    // as its stream leaves the host). Rebuilt by the next event.
+    std::shared_ptr<const DispatchPlan> plan;
+  };
+
+  // One topic whose `streams` lists a key, with the topic's event count
+  // when the key's current stream began counting there.
+  struct Membership {
+    TopicEntry* topic;
+    uint64_t baseline;
   };
 
   struct HostStream {
     BrassStream state;
     std::string app;
-    uint64_t events_targeted = 0;  // update events routed at this stream
+    // Events from topics this stream has left; see EventsTargeted.
+    uint64_t events_targeted = 0;
     // Span covering the stream's lifetime on this host; closed with an
     // error annotation when the stream fails or the host dies.
     TraceContext stream_span;
@@ -271,16 +307,36 @@ class BrassHost : public BurstServerHandler {
   AppInstance* GetOrSpawnApp(const std::string& name);
 
   void HandlePylonEvent(MessagePtr request, RpcServer::Respond respond);
+  // The topic's plan, rebuilt first if a membership change dropped it or a
+  // stream left the host since it was built.
+  std::shared_ptr<const DispatchPlan> PlanFor(TopicEntry& entry);
   void CompleteSubscription(const StreamKey& key, const std::string& app,
                             MessagePtr resolve_response);
   void SubscribeTopic(const Topic& topic, const StreamKey& key,
                       TraceContext parent = TraceContext());
+  // Sends one pylon.subscribe request (subscribe or withdraw) for `topic`
+  // over the host's channel to the topic's Pylon server.
+  void CallPylonSubscribe(const Topic& topic, bool subscribe, TraceContext parent,
+                          RpcResponseCallback callback, SimTime timeout = 0);
   // Closes every live stream's span with an error annotation; used by
   // Drain/FailHost before stream state is dropped.
   void CloseAllStreamSpans(const std::string& reason);
   void UnsubscribeStreamTopics(const StreamKey& key);
   void TerminateStreamsOnTopic(const Topic& topic, const std::string& detail);
   void WithdrawAllPylonSubscriptions();
+
+  // ---- stream table (streams_, with its derived indexes) ----
+  // The stream's Fig. 7 count: settled events plus those of every topic
+  // that still lists its key.
+  uint64_t EventsTargeted(const StreamKey& key, const HostStream& hs) const;
+  // Inserts (or replaces) the key's stream. A key some topic already lists
+  // starts counting there now, and those topics' plans are dropped.
+  HostStream& InstallStream(const StreamKey& key, HostStream host_stream);
+  using StreamTable = std::unordered_map<StreamKey, HostStream, StreamKeyHash>;
+  void EraseStream(StreamTable::iterator hs);
+  void ClearStreams();
+  void AddViewer(const std::string& app, UserId viewer);
+  void RemoveViewer(const std::string& app, UserId viewer);
 
   // ---- overload path (docs/OVERLOAD.md) ----
   // The pre-overload-control push: accounting, deliver span, stamps, and
@@ -328,12 +384,29 @@ class BrassHost : public BurstServerHandler {
   std::unique_ptr<RpcChannel> was_channel_;
   std::unique_ptr<FetchPipeline> fetch_pipeline_;
   std::map<std::string, AppInstance> apps_;
-  std::unordered_map<StreamKey, HostStream, StreamKeyHash> streams_;
+  StreamTable streams_;
   // Bumped by every erase from (and clear of) streams_. Its nodes never
   // move, so pointers into it taken at one epoch are valid, and name the
   // same streams, for as long as the epoch is unchanged.
   uint64_t stream_epoch_ = 0;
   std::map<Topic, TopicEntry> topics_;
+  // For every key some topic's `streams` lists, those topics. Usually the
+  // key's stream's own topics; a key can outlive its stream there (a live
+  // key re-subscribed to other topics keeps the old ones, and FailHost
+  // keeps topics_ until the withdrawal), and a stream that takes the key
+  // over is then targeted by those topics too. Entries point into topics_,
+  // whose nodes never move and are erased only once they list no key.
+  std::unordered_map<StreamKey, std::vector<Membership>, StreamKeyHash> memberships_;
+  // ViewersForApp: per app, its streams' distinct nonzero viewers, sorted,
+  // with the number of streams of each.
+  struct AppViewers {
+    std::vector<UserId> viewers;
+    std::vector<uint32_t> streams;
+  };
+  std::unordered_map<std::string, AppViewers> viewers_by_app_;
+  uint64_t dispatch_plan_builds_ = 0;
+  // One channel per Pylon server, by server id, for pylon.subscribe calls.
+  std::map<uint64_t, std::unique_ptr<RpcChannel>> pylon_channels_;
   std::vector<StreamRecord> closed_stream_records_;
   std::shared_ptr<DurableLogDirectory> durable_logs_;
 };

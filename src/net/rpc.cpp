@@ -1,6 +1,7 @@
 #include "src/net/rpc.h"
 
 #include <cassert>
+#include <utility>
 
 namespace bladerunner {
 
@@ -35,26 +36,43 @@ RpcChannel::RpcChannel(SimContext owner, RpcServer* server, LatencyModel one_way
   assert(owner.sim() != nullptr);
 }
 
+namespace {
+
+// One call's completion: the callback until the call completes, and nothing
+// after. The path that completes the call moves the callback out, runs it
+// and destroys it, so the events still holding the state (a deadline that
+// fires after the reply) keep none of the callback's captures alive.
+struct CallState {
+  bool done = false;
+  RpcResponseCallback callback;
+
+  void Complete(RpcStatus status, MessagePtr response) {
+    if (done) {
+      return;
+    }
+    done = true;
+    RpcResponseCallback run = std::move(callback);
+    callback = nullptr;
+    run(status, std::move(response));
+  }
+};
+
+}  // namespace
+
 void RpcChannel::Call(const std::string& method, MessagePtr request,
                       RpcResponseCallback callback, SimTime timeout) {
   // One callback invocation, ever: the timeout and the response race and
-  // the loser observes `done`. `done` and the callback are only touched in
-  // the owner's LP: the request dispatches into the server's LP, and both
-  // terminal paths schedule the callback back into the owner's LP, so a
+  // the loser finds the call done. The state is only touched in the
+  // owner's LP: the request dispatches into the server's LP, and both
+  // terminal paths schedule the completion back into the owner's LP, so a
   // channel held by a partitioned component (a device, a POP) never races
   // the backend LP it calls into.
-  auto done = std::make_shared<bool>(false);
-  auto cb = std::make_shared<RpcResponseCallback>(std::move(callback));
+  auto state = std::make_shared<CallState>();
+  state->callback = std::move(callback);
   LpId owner_lp = ctx_.lp();
 
   if (timeout > 0) {
-    ctx_.Schedule(timeout, [done, cb]() {
-      if (*done) {
-        return;
-      }
-      *done = true;
-      (*cb)(RpcStatus::kTimeout, nullptr);
-    });
+    ctx_.Schedule(timeout, [state]() { state->Complete(RpcStatus::kTimeout, nullptr); });
   }
 
   RpcServer* server = server_;
@@ -62,22 +80,17 @@ void RpcChannel::Call(const std::string& method, MessagePtr request,
   LatencyModel one_way = one_way_;
   SimTime request_latency = one_way.Sample(sim->rng());
   sim->Schedule(server->lp(), request_latency, [sim, server, one_way, owner_lp, method,
-                                                request, done, cb]() {
+                                                request, state]() {
     if (!server->available()) {
       // Unavailability is observed roughly one round trip after sending.
-      sim->Schedule(owner_lp, one_way.Sample(sim->rng()), [done, cb]() {
-        if (*done) {
-          return;
-        }
-        *done = true;
-        (*cb)(RpcStatus::kUnavailable, nullptr);
-      });
+      sim->Schedule(owner_lp, one_way.Sample(sim->rng()),
+                    [state]() { state->Complete(RpcStatus::kUnavailable, nullptr); });
       return;
     }
     TraceContext request_trace = request->trace;
     uint64_t incarnation = server->incarnation();
-    server->Dispatch(method, request, [sim, server, one_way, owner_lp, done, cb,
-                                       incarnation, request_trace](MessagePtr response) {
+    server->Dispatch(method, request, [sim, server, one_way, owner_lp, state, incarnation,
+                                       request_trace](MessagePtr response) {
       // A server that went down before responding never gets to respond —
       // and one that went down and *recovered* in the meantime is a new
       // incarnation whose predecessor's in-flight work died with it.
@@ -89,12 +102,8 @@ void RpcChannel::Call(const std::string& method, MessagePtr request,
       if (response != nullptr && !response->trace.valid()) {
         response->trace = request_trace;
       }
-      sim->Schedule(owner_lp, one_way.Sample(sim->rng()), [done, cb, response]() {
-        if (*done) {
-          return;
-        }
-        *done = true;
-        (*cb)(RpcStatus::kOk, response);
+      sim->Schedule(owner_lp, one_way.Sample(sim->rng()), [state, response]() {
+        state->Complete(RpcStatus::kOk, response);
       });
     });
   });

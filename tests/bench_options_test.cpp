@@ -25,14 +25,16 @@ struct ParseResult {
   std::string error;
 };
 
-ParseResult Parse(std::vector<std::string> args) {
+// Parses as a bench that gates a baseline (every shared flag) unless told
+// otherwise.
+ParseResult Parse(std::vector<std::string> args, BaselineCheck baseline = BaselineCheck::kGated) {
   args.insert(args.begin(), "bench_under_test");
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (std::string& arg : args) argv.push_back(arg.data());
   ParseResult result;
   result.ok = ParseBenchOptionsInto(static_cast<int>(argv.size()), argv.data(), &result.opts,
-                                    &result.error);
+                                    &result.error, baseline);
   return result;
 }
 
@@ -76,6 +78,33 @@ TEST(BenchOptionsTest, CheckImpliesPerf) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.opts.perf);
   EXPECT_FALSE(r.opts.smoke);
+}
+
+TEST(BenchOptionsTest, BenchesThatGateNoBaselineRejectCheckAndTolerance) {
+  // The motivating bug: `bench_table1_update_distribution --check
+  // /nonexistent` exited 0 having checked nothing.
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"--check", "/nonexistent/baseline.json"},
+        std::vector<std::string>{"--check=BENCH_PR7.json"},
+        std::vector<std::string>{"--smoke", "--tolerance", "0.25"},
+        std::vector<std::string>{"--tolerance=0.1"}}) {
+    ParseResult r = Parse(args, BaselineCheck::kNone);
+    ASSERT_FALSE(r.ok) << args.front();
+    EXPECT_NE(r.error.find("gates no baseline"), std::string::npos) << r.error;
+  }
+  // Every other flag is still accepted.
+  ParseResult r = Parse({"--smoke", "--out", "/tmp/x.json", "--threads=2", "--fleet", "10"},
+                        BaselineCheck::kNone);
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(BenchOptionsDeathTest, CheckOnABenchThatGatesNoBaselineExitsTwo) {
+  std::vector<std::string> args = {"bench_table1_update_distribution", "--check",
+                                   "/nonexistent/baseline.json"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  EXPECT_EXIT(ParseBenchOptions(static_cast<int>(argv.size()), argv.data()),
+              ::testing::ExitedWithCode(2), "gates no baseline");
 }
 
 TEST(BenchOptionsTest, RejectsTypoedFlag) {

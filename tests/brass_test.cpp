@@ -1,19 +1,30 @@
 // Tests for the BRASS layer: serverless app spawning, the per-host Pylon
 // subscription manager (dedup, unsubscribe-on-last-stream), routing
-// policies, host drain/crash/revive, and Pylon quorum-loss signalling.
+// policies, host drain/crash/revive, Pylon quorum-loss signalling, and the
+// host's cached per-topic dispatch plans and Fig. 7 event counts.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/registry.h"
 #include "src/brass/app_descriptor.h"
+#include "src/brass/host.h"
 #include "src/core/cluster.h"
 #include "src/core/device.h"
+#include "src/net/connection.h"
+#include "src/pylon/messages.h"
 #include "src/pylon/topic.h"
+#include "src/tao/store.h"
 #include "src/was/resolvers.h"
+#include "src/was/server.h"
 #include "src/workload/social_gen.h"
 
 namespace bladerunner {
@@ -314,6 +325,522 @@ TEST_F(BrassTest, StreamClosedBeforeDispatchDoesNotReachTheApp) {
 
   cluster.sim().RunFor(Seconds(1));
   EXPECT_EQ(decisions() - before, 2);
+}
+
+// ---- dispatch plans and Fig. 7 counts (docs/PERF.md §11) ----
+
+// A reference model of how a host hands a Pylon event to its apps and
+// counts Fig. 7 events, evaluated per event by brute force as the host did
+// before it cached dispatch plans. A topic lists the keys of the streams
+// started on it until that key's stream closes; a re-subscribe of a live
+// key that replaces its stream keeps the old topics listing the key, and so
+// does FailHost until the Pylon withdrawal. An event targets every key its
+// topic lists that has a stream; each app gets its keys in StreamKey order,
+// minus those whose stream left before the dispatch.
+class DispatchModel {
+ public:
+  explicit DispatchModel(MetricsRegistry* metrics)
+      : received_(&metrics->GetCounter("brass.events_received")),
+        unsubscribed_(&metrics->GetCounter("brass.events_unsubscribed_topic")) {}
+
+  // ---- host changes, reported as the host makes them ----
+  void Started(const std::string& app, const BrassStream& stream) {
+    Sync();
+    replacements_ += streams_.count(stream.key);
+    streams_[stream.key] = Stream{app, stream.topics, 0};
+    for (const Topic& topic : stream.topics) {
+      topics_[topic].insert(stream.key);
+    }
+  }
+  void Closed(const StreamKey& key) {
+    Sync();
+    auto it = streams_.find(key);
+    ASSERT_NE(it, streams_.end()) << key.ToString();
+    for (const Topic& topic : it->second.topics) {
+      auto listed = topics_.find(topic);
+      if (listed != topics_.end() && listed->second.erase(key) > 0 && listed->second.empty()) {
+        topics_.erase(listed);
+      }
+    }
+    closed_.emplace_back(key, it->second.events);
+    streams_.erase(it);
+    ++removals_;
+  }
+  void StreamsCleared() {
+    Sync();
+    streams_.clear();
+    ++removals_;
+  }
+  void TopicsCleared() {
+    Sync();
+    topics_.clear();
+  }
+
+  // ---- events ----
+  void Injected(const Topic& topic, uint64_t event_id) {
+    Sync();
+    pending_ = Pending{topic, event_id, received_->value(), unsubscribed_->value()};
+  }
+  // Takes the grouping of an injected event that has reached the host since
+  // from the model as it stood then: before the change about to be applied.
+  void Sync() {
+    if (!pending_ || received_->value() == pending_->received) {
+      return;
+    }
+    const Pending event = *pending_;
+    pending_.reset();
+    Arrival& arrival = arrivals_[event.id];
+    arrival.removals = removals_;
+    auto listed = topics_.find(event.topic);
+    EXPECT_EQ(unsubscribed_->value() - event.unsubscribed, listed == topics_.end() ? 1 : 0)
+        << event.topic;
+    if (listed == topics_.end()) {
+      return;
+    }
+    for (const StreamKey& key : listed->second) {
+      auto stream = streams_.find(key);
+      if (stream == streams_.end()) {
+        continue;
+      }
+      stream->second.events += 1;
+      const std::vector<Topic>& own = stream->second.topics;
+      stale_targets_ += std::find(own.begin(), own.end(), event.topic) == own.end();
+      arrival.groups[stream->second.app].push_back(key);
+    }
+  }
+  bool Arrived(uint64_t event_id) const { return arrivals_.count(event_id) > 0; }
+
+  void Dispatched(const std::string& app, const UpdateEvent& event,
+                  const std::vector<BrassStream*>& streams) {
+    Sync();
+    auto arrival = arrivals_.find(event.event_id);
+    ASSERT_NE(arrival, arrivals_.end()) << "event " << event.event_id << " never arrived";
+    auto group = arrival->second.groups.find(app);
+    ASSERT_NE(group, arrival->second.groups.end()) << app << " got event " << event.event_id;
+    std::vector<std::string> want;
+    for (const StreamKey& key : group->second) {
+      if (streams_.count(key) > 0) {
+        want.push_back(key.ToString());
+      }
+    }
+    std::vector<std::string> got;
+    for (const BrassStream* stream : streams) {
+      got.push_back(stream->key.ToString());
+      auto current = streams_.find(stream->key);
+      if (current != streams_.end()) {
+        EXPECT_EQ(stream->topics, current->second.topics) << "a pointer to a replaced stream";
+      }
+    }
+    EXPECT_EQ(got, want) << app << ", event " << event.event_id;
+    EXPECT_TRUE(arrival->second.dispatched.insert(app).second) << "dispatched twice";
+    ++dispatches_;
+  }
+
+  // Every group reached its app unless a stream left after its arrival.
+  void ExpectEveryGroupDispatched() const {
+    for (const auto& [id, arrival] : arrivals_) {
+      for (const auto& [app, keys] : arrival.groups) {
+        if (arrival.dispatched.count(app) == 0) {
+          EXPECT_GT(removals_, arrival.removals) << app << " never got event " << id;
+        }
+      }
+    }
+  }
+  // Every StreamRecord's events_targeted equals the per-stream count.
+  void ExpectCounts(const BrassHost& host) const {
+    std::map<std::string, uint64_t> open;
+    for (const StreamRecord& record : host.OpenStreamRecords()) {
+      open[record.key.ToString()] = record.events_targeted;
+    }
+    std::map<std::string, uint64_t> want;
+    for (const auto& [key, stream] : streams_) {
+      want[key.ToString()] = stream.events;
+    }
+    EXPECT_EQ(open, want);
+    std::vector<std::pair<std::string, uint64_t>> closed;
+    for (const StreamRecord& record : host.closed_stream_records()) {
+      closed.emplace_back(record.key.ToString(), record.events_targeted);
+    }
+    std::vector<std::pair<std::string, uint64_t>> closed_want;
+    for (const auto& [key, events] : closed_) {
+      closed_want.emplace_back(key.ToString(), events);
+    }
+    EXPECT_EQ(closed, closed_want);
+  }
+
+  std::vector<StreamKey> LiveKeys() const {
+    std::vector<StreamKey> keys;
+    for (const auto& [key, stream] : streams_) {
+      keys.push_back(key);
+    }
+    return keys;
+  }
+  int64_t dispatches() const { return dispatches_; }
+  int64_t replacements() const { return replacements_; }
+  int64_t stale_targets() const { return stale_targets_; }
+  size_t closed() const { return closed_.size(); }
+
+ private:
+  struct Stream {
+    std::string app;
+    std::vector<Topic> topics;
+    uint64_t events = 0;
+  };
+  struct Pending {
+    Topic topic;
+    uint64_t id = 0;
+    int64_t received = 0;
+    int64_t unsubscribed = 0;
+  };
+  struct Arrival {
+    std::map<std::string, std::vector<StreamKey>> groups;
+    std::set<std::string> dispatched;
+    int64_t removals = 0;
+  };
+
+  Counter* received_;
+  Counter* unsubscribed_;
+  std::map<Topic, std::set<StreamKey>> topics_;
+  std::map<StreamKey, Stream> streams_;
+  std::vector<std::pair<StreamKey, uint64_t>> closed_;
+  std::optional<Pending> pending_;
+  std::map<uint64_t, Arrival> arrivals_;
+  int64_t removals_ = 0;
+  int64_t dispatches_ = 0;
+  int64_t replacements_ = 0;
+  int64_t stale_targets_ = 0;
+};
+
+// Reports every stream start, close and event dispatch to the model.
+class RecordingApp : public BrassApplication {
+ public:
+  RecordingApp(BrassRuntime& runtime, std::string name, DispatchModel* model)
+      : BrassApplication(runtime), name_(std::move(name)), model_(model) {}
+
+  void OnStreamStarted(BrassStream& stream) override { model_->Started(name_, stream); }
+  void OnStreamClosed(const StreamKey& key) override { model_->Closed(key); }
+  void OnEvent(const Topic&, const UpdateEvent& event,
+               const std::vector<BrassStream*>& streams) override {
+    model_->Dispatched(name_, event, streams);
+  }
+
+ private:
+  std::string name_;
+  DispatchModel* model_;
+};
+
+class IgnoreMessages : public ConnectionHandler {
+ public:
+  void OnMessage(ConnectionEnd&, MessagePtr) override {}
+  void OnDisconnect(ConnectionEnd&, DisconnectReason) override {}
+};
+
+// One BRASS host of three recording apps (A, B, C), fed directly: the test
+// plays the proxy (subscribe and cancel frames on one connection) and Pylon
+// (events through the host's event RPC). The subscription
+// `probe(topics: "t1,t2,t1")` resolves to exactly those topics, duplicates
+// included; `reads: N` makes its resolution N TAO reads slower. With
+// `with_pylon`, the host keeps real Pylon subscriptions, so Drain and
+// FailHost withdraw its topics.
+class DispatchWorld {
+ public:
+  DispatchWorld(uint64_t seed, bool with_pylon)
+      : topology_(Topology::OneRegion()), sim_(seed), model_(&metrics_) {
+    tao_ = std::make_unique<TaoStore>(&sim_, &topology_, TaoConfig{}, &metrics_);
+    if (with_pylon) {
+      PylonConfig pylon_config;
+      pylon_config.servers_per_region = 1;
+      pylon_config.kv_nodes_per_region = 3;
+      pylon_ = std::make_unique<PylonCluster>(&sim_, &topology_, pylon_config, &metrics_);
+    }
+    was_ = std::make_unique<WebAppServer>(&sim_, 0, tao_.get(), pylon_.get(), WasConfig{},
+                                          &metrics_);
+    was_->RegisterSubscriptionResolver("probe", [](const Field& field, UserId,
+                                                   ExecContext& ctx) {
+      ctx.cost.point_reads = static_cast<uint64_t>(field.Arg("reads").AsInt());
+      SubscriptionResolution resolution;
+      const std::string& list = field.Arg("topics").AsString();
+      for (size_t begin = 0; begin < list.size();) {
+        size_t end = list.find(',', begin);
+        end = end == std::string::npos ? list.size() : end;
+        resolution.topics.push_back(list.substr(begin, end - begin));
+        begin = end + 1;
+      }
+      return resolution;
+    });
+    for (const std::string name : {"A", "B", "C"}) {
+      registry_[name] = BrassAppRegistration{
+          BrassAppDescriptor{}, [this, name](BrassRuntime& runtime) {
+            return std::make_unique<RecordingApp>(runtime, name, &model_);
+          }};
+    }
+    host_ = std::make_unique<BrassHost>(&sim_, 1, 0, was_.get(), pylon_.get(), &registry_,
+                                        BrassConfig{}, BurstConfig{}, &metrics_);
+    events_ = std::make_unique<RpcChannel>(&sim_, host_->event_rpc(), LatencyModel::Fixed(1.0));
+    Connect();
+  }
+
+  BrassHost& host() { return *host_; }
+  DispatchModel& model() { return model_; }
+
+  void Subscribe(StreamKey key, const std::string& app, const std::vector<Topic>& topics,
+                 UserId viewer, int reads = 0) {
+    std::string list;
+    for (const Topic& topic : topics) {
+      list += (list.empty() ? "" : ",") + topic;
+    }
+    StreamHeader header;
+    header.set_app(app).set_viewer(viewer).set_subscription(
+        "subscription { probe(topics: \"" + list + "\", reads: " + std::to_string(reads) + ") }");
+    auto frame = std::make_shared<SubscribeFrame>();
+    frame->key = key;
+    frame->header = std::move(header).Take();
+    proxy_->Send(frame);
+  }
+  void Cancel(StreamKey key) {
+    auto frame = std::make_shared<CancelFrame>();
+    frame->key = key;
+    proxy_->Send(frame);
+  }
+  // Runs until the event reaches the host; its dispatch (at least 0.28 ms
+  // later) has not run yet.
+  uint64_t Publish(const Topic& topic) {
+    auto event = std::make_shared<UpdateEvent>();
+    event->topic = topic;
+    event->event_id = ++last_event_;
+    auto delivery = std::make_shared<BrassEventDelivery>();
+    delivery->event = event;
+    model_.Injected(topic, event->event_id);
+    events_->Call("brass.event", delivery, [](RpcStatus, MessagePtr) {});
+    Run(Millis(1));
+    EXPECT_TRUE(model_.Arrived(event->event_id));
+    return event->event_id;
+  }
+  void Run(SimTime duration) {
+    sim_.RunFor(duration);
+    model_.Sync();
+  }
+  void Drain() {
+    host_->Drain();
+    model_.StreamsCleared();
+    if (pylon_ != nullptr) {
+      model_.TopicsCleared();
+    }
+  }
+  void Fail() {
+    host_->FailHost();
+    model_.StreamsCleared();
+    if (pylon_ != nullptr) {
+      // Right after the host's own withdrawal, 800 ms from now.
+      sim_.Schedule(Millis(800), [this]() { model_.TopicsCleared(); });
+    }
+  }
+  void Revive() {
+    host_->Revive();
+    Connect();
+  }
+
+ private:
+  void Connect() {
+    auto [proxy_end, host_end] = CreateConnection(&sim_, LatencyModel::Fixed(1.0), Millis(50));
+    host_->burst()->AttachProxyConnection(host_end);
+    proxy_end->set_handler(&ignore_);
+    proxy_ = proxy_end;
+  }
+
+  Topology topology_;
+  Simulator sim_;
+  MetricsRegistry metrics_;
+  DispatchModel model_;
+  IgnoreMessages ignore_;
+  std::unique_ptr<TaoStore> tao_;
+  std::unique_ptr<PylonCluster> pylon_;
+  std::unique_ptr<WebAppServer> was_;
+  BrassAppRegistry registry_;
+  std::unique_ptr<BrassHost> host_;
+  std::unique_ptr<RpcChannel> events_;
+  std::shared_ptr<ConnectionEnd> proxy_;
+  uint64_t last_event_ = 0;
+};
+
+// Seeded random lifetimes against the model: multi-topic streams, duplicate
+// topics, several apps on one topic, closes inside the dispatch window,
+// re-subscribes of live keys (one replacing the key's stream while another
+// resolves), drains, and fails followed by revives.
+class DispatchPlanPropertyTest : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
+  const auto [seed, with_pylon] = GetParam();
+  DispatchWorld world(seed, with_pylon);
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::vector<Topic> pool = {"t0", "t1", "t2", "t3", "t4"};
+  const std::vector<std::string> apps = {"A", "B", "C"};
+  auto topics = [&]() {
+    std::vector<Topic> drawn;
+    for (size_t n = 1 + pick(3); n > 0; --n) {
+      drawn.push_back(pool[pick(pool.size())]);  // duplicates allowed
+    }
+    return drawn;
+  };
+  auto viewer = [&]() { return static_cast<UserId>(pick(5)); };  // 0: no viewer
+  std::vector<StreamKey> keys;
+  auto new_key = [&]() {
+    if (!keys.empty() && pick(4) == 0) {
+      return keys[pick(keys.size())];  // a key that may still be listed somewhere
+    }
+    keys.push_back(StreamKey{static_cast<int64_t>(1 + pick(4)), keys.size() + 1});
+    return keys.back();
+  };
+  auto live = [&]() { return world.model().LiveKeys(); };
+
+  bool alive = true;
+  for (int step = 0; step < 2000; ++step) {
+    const size_t op = pick(100);
+    if (!alive) {
+      if (op < 30) {
+        world.Revive();
+        alive = true;
+      }
+    } else if (op < 30) {
+      world.Subscribe(new_key(), apps[pick(apps.size())], topics(), viewer());
+    } else if (op < 38) {
+      // Subscribe, cancel and subscribe again: two resolves of one key race,
+      // and the later one replaces the stream the earlier one installed.
+      StreamKey key = new_key();
+      world.Subscribe(key, apps[pick(apps.size())], topics(), viewer());
+      world.Cancel(key);
+      world.Subscribe(key, apps[pick(apps.size())], topics(), viewer());
+    } else if (op < 70) {
+      const bool unknown = pick(10) == 0;
+      world.Publish(unknown ? Topic("nobody") : pool[pick(pool.size())]);
+      // Close up to two streams inside the dispatch window.
+      std::vector<StreamKey> open = live();
+      for (size_t n = pick(3); n > 0 && !open.empty(); --n) {
+        ServerStream* stream = world.host().burst()->FindStream(open[pick(open.size())]);
+        if (stream != nullptr) {
+          stream->Terminate(TerminateReason::kComplete, "closed inside the dispatch window");
+        }
+        open = live();
+      }
+    } else if (op < 84) {
+      std::vector<StreamKey> open = live();
+      if (!open.empty()) {
+        StreamKey key = open[pick(open.size())];
+        world.Cancel(key);
+        if (pick(2) == 0) {
+          world.Subscribe(key, apps[pick(apps.size())], topics(), viewer());
+        }
+      }
+    } else if (op < 94) {
+      // A re-subscribe of a live, attached key: a resume, no change.
+      std::vector<StreamKey> open = live();
+      if (!open.empty()) {
+        world.Subscribe(open[pick(open.size())], apps[pick(apps.size())], topics(), viewer());
+      }
+    } else if (op < 97) {
+      world.Drain();
+      alive = false;
+    } else {
+      world.Fail();
+      alive = false;
+    }
+    world.Run(Micros(static_cast<int64_t>(pick(12000))));
+    if (step % 25 == 0) {
+      world.model().ExpectCounts(world.host());
+    }
+  }
+  world.Run(Seconds(10));
+  world.model().ExpectCounts(world.host());
+  world.model().ExpectEveryGroupDispatched();
+  // The draws reached the cases the plan cache must get right.
+  EXPECT_GT(world.model().dispatches(), 100);
+  EXPECT_GT(world.model().replacements(), 0);
+  EXPECT_GT(world.model().stale_targets(), 0);
+  EXPECT_GT(world.model().closed(), 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DispatchPlanPropertyTest,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u),
+                                            ::testing::Bool()));
+
+// N events on a topic whose streams do not change build its plan once; a
+// stream joining the topic, or any stream leaving the host, rebuilds it at
+// the next event.
+TEST(DispatchPlanTest, HotTopicWithUnchangedMembershipBuildsItsPlanOnce) {
+  DispatchWorld world(5, /*with_pylon=*/true);
+  for (int i = 0; i < 6; ++i) {
+    world.Subscribe(StreamKey{100 + i, 1}, i % 2 == 0 ? "A" : "B", {"hot"}, 10 + i);
+  }
+  world.Subscribe(StreamKey{200, 1}, "C", {"cold"}, 30);
+  world.Run(Seconds(1));
+  ASSERT_EQ(world.host().StreamCount(), 7u);
+
+  const uint64_t builds = world.host().dispatch_plan_builds();
+  for (int i = 0; i < 50; ++i) {
+    world.Publish("hot");
+    world.Run(Millis(20));
+  }
+  EXPECT_EQ(world.host().dispatch_plan_builds(), builds + 1);
+  EXPECT_EQ(world.model().dispatches(), 100);  // both apps, every event
+
+  world.Subscribe(StreamKey{106, 1}, "C", {"hot"}, 16);  // joins the topic
+  world.Run(Seconds(1));
+  for (int i = 0; i < 10; ++i) {
+    world.Publish("hot");
+    world.Run(Millis(20));
+  }
+  EXPECT_EQ(world.host().dispatch_plan_builds(), builds + 2);
+
+  world.Cancel(StreamKey{200, 1});  // leaves the host, not the topic
+  world.Run(Seconds(1));
+  for (int i = 0; i < 10; ++i) {
+    world.Publish("hot");
+    world.Run(Millis(20));
+  }
+  EXPECT_EQ(world.host().dispatch_plan_builds(), builds + 3);
+  EXPECT_EQ(world.model().dispatches(), 160);
+  world.model().ExpectCounts(world.host());
+}
+
+// A key keeps its topics across a stream that replaces it and across its
+// stream's close: the replacing stream, and a later stream with the key,
+// get (and count) events on those topics too.
+TEST(DispatchPlanTest, KeysTopicsFollowTheStreamThatTakesTheKeyOver) {
+  DispatchWorld world(6, /*with_pylon=*/false);
+  const StreamKey key{7, 1};
+  // Two resolves of one key: A on x lands first, then B on y replaces it.
+  world.Subscribe(key, "A", {"x"}, 1);
+  world.Cancel(key);
+  world.Subscribe(key, "B", {"y"}, 2, /*reads=*/400);
+  world.Run(Millis(30));
+  ASSERT_EQ(world.model().LiveKeys().size(), 1u);
+  ASSERT_EQ(world.model().replacements(), 0);
+  world.Publish("x");  // A's stream, on a plan built now
+  world.Run(Millis(30));
+  world.Run(Seconds(1));
+  ASSERT_EQ(world.model().replacements(), 1);
+  world.Publish("x");  // B's stream, through x, which it never asked for
+  world.Run(Millis(30));
+  world.Publish("y");
+  world.Run(Millis(30));
+  EXPECT_EQ(world.model().dispatches(), 3);
+  EXPECT_EQ(world.model().stale_targets(), 1);
+
+  // The key's stream closes; x still lists the key, with no stream.
+  world.Cancel(key);
+  world.Run(Millis(30));
+  world.Publish("x");
+  world.Run(Millis(30));
+  EXPECT_EQ(world.model().dispatches(), 3);
+  // A new stream with the key, on z, is targeted through x at once.
+  world.Subscribe(key, "C", {"z"}, 3);
+  world.Run(Millis(30));
+  world.Publish("x");
+  world.Run(Millis(30));
+  EXPECT_EQ(world.model().dispatches(), 4);
+  world.model().ExpectEveryGroupDispatched();
+  world.model().ExpectCounts(world.host());
 }
 
 // ---- registration-time descriptor validation (docs/BURST.md) ----

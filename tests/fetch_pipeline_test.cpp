@@ -69,7 +69,7 @@ struct PipelineWorld {
   void MakePipeline(FetchPipelineConfig config) {
     pipeline_ = std::make_unique<FetchPipeline>(
         &sim_, kHostRegion, channel_.get(), Seconds(5), config, &metrics_, &trace_,
-        [this](const std::string&) { return batch_viewers_; });
+        [this](const std::string&) -> const std::vector<UserId>& { return batch_viewers_; });
   }
 
   // Allocates an object id owned by a region-0 leader shard.

@@ -219,6 +219,36 @@ TEST(RpcTest, CallbackInvokedExactlyOnceWhenResponseRacesTimeout) {
   EXPECT_EQ(calls, 1);
 }
 
+// A call that completes long before its deadline releases the callback and
+// everything it captures at completion; the deadline event still fires (it
+// is part of the event count) but holds only the finished call's state.
+TEST(RpcTest, CompletedCallReleasesItsCallbackBeforeTheDeadline) {
+  Simulator sim;
+  RpcServer server;
+  server.RegisterMethod("echo", [](MessagePtr request, RpcServer::Respond respond) {
+    respond(request);
+  });
+  RpcChannel channel(&sim, &server, LatencyModel::Fixed(5.0));
+  auto capture = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = capture;
+  int calls = 0;
+  channel.Call(
+      "echo", std::make_shared<TextMessage>("x"),
+      [capture = std::move(capture), &calls](RpcStatus status, MessagePtr) {
+        EXPECT_EQ(status, RpcStatus::kOk);
+        ++calls;
+      },
+      Seconds(3));
+  sim.RunFor(Millis(20));  // the reply arrives at 10 ms
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(watch.expired()) << "the completed call still holds its callback's captures";
+  EXPECT_EQ(sim.PendingEvents(), 1u);  // the deadline, still to fire
+  const uint64_t before = sim.events_executed();
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), before + 1);
+  EXPECT_EQ(calls, 1);
+}
+
 TEST(RpcTest, ServerGoingDownMidCallDropsResponse) {
   Simulator sim;
   RpcServer server;
