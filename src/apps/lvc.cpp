@@ -172,15 +172,12 @@ bool LiveVideoCommentsApp::Passes(const EventDecision& decision, const ViewerSta
   return true;
 }
 
-void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, EventDecision& decision) {
-  if (decision.metadata == nullptr) {
-    decision.metadata = std::make_shared<const Value>(decision.event.metadata);
-  }
+void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, const EventDecision& decision) {
   Candidate candidate;
   candidate.quality = decision.quality;
   candidate.created_at = decision.event.created_at;
   candidate.received_at = runtime().Now();
-  candidate.metadata = decision.metadata;
+  candidate.metadata = decision.event.metadata;
   candidate.span = runtime().StartSpan(decision.event.trace, "brass.process");
   auto pos = std::lower_bound(
       viewer.buffer.begin(), viewer.buffer.end(), candidate,
@@ -355,9 +352,9 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
   StreamKey stream_key = key;
   TraceContext span = best.span;
   UserId viewer_id = viewer.stream->viewer;
-  DeliverOptions deliver = CommentDelivery(*best.metadata, best.created_at, span);
+  DeliverOptions deliver = CommentDelivery(best.metadata, best.created_at, span);
   runtime().FetchPayload(
-      *best.metadata, FetchOptions{.viewer = viewer_id, .parent = span},
+      best.metadata, FetchOptions{.viewer = viewer_id, .parent = span},
       [this, stream_key, deliver, span](bool allowed, Value payload) {
         if (!allowed) {
           privacy_filtered_->Increment();

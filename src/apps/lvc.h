@@ -113,8 +113,8 @@ class LiveVideoCommentsApp : public BrassApplication {
     double quality = 0.0;
     SimTime created_at = 0;   // comment creation (origin side)
     SimTime received_at = 0;  // event arrival at this BRASS instance
-    // The event's metadata, one copy shared by every viewer that buffered it.
-    std::shared_ptr<const Value> metadata;
+    // The event's metadata; a copy shares the event's tree.
+    Value metadata;
     // "brass.process" span: event receipt -> push decision (delivered,
     // evicted, or aged out). Fig. 9's "BRASS host processing" leg.
     TraceContext span;
@@ -140,8 +140,6 @@ class LiveVideoCommentsApp : public BrassApplication {
     const std::string& language;
     int64_t negatives = 0;
     int64_t positives = 0;
-    // For buffered candidates, built the first time one needs it.
-    std::shared_ptr<const Value> metadata;
     // The POP-placed streams the event passed; they share one envelope.
     std::vector<BrassStream*> placed;
   };
@@ -155,7 +153,7 @@ class LiveVideoCommentsApp : public BrassApplication {
   // the stream for the event's envelope (placed).
   void Decide(EventDecision& decision, BrassStream& stream);
 
-  void InsertCandidate(ViewerState& viewer, EventDecision& decision);
+  void InsertCandidate(ViewerState& viewer, const EventDecision& decision);
   void SchedulePush(const StreamKey& key);
   void PushBest(const StreamKey& key);
 

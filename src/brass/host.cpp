@@ -1248,7 +1248,10 @@ void BrassHost::FailHost() {
   burst_->FailHost();
   // "Pylon also detects this and removes all subscriptions from that host"
   // (§4): modeled as the withdrawal happening shortly after the crash.
-  ctx_.Schedule(Millis(800), [this]() { WithdrawAllPylonSubscriptions(); });
+  pending_withdrawal_ = ctx_.Schedule(Millis(800), [this]() {
+    pending_withdrawal_ = kInvalidTimerId;
+    WithdrawAllPylonSubscriptions();
+  });
   CloseAllStreamSpans("host failure");
   ClearStreams();
   apps_.clear();
@@ -1261,6 +1264,11 @@ void BrassHost::FailHost() {
 void BrassHost::Revive() {
   if (alive_) {
     return;
+  }
+  if (pending_withdrawal_ != kInvalidTimerId) {
+    ctx_.Cancel(pending_withdrawal_);
+    pending_withdrawal_ = kInvalidTimerId;
+    WithdrawAllPylonSubscriptions();
   }
   alive_ = true;
   draining_ = false;

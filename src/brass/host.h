@@ -111,7 +111,9 @@ class BrassHost : public BurstServerHandler {
   void FailHost();
 
   // Brings a drained/crashed host back into service with a fresh BURST
-  // endpoint and no state (a replacement host in the paper's terms).
+  // endpoint and no state (a replacement host in the paper's terms). A
+  // crash's Pylon withdrawal still pending runs first, so it cannot take
+  // back what the new incarnation subscribes.
   void Revive();
 
   // ---- services used by BrassRuntime ----
@@ -378,6 +380,8 @@ class BrassHost : public BurstServerHandler {
   std::unordered_map<std::string, AppMetrics> app_metrics_;
   bool alive_ = true;
   bool draining_ = false;
+  // The Pylon withdrawal FailHost schedules; Revive runs it early.
+  TimerId pending_withdrawal_ = kInvalidTimerId;
 
   std::unique_ptr<BurstServer> burst_;
   RpcServer event_rpc_;

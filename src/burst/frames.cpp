@@ -90,9 +90,7 @@ StreamHeader& StreamHeader::set_placement(int32_t placement) {
   if (placement == 0) {
     // Erase rather than store 0: a never-stamped header and a cleared one
     // are the same wire bytes, which keeps placement-off runs byte-identical.
-    if (value_.is_map()) {
-      value_.MutableMap().erase(kHeaderPlacement);
-    }
+    value_.Erase(kHeaderPlacement);
   } else {
     value_.Set(kHeaderPlacement, static_cast<int64_t>(placement));
   }

@@ -4,25 +4,37 @@
 
 namespace bladerunner {
 
+namespace {
+
+// A one-delta batch built by move: a braced list would copy the delta, and
+// its payload, out of its std::initializer_list.
+std::vector<Delta> Batch(Delta delta) {
+  std::vector<Delta> batch;
+  batch.push_back(std::move(delta));
+  return batch;
+}
+
+}  // namespace
+
 void ServerStream::Push(std::vector<Delta> batch) { server_->SendBatch(*this, std::move(batch)); }
 
 void ServerStream::PushData(Value payload, uint64_t seq, TraceContext trace) {
   Delta delta = Delta::Data(std::move(payload), seq);
   delta.trace = trace;
-  Push({std::move(delta)});
+  Push(Batch(std::move(delta)));
 }
 
 void ServerStream::PushFlow(FlowStatus status, std::string detail) {
-  Push({Delta::Flow(status, std::move(detail))});
+  Push(Batch(Delta::Flow(status, std::move(detail))));
 }
 
 void ServerStream::Rewrite(Value new_header) {
   header_ = new_header;
-  Push({Delta::Rewrite(std::move(new_header))});
+  Push(Batch(Delta::Rewrite(std::move(new_header))));
 }
 
 void ServerStream::Terminate(TerminateReason reason, std::string detail) {
-  Push({Delta::Terminate(reason, std::move(detail))});
+  Push(Batch(Delta::Terminate(reason, std::move(detail))));
   // Notify the handler: the host must release its per-stream state (topic
   // subscriptions, application maps) regardless of who initiated the end.
   server_->EraseStream(key_, reason, /*notify_handler=*/true);

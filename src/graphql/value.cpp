@@ -7,8 +7,6 @@ namespace bladerunner {
 namespace {
 
 const std::string kEmptyString;
-const ValueList kEmptyList;
-const ValueMap kEmptyMap;
 
 void AppendJsonString(const std::string& s, std::string& out) {
   out.push_back('"');
@@ -43,6 +41,15 @@ void AppendJsonString(const std::string& s, std::string& out) {
 }
 
 }  // namespace
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) {
+    // Copy first: `other` may live inside the node this assignment releases.
+    Value copy(other);
+    data_ = std::move(copy.data_);
+  }
+  return *this;
+}
 
 bool Value::AsBool(bool fallback) const {
   if (const bool* b = std::get_if<bool>(&data_)) {
@@ -79,61 +86,60 @@ const std::string& Value::AsString() const {
 }
 
 const ValueList& Value::AsList() const {
-  if (const ValueList* l = std::get_if<ValueList>(&data_)) {
-    return *l;
+  if (const auto* l = std::get_if<Shared<ValueList>>(&data_)) {
+    return l->get();
   }
-  return kEmptyList;
+  return Shared<ValueList>::Empty();
 }
 
 const ValueMap& Value::AsMap() const {
-  if (const ValueMap* m = std::get_if<ValueMap>(&data_)) {
-    return *m;
+  if (const auto* m = std::get_if<Shared<ValueMap>>(&data_)) {
+    return m->get();
   }
-  return kEmptyMap;
+  return Shared<ValueMap>::Empty();
 }
 
 ValueList& Value::MutableList() {
-  if (!is_list()) {
-    data_ = ValueList{};
+  if (auto* l = std::get_if<Shared<ValueList>>(&data_)) {
+    return l->Mutable();
   }
-  return std::get<ValueList>(data_);
+  return data_.emplace<Shared<ValueList>>(ValueList{}).Mutable();
 }
 
 ValueMap& Value::MutableMap() {
-  if (!is_map()) {
-    data_ = ValueMap{};
+  if (auto* m = std::get_if<Shared<ValueMap>>(&data_)) {
+    return m->Mutable();
   }
-  return std::get<ValueMap>(data_);
+  return data_.emplace<Shared<ValueMap>>(ValueMap{}).Mutable();
 }
 
-const Value& Value::Get(const std::string& key) const {
-  if (const ValueMap* m = std::get_if<ValueMap>(&data_)) {
-    auto it = m->find(key);
-    if (it != m->end()) {
-      return it->second;
-    }
-  }
-  return NullValue();
+const Value& Value::Get(std::string_view key) const {
+  const ValueMap& map = AsMap();
+  auto it = map.find(key);
+  return it == map.end() ? NullValue() : it->second;
 }
 
-bool Value::Has(const std::string& key) const {
-  if (const ValueMap* m = std::get_if<ValueMap>(&data_)) {
-    return m->find(key) != m->end();
+bool Value::Has(std::string_view key) const { return AsMap().contains(key); }
+
+void Value::Set(std::string_view key, Value v) {
+  ValueMap& map = MutableMap();
+  auto it = map.lower_bound(key);
+  if (it != map.end() && it->first == key) {
+    it->second = std::move(v);
+  } else {
+    map.emplace_hint(it, key, std::move(v));
   }
-  return false;
 }
 
-void Value::Set(const std::string& key, Value v) { MutableMap()[key] = std::move(v); }
-
-size_t Value::Size() const {
-  if (const ValueList* l = std::get_if<ValueList>(&data_)) {
-    return l->size();
+void Value::Erase(std::string_view key) {
+  if (!Has(key)) {
+    return;  // nothing to write: a shared node stays shared
   }
-  if (const ValueMap* m = std::get_if<ValueMap>(&data_)) {
-    return m->size();
-  }
-  return 0;
+  ValueMap& map = MutableMap();
+  map.erase(map.find(key));
 }
+
+size_t Value::Size() const { return is_list() ? AsList().size() : AsMap().size(); }
 
 void Value::Append(Value v) { MutableList().push_back(std::move(v)); }
 
@@ -154,10 +160,10 @@ std::string Value::ToJson() const {
       out += buf;
     }
     void operator()(const std::string& s) { AppendJsonString(s, out); }
-    void operator()(const ValueList& l) {
+    void operator()(const Shared<ValueList>& shared) {
       out.push_back('[');
       bool first = true;
-      for (const Value& v : l) {
+      for (const Value& v : shared.get()) {
         if (!first) {
           out.push_back(',');
         }
@@ -166,10 +172,10 @@ std::string Value::ToJson() const {
       }
       out.push_back(']');
     }
-    void operator()(const ValueMap& m) {
+    void operator()(const Shared<ValueMap>& shared) {
       out.push_back('{');
       bool first = true;
-      for (const auto& [k, v] : m) {
+      for (const auto& [k, v] : shared.get()) {
         if (!first) {
           out.push_back(',');
         }
@@ -192,16 +198,16 @@ uint64_t Value::WireSize() const {
     uint64_t operator()(int64_t) const { return 8; }
     uint64_t operator()(double) const { return 8; }
     uint64_t operator()(const std::string& s) const { return s.size() + 2; }
-    uint64_t operator()(const ValueList& l) const {
+    uint64_t operator()(const Shared<ValueList>& shared) const {
       uint64_t total = 2;
-      for (const Value& v : l) {
+      for (const Value& v : shared.get()) {
         total += v.WireSize() + 1;
       }
       return total;
     }
-    uint64_t operator()(const ValueMap& m) const {
+    uint64_t operator()(const Shared<ValueMap>& shared) const {
       uint64_t total = 2;
-      for (const auto& [k, v] : m) {
+      for (const auto& [k, v] : shared.get()) {
         total += k.size() + 3 + v.WireSize() + 1;
       }
       return total;

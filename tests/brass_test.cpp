@@ -235,6 +235,32 @@ TEST_F(BrassTest, HostReviveAcceptsNewStreams) {
   EXPECT_GE(TotalStreams(), 1u);
 }
 
+// A crashed host's Pylon subscriptions are withdrawn 800 ms after the
+// crash. A host revived sooner runs that withdrawal at the revive, so it
+// cannot take back the subscriptions of streams that start afterwards.
+TEST_F(BrassTest, HostRevivedBeforeTheCrashWithdrawalKeepsNewSubscriptions) {
+  ClusterConfig config;
+  config.seed = 83;
+  config.brass_hosts_per_region = 1;
+  BladerunnerCluster cluster(config, Topology::OneRegion());
+  cluster.sim().RunFor(Seconds(1));
+  BrassHost& host = cluster.brass_host(0);
+  host.FailHost();
+  cluster.sim().RunFor(Millis(100));
+  host.Revive();
+  DeviceAgent device(&cluster, 1, 0, DeviceProfile::kWifi);
+  device.SubscribeTicker(1);
+  cluster.sim().RunFor(Millis(1400));  // 1.5 s after the crash
+  ASSERT_EQ(host.StreamCount(), 1u);
+
+  PublishSpec spec;
+  spec.topic = TickerTopic(1);
+  spec.metadata.Set("tick", static_cast<int64_t>(1));
+  cluster.was(0).PublishNow(spec, cluster.sim().Now());
+  cluster.sim().RunFor(Seconds(2));
+  EXPECT_EQ(device.payloads_received(), 1u);
+}
+
 TEST_F(BrassTest, EventsForUnsubscribedTopicsAreCounted) {
   // A publish arriving for a topic the host no longer holds is dropped and
   // counted (possible after unsubscribe races a publish).
@@ -631,12 +657,21 @@ class DispatchWorld {
     host_->FailHost();
     model_.StreamsCleared();
     if (pylon_ != nullptr) {
-      // Right after the host's own withdrawal, 800 ms from now.
-      sim_.Schedule(Millis(800), [this]() { model_.TopicsCleared(); });
+      // Right after the host's own withdrawal, 800 ms from now, unless a
+      // revive runs it sooner.
+      withdrawal_ = sim_.Schedule(Millis(800), [this]() {
+        withdrawal_ = kInvalidTimerId;
+        model_.TopicsCleared();
+      });
     }
   }
   void Revive() {
     host_->Revive();
+    if (withdrawal_ != kInvalidTimerId) {
+      sim_.Cancel(withdrawal_);
+      withdrawal_ = kInvalidTimerId;
+      model_.TopicsCleared();
+    }
     Connect();
   }
 
@@ -661,6 +696,7 @@ class DispatchWorld {
   std::unique_ptr<RpcChannel> events_;
   std::shared_ptr<ConnectionEnd> proxy_;
   uint64_t last_event_ = 0;
+  TimerId withdrawal_ = kInvalidTimerId;
 };
 
 // Seeded random lifetimes against the model: multi-topic streams, duplicate

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "src/graphql/executor.h"
 #include "src/graphql/lexer.h"
 #include "src/graphql/parser.h"
@@ -79,6 +85,310 @@ TEST(ValueTest, WireSizeGrowsWithContent) {
   Value big;
   big.Set("a", std::string(1000, 'x'));
   EXPECT_GT(big.WireSize(), small.WireSize() + 900);
+}
+
+// ---- Value sharing (copy-on-write) ----
+
+// A tree built again from its leaves: no node is shared with `v`.
+Value Rebuilt(const Value& v) {
+  if (v.is_list()) {
+    Value out(ValueList{});
+    for (const Value& element : v.AsList()) {
+      out.Append(Rebuilt(element));
+    }
+    return out;
+  }
+  if (v.is_map()) {
+    Value out(ValueMap{});
+    for (const auto& [key, child] : v.AsMap()) {
+      out.Set(key, Rebuilt(child));
+    }
+    return out;
+  }
+  return v;
+}
+
+TEST(ValueTest, CopiesOfMapsStayIsolatedAfterWrites) {
+  Value a;
+  a.Set("x", 1);
+  a.Set("y", 2);
+  Value b = a;
+  b.Set("x", 10);
+  b.Erase("y");
+  b.Set("z", 3);
+  EXPECT_EQ(a.ToJson(), R"({"x":1,"y":2})");
+  EXPECT_EQ(b.ToJson(), R"({"x":10,"z":3})");
+  // Writes through the original leave the copy alone too.
+  Value c = a;
+  a.Set("x", 5);
+  a.Erase("x");
+  EXPECT_EQ(c.ToJson(), R"({"x":1,"y":2})");
+  EXPECT_EQ(a.ToJson(), R"({"y":2})");
+}
+
+TEST(ValueTest, CopiesOfListsStayIsolatedAfterWrites) {
+  Value a;
+  a.Append(1);
+  Value b = a;
+  b.Append(2);
+  a.Append("a");
+  EXPECT_EQ(a.ToJson(), R"([1,"a"])");
+  EXPECT_EQ(b.ToJson(), "[1,2]");
+}
+
+TEST(ValueTest, CopiesOfNestedTreesStayIsolatedAfterWrites) {
+  Value inner;
+  inner.Set("n", 1);
+  inner.Set("l", Value(ValueList{Value(1)}));
+  Value outer;
+  outer.Set("inner", inner);
+  outer.Set("twin", inner);  // one subtree under two keys
+  Value copy = outer;
+
+  // Writing a child means copying it out, writing, and setting it back.
+  Value child = copy.Get("inner");
+  Value list = child.Get("l");
+  list.Append(2);
+  child.Set("l", list);
+  copy.Set("inner", child);
+  EXPECT_EQ(copy.ToJson(), R"({"inner":{"l":[1,2],"n":1},"twin":{"l":[1],"n":1}})");
+  EXPECT_EQ(outer.ToJson(), R"({"inner":{"l":[1],"n":1},"twin":{"l":[1],"n":1}})");
+  EXPECT_EQ(inner.ToJson(), R"({"l":[1],"n":1})");
+
+  // The source subtree written after it was shared.
+  inner.Erase("l");
+  EXPECT_EQ(outer.Get("inner").ToJson(), R"({"l":[1],"n":1})");
+  EXPECT_EQ(inner.ToJson(), R"({"n":1})");
+}
+
+TEST(ValueTest, SharedNodeIsClonedOnceThenWrittenInPlace) {
+  Value a;
+  a.Set("k", 1);
+  a.Set("shared", Value(ValueList{Value(1)}));
+  Value b = a;
+  EXPECT_EQ(&a.AsMap(), &b.AsMap());  // a copy takes a reference
+
+  b.Set("k", 2);  // the shared node is cloned...
+  const ValueMap* clone = &b.AsMap();
+  EXPECT_NE(clone, &a.AsMap());
+  // ...one level deep: the children are still shared.
+  EXPECT_EQ(&a.Get("shared").AsList(), &b.Get("shared").AsList());
+
+  b.Set("k", 3);  // ...and the clone, now unshared, is written in place
+  b.Set("new", 4);
+  b.Erase("new");
+  EXPECT_EQ(&b.AsMap(), clone);
+
+  // Erasing an absent key writes nothing, so nothing is cloned.
+  Value c = a;
+  c.Erase("absent");
+  EXPECT_EQ(&c.AsMap(), &a.AsMap());
+
+  Value l(ValueList{Value(1)});
+  Value m = l;
+  m.Append(2);
+  const ValueList* list_clone = &m.AsList();
+  EXPECT_NE(list_clone, &l.AsList());
+  m.Append(3);
+  EXPECT_EQ(&m.AsList(), list_clone);
+}
+
+TEST(ValueTest, AssigningFromOwnChildOrSelfIsSafe) {
+  Value v;
+  v.Set("child", Value(ValueList{Value("c")}));
+  v = v.Get("child");  // the only holder of the map that owns the child
+  EXPECT_EQ(v.ToJson(), R"(["c"])");
+  v = v.AsList()[0];
+  EXPECT_EQ(v.ToJson(), R"("c")");
+
+  Value m;
+  Value inner;
+  inner.Set("x", 1);
+  m.Set("child", inner);
+  inner = Value();
+  m = m.Get("child");  // map from map
+  EXPECT_EQ(m.ToJson(), R"({"x":1})");
+
+  const Value& self = m;
+  m = self;
+  EXPECT_EQ(m.ToJson(), R"({"x":1})");
+  m = std::move(m);
+  EXPECT_EQ(m.Get("x").AsInt(), 1);
+}
+
+TEST(ValueTest, SettingAValueIntoItselfNestsACopy) {
+  Value v;
+  v.Set("a", 1);
+  v.Set("self", v);
+  v.Set("a", 2);
+  EXPECT_EQ(v.ToJson(), R"({"a":2,"self":{"a":1}})");
+  Value l;
+  l.Append(1);
+  l.Append(l);
+  EXPECT_EQ(l.ToJson(), "[1,[1]]");
+}
+
+TEST(ValueTest, MovedFromContainersReadAsEmpty) {
+  Value m;
+  m.Set("k", 1);
+  Value taken = std::move(m);
+  EXPECT_TRUE(m.is_map());
+  EXPECT_EQ(m.Size(), 0u);
+  EXPECT_EQ(m.ToJson(), "{}");
+  m.Set("again", 2);
+  EXPECT_EQ(m.ToJson(), R"({"again":2})");
+  EXPECT_EQ(taken.ToJson(), R"({"k":1})");
+}
+
+// A fixed corpus, several of its trees built by sharing and then writing;
+// the expected JSON and wire sizes are those of a deep-copied tree.
+std::vector<Value> SharedCorpus() {
+  std::vector<Value> corpus;
+  corpus.push_back(Value());
+  corpus.push_back(Value(true));
+  corpus.push_back(Value(-7));
+  corpus.push_back(Value(2.5));
+  corpus.push_back(Value("tab\there \"quoted\"\n"));
+  corpus.push_back(Value(ValueList{}));
+  corpus.push_back(Value(ValueMap{}));
+  Value header;
+  header.Set("app", "LVC");
+  header.Set("viewer", 42);
+  header.Set("placement", 2);
+  corpus.push_back(header);
+  Value rewritten = header;
+  rewritten.Set("brass_host", 7);
+  rewritten.Erase("placement");
+  corpus.push_back(rewritten);
+  Value tags;
+  tags.Append("a");
+  tags.Append(1.5);
+  tags.Append(Value(ValueList{}));
+  Value payload;
+  payload.Set("comment", header);
+  payload.Set("copy", header);
+  payload.Set("tags", tags);
+  tags.Append("later");
+  corpus.push_back(payload);
+  Value stamped = payload;
+  stamped.Set("_sentAt", static_cast<int64_t>(1000));
+  Value comment = stamped.Get("comment");
+  comment.Set("viewer", 43);
+  stamped.Set("comment", comment);
+  corpus.push_back(stamped);
+  corpus.push_back(tags);
+  return corpus;
+}
+
+TEST(ValueTest, SharedTreesRenderCompareAndSizeAsDeepCopies) {
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"null", 4},
+      {"true", 5},
+      {"-7", 8},
+      {"2.5", 8},
+      {R"("tab\there \"quoted\"\n")", 20},
+      {"[]", 2},
+      {"{}", 2},
+      {R"({"app":"LVC","placement":2,"viewer":42})", 53},
+      {R"({"app":"LVC","brass_host":7,"viewer":42})", 54},
+      {R"({"comment":{"app":"LVC","placement":2,"viewer":42},)"
+       R"("copy":{"app":"LVC","placement":2,"viewer":42},"tags":["a",1.5,[]]})",
+       153},
+      {R"({"_sentAt":1000,"comment":{"app":"LVC","placement":2,"viewer":43},)"
+       R"("copy":{"app":"LVC","placement":2,"viewer":42},"tags":["a",1.5,[]]})",
+       172},
+      {R"(["a",1.5,[],"later"])", 26},
+  };
+  const std::vector<Value> corpus = SharedCorpus();
+  ASSERT_EQ(corpus.size(), expected.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(corpus[i].ToJson(), expected[i].first);
+    EXPECT_EQ(corpus[i].WireSize(), expected[i].second);
+    const Value rebuilt = Rebuilt(corpus[i]);
+    EXPECT_EQ(rebuilt.ToJson(), expected[i].first);
+    EXPECT_EQ(rebuilt.WireSize(), expected[i].second);
+    for (size_t j = 0; j < corpus.size(); ++j) {
+      EXPECT_EQ(corpus[i] == corpus[j], i == j) << j;
+      EXPECT_EQ(rebuilt == corpus[j], i == j) << j;
+      EXPECT_EQ(rebuilt != corpus[j], i != j) << j;
+    }
+  }
+}
+
+TEST(ValueTest, LiteralKeyLookupsKeepStringKeyOrder) {
+  Value v;
+  v.Set(std::string("b"), 2);
+  v.Set(std::string_view("a"), 1);
+  v.Set("B", 0);  // upper case sorts first, as std::string orders it
+  EXPECT_EQ(v.ToJson(), R"({"B":0,"a":1,"b":2})");
+  EXPECT_EQ(v.Get(std::string_view("ab").substr(0, 1)).AsInt(), 1);
+  EXPECT_TRUE(v.Has(std::string("b")));
+  EXPECT_FALSE(v.Has("c"));
+}
+
+// Two threads copy, write and drop Values that share nodes with each other
+// and with a root both read: the refcount and the uniqueness check are the
+// only synchronisation (run under TSan in CI).
+TEST(ValueTest, ThreadsCopyWriteAndDropSharedValues) {
+  Value root;
+  root.Set("name", "root");
+  root.Set("list", Value(ValueList{Value(1), Value(2)}));
+  root.Set("nested", root);
+  constexpr int kRounds = 2000;
+  // Pair i shares a node of its own; one thread writes its half while the
+  // other reads and drops the other half, so a node's last two holders
+  // race, and the writer finds the node unshared whenever the dropper got
+  // there first.
+  std::vector<Value> left;
+  for (int i = 0; i < kRounds; ++i) {
+    Value pair = root;
+    pair.Set("pair", i);
+    left.push_back(pair);
+  }
+  std::vector<Value> right = left;
+
+  auto work = [&root](std::vector<Value>* mine, int64_t id, bool drop) {
+    int64_t bad = 0;
+    for (int i = 0; i < kRounds; ++i) {
+      Value copy = root;
+      copy.Set("writer", id);
+      Value list = copy.Get("list");
+      list.Append(i);
+      copy.Set("list", list);
+      Value nested = copy.Get("nested");
+      nested.Erase("name");
+      copy.Set("nested", nested);
+      bad += copy.Get("list").Size() != 3 || copy.Get("nested").Has("name") ||
+             root.Get("list").Size() != 2;
+      Value& held = (*mine)[static_cast<size_t>(i)];
+      if (drop) {
+        // Read the shared node, then release it: the other thread may then
+        // write it in place.
+        bad += held.Get("name").AsString() != "root";
+        held = Value();
+      } else {
+        held.Set("writer", id);
+        held.Erase("nested");
+        bad += held.Get("writer").AsInt() != id || held.Has("nested");
+      }
+    }
+    return bad;
+  };
+  int64_t bad_left = 0;
+  int64_t bad_right = 0;
+  std::thread a([&]() { bad_left = work(&left, 1, /*drop=*/false); });
+  std::thread b([&]() { bad_right = work(&right, 2, /*drop=*/true); });
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_left, 0);
+  EXPECT_EQ(bad_right, 0);
+  EXPECT_EQ(root.ToJson(),
+            R"({"list":[1,2],"name":"root","nested":{"list":[1,2],"name":"root"}})");
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_EQ(left[static_cast<size_t>(i)].ToJson(),
+              R"({"list":[1,2],"name":"root","pair":)" + std::to_string(i) + R"(,"writer":1})");
+  }
 }
 
 // ---- Lexer ----
