@@ -63,10 +63,10 @@ struct BenchOptions {
   std::vector<std::string> cells;  // empty = run every cell
 
   // The cluster-facing translation of --threads/--lp-groups. One LP (all
-  // defaults) when threads == 1 and no explicit --lp-groups, so every
-  // bench's default run stays byte-identical to the pre-LP kernel. The
-  // derived group count is a constant, NOT a function of the thread count:
-  // the LP layout determines results, threads only determine wall-clock.
+  // defaults) when threads == 1 and no explicit --lp-groups. The derived
+  // group count is a constant, NOT a function of the thread count: the LP
+  // layout determines results (each LP draws from its own random stream),
+  // threads only determine wall-clock.
   ClusterParallelConfig Parallel() const {
     ClusterParallelConfig parallel;
     parallel.threads = threads;

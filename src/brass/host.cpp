@@ -181,10 +181,15 @@ void BrassHost::OnStreamStarted(ServerStream& stream) {
   resolve->viewer = viewer;
   resolve->trace = sub_span;
   LatencyModel dispatch{config_.subscribe_dispatch_ms, 0.3, config_.subscribe_dispatch_ms / 4.0};
-  ctx_.Schedule(dispatch.Sample(ctx_.rng()), [this, key, app_name, resolve, sub_span]() {
+  const uint64_t serial = ++last_resolve_serial_;
+  resolve_serials_[key] = serial;
+  ctx_.Schedule(dispatch.Sample(ctx_.rng()), [this, key, app_name, resolve, sub_span, serial]() {
     was_channel_->Call(
         "was.resolve_subscription", resolve,
-        [this, key, app_name, sub_span](RpcStatus status, MessagePtr response) {
+        [this, key, app_name, sub_span, serial](RpcStatus status, MessagePtr response) {
+          if (Superseded(key, serial, sub_span)) {
+            return;
+          }
           if (status != RpcStatus::kOk) {
             if (trace_ != nullptr) {
               trace_->MarkError(sub_span, "subscription resolution failed", ctx_.Now());
@@ -199,6 +204,18 @@ void BrassHost::OnStreamStarted(ServerStream& stream) {
         },
         config_.was_call_timeout);
   });
+}
+
+bool BrassHost::Superseded(const StreamKey& key, uint64_t serial, const TraceContext& sub_span) {
+  auto latest = resolve_serials_.find(key);
+  if (latest == resolve_serials_.end() || latest->second == serial) {
+    return false;
+  }
+  if (trace_ != nullptr) {
+    trace_->Annotate(sub_span, "superseded", Value(true));
+    trace_->EndSpan(sub_span, ctx_.Now());
+  }
+  return true;
 }
 
 void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& app,
@@ -550,6 +567,7 @@ void BrassHost::OnStreamDetached(ServerStream& stream, const std::string& reason
 }
 
 void BrassHost::OnStreamClosed(const StreamKey& key, TerminateReason reason) {
+  resolve_serials_.erase(key);
   auto hs = streams_.find(key);
   if (hs == streams_.end()) {
     return;
@@ -598,20 +616,12 @@ uint64_t BrassHost::EventsTargeted(const StreamKey& key, const HostStream& hs) c
 }
 
 BrassHost::HostStream& BrassHost::InstallStream(const StreamKey& key, HostStream host_stream) {
-  auto replaced = streams_.find(key);
-  if (replaced != streams_.end()) {
-    // A re-subscribe of a live key replaces its stream, count and all.
-    RemoveViewer(replaced->second.app, replaced->second.state.viewer);
-  }
-  HostStream& hs = streams_.insert_or_assign(key, std::move(host_stream)).first->second;
+  // Only a key's latest resolve installs, and a stream leaves every topic
+  // as it closes: the key is new to the host and to every topic.
+  assert(streams_.count(key) == 0);
+  assert(memberships_.count(key) == 0);
+  HostStream& hs = streams_.emplace(key, std::move(host_stream)).first->second;
   AddViewer(hs.app, hs.state.viewer);
-  auto members = memberships_.find(key);
-  if (members != memberships_.end()) {
-    for (Membership& m : members->second) {
-      m.baseline = m.topic->events;
-      m.topic->plan.reset();
-    }
-  }
   return hs;
 }
 
@@ -623,6 +633,7 @@ void BrassHost::EraseStream(StreamTable::iterator hs) {
 
 void BrassHost::ClearStreams() {
   streams_.clear();
+  resolve_serials_.clear();
   ++stream_epoch_;
   viewers_by_app_.clear();
 }
@@ -1191,11 +1202,8 @@ void BrassHost::CloseAllStreamSpans(const std::string& reason) {
 }
 
 void BrassHost::WithdrawAllPylonSubscriptions() {
-  if (pylon_ == nullptr) {
-    return;
-  }
   for (const auto& [topic, entry] : topics_) {
-    if (entry.subscribed) {
+    if (entry.subscribed) {  // only ever set by a Pylon ack
       CallPylonSubscribe(topic, /*subscribe=*/false, TraceContext(), [](RpcStatus, MessagePtr) {});
     }
   }

@@ -206,9 +206,9 @@ class BrassHost : public BurstServerHandler {
     // every stream on the topic, so a stream's count is read off this
     // counter against its Membership baseline instead of bumped per event.
     uint64_t events = 0;
-    // Dropped when a key joins `streams` or a stream is installed for a key
-    // it lists; stale once stream_epoch_ moves (a key leaves `streams` only
-    // as its stream leaves the host). Rebuilt by the next event.
+    // Dropped when a key joins `streams`; stale once stream_epoch_ moves (a
+    // key leaves `streams` only as its stream leaves the host). Rebuilt by
+    // the next event.
     std::shared_ptr<const DispatchPlan> plan;
   };
 
@@ -312,6 +312,10 @@ class BrassHost : public BurstServerHandler {
   // The topic's plan, rebuilt first if a membership change dropped it or a
   // stream left the host since it was built.
   std::shared_ptr<const DispatchPlan> PlanFor(TopicEntry& entry);
+  // True when a later resolve of `key` started after resolve `serial`: only
+  // the key's latest resolve may install or terminate its stream. A
+  // superseded resolve's "brass.subscribe" span ends, annotated so.
+  bool Superseded(const StreamKey& key, uint64_t serial, const TraceContext& sub_span);
   void CompleteSubscription(const StreamKey& key, const std::string& app,
                             MessagePtr resolve_response);
   void SubscribeTopic(const Topic& topic, const StreamKey& key,
@@ -331,8 +335,8 @@ class BrassHost : public BurstServerHandler {
   // The stream's Fig. 7 count: settled events plus those of every topic
   // that still lists its key.
   uint64_t EventsTargeted(const StreamKey& key, const HostStream& hs) const;
-  // Inserts (or replaces) the key's stream. A key some topic already lists
-  // starts counting there now, and those topics' plans are dropped.
+  // Inserts the key's stream. The key must have no stream and be listed by
+  // no topic (asserted).
   HostStream& InstallStream(const StreamKey& key, HostStream host_stream);
   using StreamTable = std::unordered_map<StreamKey, HostStream, StreamKeyHash>;
   void EraseStream(StreamTable::iterator hs);
@@ -394,13 +398,15 @@ class BrassHost : public BurstServerHandler {
   // same streams, for as long as the epoch is unchanged.
   uint64_t stream_epoch_ = 0;
   std::map<Topic, TopicEntry> topics_;
-  // For every key some topic's `streams` lists, those topics. Usually the
-  // key's stream's own topics; a key can outlive its stream there (a live
-  // key re-subscribed to other topics keeps the old ones, and FailHost
-  // keeps topics_ until the withdrawal), and a stream that takes the key
-  // over is then targeted by those topics too. Entries point into topics_,
-  // whose nodes never move and are erased only once they list no key.
+  // For every key some topic's `streams` lists, those topics: the key's
+  // stream's own topics, or, between FailHost and its withdrawal, those of
+  // a stream the crash dropped. Entries point into topics_, whose nodes
+  // never move and are erased only once they list no key.
   std::unordered_map<StreamKey, std::vector<Membership>, StreamKeyHash> memberships_;
+  // The serial of the latest subscription resolve started for each key
+  // whose stream is open; see Superseded.
+  std::unordered_map<StreamKey, uint64_t, StreamKeyHash> resolve_serials_;
+  uint64_t last_resolve_serial_ = 0;
   // ViewersForApp: per app, its streams' distinct nonzero viewers, sorted,
   // with the number of streams of each.
   struct AppViewers {

@@ -27,12 +27,9 @@ BurstClient::BurstClient(SimContext ctx, int64_t device_id, Connector connector,
   m_.device_observed_disconnects = &metrics_->GetCounter("burst.device_observed_disconnects");
   m_.device_reconnect_attempts = &metrics_->GetCounter("burst.device_reconnect_attempts");
   m_.radio_promotions = &metrics_->GetCounter("burst.radio_promotions");
-  // Partitioned runs keep a fleet-wide open-stream gauge so samplers in the
-  // global LP never walk (and race with) per-device state in other LPs. The
-  // one-LP kernel skips it entirely: the registry's contents — and any
-  // output enumerating them — stay byte-identical to the pre-LP kernel.
-  m_.active_streams =
-      ctx_.sim()->partitioned() ? &metrics_->GetGauge("burst.active_streams") : nullptr;
+  // A fleet-wide open-stream gauge, so samplers in the global LP never walk
+  // (and race with) per-device state in other LPs.
+  m_.active_streams = &metrics_->GetGauge("burst.active_streams");
 }
 
 BurstClient::~BurstClient() {
@@ -62,11 +59,9 @@ void BurstClient::Connect() {
       return;
     }
     if (connected() || !auto_reconnect_) {
-      // An asynchronous establishment finished after another one already
-      // connected us, or the app went offline while the handshake was in
-      // flight. Keep whatever state we're in; hang up the extra link.
-      // (One-LP clusters resolve synchronously, so neither can happen
-      // there and an explicit Connect with auto-reconnect off still works.)
+      // An establishment finished after another one already connected us,
+      // or the app went offline while the handshake was in flight. Keep
+      // whatever state we're in; hang up the extra link.
       end->Close();
       return;
     }
@@ -118,9 +113,7 @@ uint64_t BurstClient::Subscribe(Value header, std::string body) {
   auto [it, inserted] = streams_.emplace(sid, std::move(stream));
   assert(inserted);
   m_.client_subscribes->Increment();
-  if (m_.active_streams != nullptr) {
-    m_.active_streams->Add(1.0);
-  }
+  m_.active_streams->Add(1.0);
   if (connected()) {
     SendSubscribe(sid, it->second, /*resubscribe=*/false);
   } else if (auto_reconnect_) {
@@ -141,9 +134,7 @@ void BurstClient::Cancel(uint64_t sid) {
   }
   streams_.erase(it);
   m_.client_cancels->Increment();
-  if (m_.active_streams != nullptr) {
-    m_.active_streams->Add(-1.0);
-  }
+  m_.active_streams->Add(-1.0);
 }
 
 void BurstClient::Ack(uint64_t sid, uint64_t seq) {
@@ -190,6 +181,7 @@ void BurstClient::SendSubscribe(uint64_t sid, ClientStream& stream, bool resubsc
   subscribe->resubscribe = resubscribe;
   SendFromDevice(std::move(subscribe));
   stream.subscribed_on_current_conn = true;
+  stream.sent = true;
   if (resubscribe) {
     m_.client_resubscribes->Increment();
   }
@@ -197,10 +189,12 @@ void BurstClient::SendSubscribe(uint64_t sid, ClientStream& stream, bool resubsc
 
 void BurstClient::ResubscribeAll() {
   for (auto& [sid, stream] : streams_) {
-    // Streams created before this connection resubscribe with their stored
+    // Streams sent on an earlier connection resubscribe with their stored
     // (possibly rewritten) request — this is what makes sticky routing and
-    // resumption tokens work with zero per-feature client logic (§3.5).
-    SendSubscribe(sid, stream, /*resubscribe=*/true);
+    // resumption tokens work with zero per-feature client logic (§3.5). A
+    // stream created while this connection was coming up was never sent:
+    // its first subscribe is not a resubscribe.
+    SendSubscribe(sid, stream, /*resubscribe=*/stream.sent);
   }
 }
 
@@ -324,9 +318,7 @@ void BurstClient::HandleResponse(const ResponseFrame& response) {
     } else {
       observer_->OnStreamTerminated(sid, reason, term_detail);
       streams_.erase(it);
-      if (m_.active_streams != nullptr) {
-        m_.active_streams->Add(-1.0);
-      }
+      m_.active_streams->Add(-1.0);
     }
   }
 }

@@ -51,11 +51,10 @@ class BurstClient : public ConnectionHandler {
 
   // Asks the infrastructure for a fresh device->POP connection and invokes
   // `done` exactly once with the device-side end (already attached at a
-  // POP), or nullptr when no POP is reachable right now. A one-LP
-  // cluster resolves synchronously (inside the Connect call); a partitioned
-  // one hops into the POP-owning LP to pick a POP and back — the
+  // POP), or nullptr when no POP is reachable right now. A cluster hops
+  // into the POP-owning LP to pick a POP and back — the
   // connection-establishment round trip — so POP selection never reads
-  // another LP's state.
+  // another LP's state; a test connector may also call `done` inline.
   using ConnectDone = std::function<void(std::shared_ptr<ConnectionEnd>)>;
   using Connector = std::function<void(int64_t device_id, ConnectDone done)>;
 
@@ -108,6 +107,9 @@ class BurstClient : public ConnectionHandler {
     Value header;
     std::string body;
     bool subscribed_on_current_conn = false;
+    // Set by the first SendSubscribe: from then on the host may hold (or
+    // have lost) the stream's state, so a reconnect resubscribes it.
+    bool sent = false;
     // Durable-tier state (header carries durable=true): the highest durable
     // log sequence delivered to the app. Replay after a reconnect may
     // overlap the already-delivered suffix; deltas at or below this mark
@@ -149,8 +151,8 @@ class BurstClient : public ConnectionHandler {
     Counter* device_observed_disconnects;
     Counter* device_reconnect_attempts;
     Counter* radio_promotions;
-    // Fleet-wide open-stream gauge, maintained only in partitioned runs
-    // (nullptr otherwise) so global-LP samplers need not walk device state.
+    // Fleet-wide open-stream gauge ("burst.active_streams"), so global-LP
+    // samplers need not walk device state.
     Gauge* active_streams;
   };
 

@@ -49,10 +49,7 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
     : config_(std::move(config)),
       topology_(std::move(topology)),
       sim_(config_.seed, KernelOptions(config_.parallel)),
-      trace_(ResolveTraceConfig(config_.trace, config_.seed)) {
-  if (sim_.partitioned()) {
-    trace_.ConfigureLps(sim_.num_lps());
-  }
+      trace_(ResolveTraceConfig(config_.trace, config_.seed), sim_.num_lps()) {
   app_registry_ = BuildStandardAppRegistry(config_.apps);
   if (config_.livequery.enabled) {
     // Declarative live-query apps join the registry before the priority
@@ -235,13 +232,9 @@ std::shared_ptr<ConnectionEnd> BladerunnerCluster::EstablishDeviceConnection(
 BurstClient::Connector BladerunnerCluster::DeviceConnector(RegionId device_region,
                                                            DeviceProfile profile) {
   return [this, device_region, profile](int64_t device_id, BurstClient::ConnectDone done) {
-    if (!sim_.partitioned()) {
-      done(EstablishDeviceConnection(device_region, profile, kGlobalLp));
-      return;
-    }
-    // Partitioned: hop into the global LP (where POP state lives) to pick a
-    // POP and attach its side, then hop back into the device's LP with the
-    // device-side end. Each hop pays at least the kernel lookahead — the
+    // Hop into the global LP (where POP state lives) to pick a POP and
+    // attach its side, then hop back into the device's LP with the
+    // device-side end. Each hop pays the kernel lookahead — the
     // connection-establishment round trip a real handshake pays anyway.
     LpId device_lp = DeviceLp(device_id);
     sim_.Schedule(kGlobalLp, sim_.lookahead(),

@@ -104,10 +104,10 @@ class BladerunnerCluster {
   LpId DeviceLp(int64_t device_id) const;
 
   // A connector for BurstClient: picks an alive POP in the device's region
-  // (falling back to any region) and hands back the device-side end. In a
-  // partitioned cluster the selection hops into the global LP (where POP
-  // state lives) and the reply hops back — the connection-establishment
-  // round trip; a one-LP cluster resolves synchronously.
+  // (falling back to any region) and hands back the device-side end. The
+  // selection hops into the global LP (where POP state lives) and the reply
+  // hops back into the device's LP — the connection-establishment round
+  // trip, one lookahead each way.
   BurstClient::Connector DeviceConnector(RegionId device_region, DeviceProfile profile);
 
   // An RPC channel from a device to its nearest WAS (for polls/mutations).

@@ -332,19 +332,12 @@ void DailyScenario::DoRandomActivity(size_t idx) {
 void DailyScenario::SamplerTick() {
   SimTime now = cluster_->sim().Now() - started_at_;
 
-  double active_streams = 0.0;
-  if (cluster_->sim().partitioned()) {
-    // The sampler runs in the global LP; walking per-device stream maps
-    // would read other LPs' state mid-round. Partitioned BurstClients
-    // maintain a fleet-wide gauge instead, whose sink-buffered updates are
-    // flushed at round barriers — so this read is both race-free and
-    // consistent as of the last barrier.
-    active_streams = cluster_->metrics().GetGauge("burst.active_streams").value();
-  } else {
-    for (UserState& state : users_) {
-      active_streams += static_cast<double>(state.device->burst().ActiveStreamCount());
-    }
-  }
+  // The sampler runs in the global LP; walking per-device stream maps
+  // would read other LPs' state mid-round. BurstClients maintain a
+  // fleet-wide gauge instead, whose updates from other LPs are flushed at
+  // round barriers — so this read is race-free and consistent as of the
+  // last barrier.
+  double active_streams = cluster_->metrics().GetGauge("burst.active_streams").value();
   active_streams_series_->Sample(now, active_streams / static_cast<double>(users_.size()));
 
   for (RateSampler& rate : rate_samplers_) {

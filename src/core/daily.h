@@ -102,6 +102,8 @@ class DailyScenario {
   std::vector<StreamRecord> CollectStreamRecords() const;
 
   int num_users() const { return static_cast<int>(users_.size()); }
+  // The device of the scenario's `idx`-th user, 0 <= idx < num_users().
+  DeviceAgent& device(int idx) { return *users_[static_cast<size_t>(idx)].device; }
 
  private:
   struct UserState {

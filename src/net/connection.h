@@ -3,21 +3,25 @@
 // A Connection models one transport link (TCP/QUIC equivalent) between two
 // simulated nodes, e.g. device <-> POP or POP <-> reverse proxy. Messages
 // are delivered in order after a sampled one-way latency. A connection can
-// be closed gracefully or failed abruptly; in the abrupt case, in-flight
-// messages are dropped and each surviving side learns of the disconnect
-// only after a propagation delay — which is exactly the window in which
-// Bladerunner can lose updates, so modeling it faithfully matters.
+// be closed gracefully or failed abruptly, and each end keeps its own view
+// of the link (§4: every participant learns of a failure on its own side):
 //
-// LP affinity (partitioned kernel, src/sim/lp.h): each end is bound to the
-// LP its handler executes in (BindLp; default the global LP). Sends become
-// cross-LP channel events when the ends live in different LPs — which is
-// safe precisely because every LP-crossing link has a latency floor at or
-// above the kernel lookahead. In partitioned mode each end tracks its own
-// open/failed state instead of a shared flag (concurrent LPs must not
-// share mutable state): a surviving side keeps receiving messages that
-// were in flight toward it until it observes the disconnect, and each
-// side's sends stop the moment *it* closes/fails or learns the peer did.
-// A one-LP simulation keeps the original shared-state semantics exactly.
+//  * an end is open until it closes or fails itself, or observes the
+//    peer's disconnect; open() reports that view, never the peer's;
+//  * a send from a closed end is lost, and so is a message that reaches an
+//    end after it closed;
+//  * messages already in flight toward a surviving end keep arriving until
+//    it observes the disconnect: after a graceful close they drain before
+//    the notification, after an abrupt failure the notification comes a
+//    detection delay later — the window in which Bladerunner can lose
+//    updates, so modeling it faithfully matters.
+//
+// LP affinity (src/sim/lp.h): each end is bound to the LP its handler
+// executes in (BindLp; default the global LP), and everything delivered to
+// an end runs in its LP. The ends share no mutable state, so the rules are
+// the same whether both ends sit in one LP or in two; a link whose ends
+// are in different LPs must have a latency floor at or above the kernel
+// lookahead.
 
 #ifndef BLADERUNNER_SRC_NET_CONNECTION_H_
 #define BLADERUNNER_SRC_NET_CONNECTION_H_
@@ -74,20 +78,24 @@ class ConnectionEnd : public std::enable_shared_from_this<ConnectionEnd> {
   LpId lp() const { return lp_; }
 
   // Sends a message to the peer; delivered in order after sampled latency.
-  // Silently dropped if the connection is no longer open (as on a real
-  // socket that has failed but whose failure we have not yet observed).
+  // Silently dropped if this end is closed, or if the peer has closed by
+  // the time it arrives (as on a real socket whose failure this side has
+  // not observed yet).
   void Send(MessagePtr message);
 
   // Graceful close: the peer receives OnDisconnect(kPeerClose) after all
-  // in-flight messages have drained.
+  // messages this end sent have drained.
   void Close();
 
-  // Abrupt failure (process crash, radio loss): in-flight messages are
-  // dropped and the peer receives OnDisconnect(kPeerFailure) after a
-  // detection delay (heartbeat timeout).
+  // Abrupt failure (process crash, radio loss): messages in flight toward
+  // this end are lost, those toward the peer still arrive, and the peer
+  // receives OnDisconnect(kPeerFailure) after a detection delay (heartbeat
+  // timeout).
   void Fail();
 
-  bool open() const;
+  // This end's view: false once it closed or failed, or observed the peer's
+  // disconnect.
+  bool open() const { return open_; }
 
   // Sequence number of connection, unique per simulation; handy as map key.
   uint64_t connection_id() const;
@@ -98,30 +106,25 @@ class ConnectionEnd : public std::enable_shared_from_this<ConnectionEnd> {
   friend std::pair<std::shared_ptr<ConnectionEnd>, std::shared_ptr<ConnectionEnd>>
   CreateConnection(Simulator* sim, const LatencyModel& latency, SimTime failure_detection_delay);
 
-  struct Shared;  // state common to both ends
+  struct Shared;  // immutable link parameters common to both ends
   ConnectionEnd() = default;
 
-  void Deliver(MessagePtr message, uint64_t epoch);
-  void NotifyDisconnect(DisconnectReason reason, uint64_t epoch);
-
-  // Partitioned-kernel paths: per-end state, no shared mutable flags.
-  void DeliverPartitioned(MessagePtr message);
-  void NotifyDisconnectPartitioned(DisconnectReason reason);
+  // Run in this end's LP, scheduled by the peer.
+  void Deliver(MessagePtr message);
+  void NotifyDisconnect(DisconnectReason reason);
 
   ConnectionHandler* handler_ = nullptr;
   std::weak_ptr<ConnectionEnd> peer_;
-  std::shared_ptr<Shared> shared_;
+  std::shared_ptr<const Shared> shared_;
   SimTime last_scheduled_delivery_ = 0;  // enforces in-order delivery to peer
   LpId lp_ = kGlobalLp;
-  // Mirror of the peer end's lp_ (maintained by BindLp). Partitioned sends
-  // schedule deliveries into this LP without touching the peer object: the
-  // peer's liveness is its own LP's state, and observing it from the
-  // sending LP (e.g. via peer_.lock()) would make the outcome depend on
-  // intra-round execution order.
+  // Mirror of the peer end's lp_ (maintained by BindLp). Sends schedule
+  // deliveries into this LP without touching the peer object: the peer's
+  // liveness is its own LP's state, and observing it from the sending LP
+  // (e.g. via peer_.lock()) would make the outcome depend on intra-round
+  // execution order.
   LpId peer_lp_ = kGlobalLp;
-  // This end's view of the link (partitioned mode only): true until this
-  // side closes/fails or observes the peer's disconnect.
-  bool open_local_ = true;
+  bool open_ = true;
 };
 
 // Creates a connected pair of ends. `failure_detection_delay` is how long a

@@ -51,7 +51,7 @@ struct LpId {
 inline constexpr LpId kGlobalLp{0};
 
 // The most LPs one simulation may have. A TimerId carries its LP in 12 bits
-// (src/sim/event_heap.h) and a partitioned trace id carries `lp + 1` in 12
+// (src/sim/event_heap.h) and a trace id carries `lp + 1` in 12
 // bits (src/trace/collector.h), so LP ids 0..4094 are what both can address.
 inline constexpr uint32_t kMaxLps = 4095;
 

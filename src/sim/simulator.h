@@ -68,7 +68,6 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  bool partitioned() const { return num_lps() > 1; }
   int threads() const { return options_.threads; }
   uint32_t num_lps() const { return static_cast<uint32_t>(lps_.size()); }
   SimTime lookahead() const { return options_.lookahead; }
@@ -164,6 +163,9 @@ class Simulator {
     std::unique_ptr<MetricsSink> sink;
   };
 
+  // Whether the kernel runs rounds (several LPs) or one pass (one LP).
+  // Only the kernel's own machinery depends on it; the model does not.
+  bool partitioned() const { return num_lps() > 1; }
   // The LP whose event this thread is executing, or null outside event
   // execution of this simulator.
   LpState* ExecutingLp() const;

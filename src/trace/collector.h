@@ -50,16 +50,27 @@ inline uint64_t TraceMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// How a partitioned collector routes a trace to the LP store that owns it:
-// the creating LP's id (+1, so 0 stays "untagged/legacy") is carried in the
-// top bits of every trace id. Tag width matches the kernel's 12-bit LP tag
+// How the collector routes a trace to the LP store that owns it: the
+// creating LP's id (+1, so no trace id is 0) is carried in the top bits of
+// every trace id. Tag width matches the kernel's 12-bit LP tag
 // (src/sim/event_heap.h); the remaining 52 bits of hash keep collisions
 // negligible at any realistic trace volume.
 inline constexpr int kTraceLpShift = 52;
 
+// Each LP of the simulation roots traces in its own store with its own id
+// counter; the creating LP rides in the id's top bits so any LP can route a
+// carried context back to the owning store. Cross-LP touches (a device
+// closing a backend-rooted delivery span, the backend growing a
+// device-rooted subscribe trace) lock that store's mutex — and stay
+// deterministic because only the rooting LP *creates* spans on its traces;
+// other LPs merely close or annotate spans they were handed, and those
+// in-place writes commute.
 class TraceCollector {
  public:
-  explicit TraceCollector(TraceConfig config = TraceConfig());
+  // `num_lps` is the LP count of the simulation whose events start traces
+  // (BladerunnerCluster passes its simulator's). A trace started from an
+  // LP beyond it is not retained.
+  explicit TraceCollector(TraceConfig config = TraceConfig(), uint32_t num_lps = 1);
 
   // Starts a new trace whose root span begins at `start` (which may be in
   // the past, e.g. a mutation's created_at). Returns an invalid context
@@ -86,30 +97,13 @@ class TraceCollector {
   // already closed keep their end time but still gain the error mark.
   void MarkError(const TraceContext& ctx, const std::string& message, SimTime end);
 
-  // Switches to per-LP trace stores for a partitioned kernel run. Must be
-  // called before any trace starts (BladerunnerCluster calls it from its
-  // constructor when its simulator has more than one LP). Each LP roots
-  // traces in its own store
-  // with its own id counter; the creating LP rides in the id's top bits so
-  // any LP can route a carried context back to the owning store. Cross-LP
-  // touches (a device closing a backend-rooted delivery span, the backend
-  // growing a device-rooted subscribe trace) lock that store's mutex —
-  // and stay deterministic because only the rooting LP *creates* spans on
-  // its traces; other LPs merely close or annotate spans they were handed,
-  // and those in-place writes commute.
-  void ConfigureLps(uint32_t num_lps);
-  bool partitioned() const { return partitioned_; }
-
   const TraceRecord* FindTrace(TraceId id) const;
   const Span* FindSpan(const TraceContext& ctx) const;
 
-  // Retained traces of the global store (everything, with one LP) in
-  // insertion (trace-start) order. Partitioned callers that want the whole
-  // fleet use AllTraces().
-  const std::deque<TraceRecord>& Traces() const { return traces_; }
-  // Every retained trace across all LP stores: the global store first, then
-  // each device-group store, each in insertion order — a deterministic
-  // order for exports. Pointers stay valid until the next Start*/Clear.
+  // Every retained trace across all LP stores: LP 0's store first, then
+  // each device-group store, each in insertion (trace-start) order — a
+  // deterministic order for exports. Pointers stay valid until the next
+  // Start*/Clear.
   std::vector<const TraceRecord*> AllTraces() const;
   size_t TraceCount() const;
   uint64_t traces_started() const;
@@ -122,45 +116,23 @@ class TraceCollector {
   void Clear();
 
  private:
-  // One LP's retained traces. A one-LP run's collector is exactly the
-  // global store with locking disabled.
+  // One LP's retained traces.
   struct LpStore {
     std::mutex mu;
     uint64_t id_counter = 0;
-    uint64_t started = 0;
+    uint64_t started = 0;  // sampled + retained starts
     uint64_t evicted = 0;
     std::deque<TraceRecord> traces;
     // trace id -> absolute insertion index; deque position = index - evicted.
     std::unordered_map<TraceId, uint64_t> index;
   };
-  // Borrowed view of one store's fields; `mu` is null when no locking is
-  // needed (a one-LP run touches only the global store).
-  struct StoreRef {
-    std::mutex* mu = nullptr;
-    uint64_t* id_counter = nullptr;
-    uint64_t* started = nullptr;
-    uint64_t* evicted = nullptr;
-    std::deque<TraceRecord>* traces = nullptr;
-    std::unordered_map<TraceId, uint64_t>* index = nullptr;
-    bool ok() const { return traces != nullptr; }
-  };
-  StoreRef GlobalStore() const;
-  StoreRef StoreForLp(uint32_t lp) const;    // lp 0 => global store
-  StoreRef StoreOfId(TraceId id) const;      // routes by the id's LP tag
-  TraceRecord* MutableTrace(const StoreRef& s, TraceId id);
+  LpStore* StoreForLp(uint32_t lp) const;  // null for an LP without a store
+  LpStore* StoreOfId(TraceId id) const;    // routes by the id's LP tag
+  static TraceRecord* MutableTrace(LpStore& store, TraceId id);
   bool Sampled(TraceId id) const;
 
   TraceConfig config_;
-  bool partitioned_ = false;
-  // Global store (LP 0, the whole world with one LP); kept as plain
-  // members so the one-LP path compiles to exactly the pre-LP code.
-  uint64_t id_counter_ = 0;
-  uint64_t traces_started_ = 0;   // sampled + retained starts
-  uint64_t traces_evicted_ = 0;
-  std::deque<TraceRecord> traces_;
-  std::unordered_map<TraceId, uint64_t> index_;
-  mutable std::mutex global_mu_;  // locked only when partitioned
-  std::vector<std::unique_ptr<LpStore>> lp_stores_;  // LPs >= 1, index lp-1
+  std::vector<std::unique_ptr<LpStore>> stores_;  // index = LP id
 };
 
 }  // namespace bladerunner

@@ -23,6 +23,8 @@
 #include "src/pylon/messages.h"
 #include "src/pylon/topic.h"
 #include "src/tao/store.h"
+#include "src/trace/analysis.h"
+#include "src/trace/collector.h"
 #include "src/was/resolvers.h"
 #include "src/was/server.h"
 #include "src/workload/social_gen.h"
@@ -358,11 +360,11 @@ TEST_F(BrassTest, StreamClosedBeforeDispatchDoesNotReachTheApp) {
 // A reference model of how a host hands a Pylon event to its apps and
 // counts Fig. 7 events, evaluated per event by brute force as the host did
 // before it cached dispatch plans. A topic lists the keys of the streams
-// started on it until that key's stream closes; a re-subscribe of a live
-// key that replaces its stream keeps the old topics listing the key, and so
-// does FailHost until the Pylon withdrawal. An event targets every key its
-// topic lists that has a stream; each app gets its keys in StreamKey order,
-// minus those whose stream left before the dispatch.
+// started on it until that key's stream closes, or after FailHost until
+// the withdrawal. A stream starts only once per key: when resolves of one
+// key race, only the latest installs. An event targets every key its topic
+// lists that has a stream; each app gets its keys in StreamKey order, minus
+// those whose stream left before the dispatch.
 class DispatchModel {
  public:
   explicit DispatchModel(MetricsRegistry* metrics)
@@ -429,8 +431,6 @@ class DispatchModel {
         continue;
       }
       stream->second.events += 1;
-      const std::vector<Topic>& own = stream->second.topics;
-      stale_targets_ += std::find(own.begin(), own.end(), event.topic) == own.end();
       arrival.groups[stream->second.app].push_back(key);
     }
   }
@@ -503,7 +503,6 @@ class DispatchModel {
   }
   int64_t dispatches() const { return dispatches_; }
   int64_t replacements() const { return replacements_; }
-  int64_t stale_targets() const { return stale_targets_; }
   size_t closed() const { return closed_.size(); }
 
  private:
@@ -534,7 +533,6 @@ class DispatchModel {
   int64_t removals_ = 0;
   int64_t dispatches_ = 0;
   int64_t replacements_ = 0;
-  int64_t stale_targets_ = 0;
 };
 
 // Reports every stream start, close and event dispatch to the model.
@@ -566,8 +564,8 @@ class IgnoreMessages : public ConnectionHandler {
 // (events through the host's event RPC). The subscription
 // `probe(topics: "t1,t2,t1")` resolves to exactly those topics, duplicates
 // included; `reads: N` makes its resolution N TAO reads slower. With
-// `with_pylon`, the host keeps real Pylon subscriptions, so Drain and
-// FailHost withdraw its topics.
+// `with_pylon`, the host keeps real Pylon subscriptions, which Drain and
+// FailHost withdraw. The host records its spans in `trace()`.
 class DispatchWorld {
  public:
   DispatchWorld(uint64_t seed, bool with_pylon)
@@ -601,13 +599,23 @@ class DispatchWorld {
           }};
     }
     host_ = std::make_unique<BrassHost>(&sim_, 1, 0, was_.get(), pylon_.get(), &registry_,
-                                        BrassConfig{}, BurstConfig{}, &metrics_);
+                                        BrassConfig{}, BurstConfig{}, &metrics_, &trace_);
     events_ = std::make_unique<RpcChannel>(&sim_, host_->event_rpc(), LatencyModel::Fixed(1.0));
     Connect();
   }
 
   BrassHost& host() { return *host_; }
   DispatchModel& model() { return model_; }
+  const TraceCollector& trace() const { return trace_; }
+  // The Pylon KV replicas whose subscriber list for `topic` holds the host.
+  int PylonReplicasListing(const Topic& topic) {
+    int replicas = 0;
+    for (size_t i = 0; i < pylon_->NumKvNodes(); ++i) {
+      const std::set<int64_t>* subscribers = pylon_->KvNodeAt(i)->Find(topic);
+      replicas += subscribers != nullptr && subscribers->count(host_->host_id()) > 0;
+    }
+    return replicas;
+  }
 
   void Subscribe(StreamKey key, const std::string& app, const std::vector<Topic>& topics,
                  UserId viewer, int reads = 0) {
@@ -649,21 +657,17 @@ class DispatchWorld {
   void Drain() {
     host_->Drain();
     model_.StreamsCleared();
-    if (pylon_ != nullptr) {
-      model_.TopicsCleared();
-    }
+    model_.TopicsCleared();
   }
   void Fail() {
     host_->FailHost();
     model_.StreamsCleared();
-    if (pylon_ != nullptr) {
-      // Right after the host's own withdrawal, 800 ms from now, unless a
-      // revive runs it sooner.
-      withdrawal_ = sim_.Schedule(Millis(800), [this]() {
-        withdrawal_ = kInvalidTimerId;
-        model_.TopicsCleared();
-      });
-    }
+    // Right after the host's own withdrawal, 800 ms from now, unless a
+    // revive runs it sooner.
+    withdrawal_ = sim_.Schedule(Millis(800), [this]() {
+      withdrawal_ = kInvalidTimerId;
+      model_.TopicsCleared();
+    });
   }
   void Revive() {
     host_->Revive();
@@ -686,6 +690,7 @@ class DispatchWorld {
   Topology topology_;
   Simulator sim_;
   MetricsRegistry metrics_;
+  TraceCollector trace_;
   DispatchModel model_;
   IgnoreMessages ignore_;
   std::unique_ptr<TaoStore> tao_;
@@ -701,8 +706,8 @@ class DispatchWorld {
 
 // Seeded random lifetimes against the model: multi-topic streams, duplicate
 // topics, several apps on one topic, closes inside the dispatch window,
-// re-subscribes of live keys (one replacing the key's stream while another
-// resolves), drains, and fails followed by revives.
+// re-subscribes of live keys, resolves of one key that race, drains, and
+// fails followed by revives.
 class DispatchPlanPropertyTest : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
@@ -731,6 +736,7 @@ TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
   auto live = [&]() { return world.model().LiveKeys(); };
 
   bool alive = true;
+  int races = 0;
   for (int step = 0; step < 2000; ++step) {
     const size_t op = pick(100);
     if (!alive) {
@@ -742,7 +748,8 @@ TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
       world.Subscribe(new_key(), apps[pick(apps.size())], topics(), viewer());
     } else if (op < 38) {
       // Subscribe, cancel and subscribe again: two resolves of one key race,
-      // and the later one replaces the stream the earlier one installed.
+      // and only the later one installs.
+      ++races;
       StreamKey key = new_key();
       world.Subscribe(key, apps[pick(apps.size())], topics(), viewer());
       world.Cancel(key);
@@ -791,8 +798,8 @@ TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
   world.model().ExpectEveryGroupDispatched();
   // The draws reached the cases the plan cache must get right.
   EXPECT_GT(world.model().dispatches(), 100);
-  EXPECT_GT(world.model().replacements(), 0);
-  EXPECT_GT(world.model().stale_targets(), 0);
+  EXPECT_GT(races, 0);
+  EXPECT_EQ(world.model().replacements(), 0);
   EXPECT_GT(world.model().closed(), 20u);
 }
 
@@ -839,44 +846,80 @@ TEST(DispatchPlanTest, HotTopicWithUnchangedMembershipBuildsItsPlanOnce) {
   world.model().ExpectCounts(world.host());
 }
 
-// A key keeps its topics across a stream that replaces it and across its
-// stream's close: the replacing stream, and a later stream with the key,
-// get (and count) events on those topics too.
-TEST(DispatchPlanTest, KeysTopicsFollowTheStreamThatTakesTheKeyOver) {
-  DispatchWorld world(6, /*with_pylon=*/false);
+// Subscribe, cancel, subscribe on one key: two resolves race and only the
+// later one installs. The first app never sees the key, its topic never
+// lists it, and once the key's stream closes no topic lists it and Pylon
+// holds none of its topics. A later stream with the key is targeted
+// through its own topics only.
+TEST(DispatchPlanTest, SupersededResolveInstallsNothing) {
+  DispatchWorld world(6, /*with_pylon=*/true);
   const StreamKey key{7, 1};
-  // Two resolves of one key: A on x lands first, then B on y replaces it.
   world.Subscribe(key, "A", {"x"}, 1);
   world.Cancel(key);
   world.Subscribe(key, "B", {"y"}, 2, /*reads=*/400);
+  world.Run(Seconds(1));  // A's resolve returns first, then B's
+  ASSERT_EQ(world.model().LiveKeys(), std::vector<StreamKey>{key});
+  EXPECT_EQ(world.model().replacements(), 0);
+  EXPECT_EQ(world.PylonReplicasListing("x"), 0);
+  EXPECT_GT(world.PylonReplicasListing("y"), 0);
+  world.Publish("x");  // listed by no topic: reaches no app
   world.Run(Millis(30));
-  ASSERT_EQ(world.model().LiveKeys().size(), 1u);
-  ASSERT_EQ(world.model().replacements(), 0);
-  world.Publish("x");  // A's stream, on a plan built now
+  EXPECT_EQ(world.model().dispatches(), 0);
+  world.Publish("y");
   world.Run(Millis(30));
+  EXPECT_EQ(world.model().dispatches(), 1);
+
+  world.Cancel(key);
   world.Run(Seconds(1));
-  ASSERT_EQ(world.model().replacements(), 1);
-  world.Publish("x");  // B's stream, through x, which it never asked for
+  EXPECT_EQ(world.PylonReplicasListing("x"), 0);
+  EXPECT_EQ(world.PylonReplicasListing("y"), 0);
+  world.Publish("x");
   world.Run(Millis(30));
   world.Publish("y");
   world.Run(Millis(30));
-  EXPECT_EQ(world.model().dispatches(), 3);
-  EXPECT_EQ(world.model().stale_targets(), 1);
+  EXPECT_EQ(world.model().dispatches(), 1);
 
-  // The key's stream closes; x still lists the key, with no stream.
-  world.Cancel(key);
-  world.Run(Millis(30));
-  world.Publish("x");
-  world.Run(Millis(30));
-  EXPECT_EQ(world.model().dispatches(), 3);
-  // A new stream with the key, on z, is targeted through x at once.
   world.Subscribe(key, "C", {"z"}, 3);
   world.Run(Millis(30));
   world.Publish("x");
   world.Run(Millis(30));
-  EXPECT_EQ(world.model().dispatches(), 4);
+  EXPECT_EQ(world.model().dispatches(), 1);
+  world.Publish("z");
+  world.Run(Millis(30));
+  EXPECT_EQ(world.model().dispatches(), 2);
   world.model().ExpectEveryGroupDispatched();
   world.model().ExpectCounts(world.host());
+}
+
+// A stream that resumes before its first resolve returns is resolved again.
+// Only the later resolve installs it: it starts once, leaves one record,
+// and the earlier resolve's span ends "superseded".
+TEST(DispatchPlanTest, StreamResumedBeforeItsResolveInstallsOnce) {
+  DispatchWorld world(7, /*with_pylon=*/false);
+  const StreamKey key{8, 1};
+  world.Subscribe(key, "A", {"x"}, 1, /*reads=*/400);
+  world.Subscribe(key, "A", {"x"}, 1, /*reads=*/400);  // a resume of the open stream
+  world.Run(Seconds(1));
+  ASSERT_EQ(world.model().LiveKeys(), std::vector<StreamKey>{key});
+  EXPECT_EQ(world.model().replacements(), 0);
+  world.Publish("x");
+  world.Run(Millis(30));
+  EXPECT_EQ(world.model().dispatches(), 1);
+
+  world.Cancel(key);
+  world.Run(Seconds(1));
+  EXPECT_EQ(world.model().closed(), 1u);
+  ASSERT_EQ(world.host().closed_stream_records().size(), 1u);
+  EXPECT_EQ(world.host().closed_stream_records()[0].events_targeted, 1u);
+  world.model().ExpectCounts(world.host());
+
+  SpanQuery query;
+  query.name = "brass.subscribe";
+  std::vector<const Span*> subscribes = FindSpans(world.trace(), query);
+  ASSERT_EQ(subscribes.size(), 2u);
+  EXPECT_NE(subscribes[0]->FindAnnotation("superseded"), nullptr);
+  EXPECT_FALSE(subscribes[0]->open());
+  EXPECT_EQ(subscribes[1]->FindAnnotation("superseded"), nullptr);
 }
 
 // ---- registration-time descriptor validation (docs/BURST.md) ----

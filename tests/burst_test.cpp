@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/burst/client.h"
@@ -360,6 +361,7 @@ TEST_F(BurstTest, HostCrashRepairsOntoOtherHost) {
   BurstServer* other = serving == server1_.get() ? server2_.get() : server1_.get();
   FakeAppHandler& other_app = serving == server1_.get() ? app2_ : app1_;
 
+  const size_t flows_before = observer_.flow.size();
   serving->FailHost();
   sim_.RunFor(Seconds(2));
 
@@ -371,7 +373,8 @@ TEST_F(BurstTest, HostCrashRepairsOntoOtherHost) {
   bool saw_degraded = false;
   bool saw_recovered = false;
   bool saw_restarted = false;
-  for (auto& [s, status] : observer_.flow) {
+  for (size_t i = flows_before; i < observer_.flow.size(); ++i) {
+    const FlowStatus status = observer_.flow[i].second;
     saw_degraded |= status == FlowStatus::kDegraded;
     saw_recovered |= status == FlowStatus::kRecovered;
     saw_restarted |= status == FlowStatus::kRestarted;
@@ -824,6 +827,39 @@ TEST(BackoffTest, GrowsUnderRepeatedFailureAndResetsOnSuccess) {
   EXPECT_LE(first_retry_gap, Millis(200));
 }
 
+// Streams opened while the connection is still coming up are first
+// subscribes when it completes: the host starts them fresh, with no cold
+// resume and no kRestarted. Once sent, they resubscribe after a drop, and
+// the host takes each as a resume (warm or cold), not a first start.
+TEST_F(BurstTest, StreamsOpenedWhileConnectingAreFirstSubscribes) {
+  BurstClient::Connector handshake = [this](int64_t device_id, BurstClient::ConnectDone done) {
+    sim_.Schedule(Millis(10), [this, device_id, done = std::move(done)]() {
+      client_connector_(device_id, done);
+    });
+  };
+  FakeObserver observer;
+  BurstClient client(&sim_, 200, handshake, &observer, config_, &metrics_);
+  client.Subscribe(MakeHeader("test"));
+  client.Subscribe(MakeHeader("test"));
+  ASSERT_FALSE(client.connected());
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(client.connected());
+  EXPECT_EQ(app1_.started.size() + app2_.started.size(), 2u);
+  EXPECT_EQ(metrics_.GetCounter("burst.client_resubscribes").value(), 0);
+  EXPECT_EQ(metrics_.GetCounter("burst.server_stream_cold_resumes").value(), 0);
+  for (const auto& [sid, status] : observer.flow) {
+    EXPECT_NE(status, FlowStatus::kRestarted) << "stream " << sid;
+  }
+
+  client.SimulateConnectionDrop();
+  sim_.RunFor(Seconds(2));
+  ASSERT_TRUE(client.connected());
+  EXPECT_EQ(metrics_.GetCounter("burst.client_resubscribes").value(), 2);
+  EXPECT_EQ(metrics_.GetCounter("burst.server_stream_resumes").value() +
+                metrics_.GetCounter("burst.server_stream_cold_resumes").value(),
+            2);
+}
+
 TEST_F(BurstTest, ResumeAfterKeepTimeoutExpirySignalsRestart) {
   uint64_t sid = client_->Subscribe(MakeHeader("test"));
   sim_.RunFor(Seconds(1));
@@ -831,6 +867,7 @@ TEST_F(BurstTest, ResumeAfterKeepTimeoutExpirySignalsRestart) {
   // The device goes dark for longer than the server's keep timeout (10s in
   // this fixture): the host GCs the stream state (the retention grace from
   // the paper's resumption protocol).
+  const size_t flows_before = observer_.flow.size();
   client_->SetAutoReconnect(false);
   client_->SimulateConnectionDrop();
   sim_.RunFor(Seconds(15));
@@ -845,10 +882,8 @@ TEST_F(BurstTest, ResumeAfterKeepTimeoutExpirySignalsRestart) {
   // scratch and any gap was silently lost. The app layer needs the
   // "restarted" signal to re-snapshot.
   bool saw_restarted = false;
-  for (auto& [s, status] : observer_.flow) {
-    if (s == sid && status == FlowStatus::kRestarted) {
-      saw_restarted = true;
-    }
+  for (size_t i = flows_before; i < observer_.flow.size(); ++i) {
+    saw_restarted |= observer_.flow[i] == std::make_pair(sid, FlowStatus::kRestarted);
   }
   EXPECT_TRUE(saw_restarted);
   // Server-side it was a fresh start, not a resume.

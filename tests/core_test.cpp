@@ -57,6 +57,7 @@ TEST(ClusterTest, DeviceConnectorPrefersDeviceRegion) {
     auto connector = cluster.DeviceConnector(r, DeviceProfile::kWifi);
     std::shared_ptr<ConnectionEnd> end;
     connector(1000 + r, [&end](std::shared_ptr<ConnectionEnd> e) { end = std::move(e); });
+    cluster.sim().RunFor(2 * cluster.sim().lookahead());  // to the POP's LP and back
     ASSERT_NE(end, nullptr);
     // Find the POP holding the other side; it must be in region r.
     bool found = false;
@@ -82,6 +83,7 @@ TEST(ClusterTest, DeviceConnectorFallsBackWhenRegionPopsDead) {
   auto connector = cluster.DeviceConnector(0, DeviceProfile::kWifi);
   std::shared_ptr<ConnectionEnd> end;
   connector(42, [&end](std::shared_ptr<ConnectionEnd> e) { end = std::move(e); });
+  cluster.sim().RunFor(2 * cluster.sim().lookahead());  // to the POP's LP and back
   ASSERT_NE(end, nullptr);  // connected through another region's POP
 }
 

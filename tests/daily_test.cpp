@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "src/core/cluster.h"
 #include "src/core/daily.h"
@@ -55,6 +57,40 @@ TEST_F(DailyTest, SeriesArePopulatedAndConsistent) {
   }
   EXPECT_GT(total_subs, 50.0);
   EXPECT_GE(total_decisions, total_deliveries);
+}
+
+// The sampler reads the fleet-wide "burst.active_streams" gauge. At one LP
+// it must equal the scenario's devices' own open-stream counts whenever
+// one looks, here every 5 simulated seconds of a 3-hour day.
+TEST_F(DailyTest, ActiveStreamsGaugeMatchesTheDevices) {
+  Build(64);
+  DailyScenarioConfig config;
+  config.duration = Hours(3);
+  DailyScenario scenario(cluster_.get(), &graph_, config);
+  const Gauge& gauge = cluster_->metrics().GetGauge("burst.active_streams");
+  Simulator& sim = cluster_->sim();
+  const SimTime end = sim.Now() + config.duration;
+  int checks = 0;
+  int mismatches = 0;
+  std::string first_mismatch;
+  std::function<void()> check = [&]() {
+    double devices = 0.0;
+    for (int i = 0; i < scenario.num_users(); ++i) {
+      devices += static_cast<double>(scenario.device(i).burst().ActiveStreamCount());
+    }
+    ++checks;
+    if (gauge.value() != devices && mismatches++ == 0) {
+      first_mismatch = "at " + std::to_string(sim.Now()) + " us: gauge " +
+                       std::to_string(gauge.value()) + ", devices " + std::to_string(devices);
+    }
+    if (sim.Now() + Seconds(5) <= end) {
+      sim.Schedule(Seconds(5), check);
+    }
+  };
+  sim.Schedule(Seconds(5), check);
+  scenario.Run();
+  EXPECT_GE(checks, 2000);
+  EXPECT_EQ(mismatches, 0) << first_mismatch;
 }
 
 TEST_F(DailyTest, StreamRecordsAreCoherent) {

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/connection.h"
@@ -94,15 +95,26 @@ TEST(ConnectionTest, GracefulCloseDrainsInFlight) {
   EXPECT_EQ(handler_b.disconnects[0], DisconnectReason::kPeerClose);
 }
 
+// An abrupt failure loses what travels toward the failed end and what it
+// would still send; messages already in flight toward the survivor land
+// before it observes the failure (§4: each side learns on its own).
 TEST(ConnectionTest, AbruptFailureDropsInFlight) {
   Simulator sim;
   auto [a, b] = CreateConnection(&sim, LatencyModel::Fixed(10.0), Millis(100));
+  RecordingHandler handler_a;
   RecordingHandler handler_b;
+  a->set_handler(&handler_a);
   b->set_handler(&handler_b);
-  a->Send(std::make_shared<TextMessage>("lost"));
+  a->Send(std::make_shared<TextMessage>("toward the survivor"));
+  b->Send(std::make_shared<TextMessage>("toward the failed end"));
   a->Fail();
+  a->Send(std::make_shared<TextMessage>("after the failure"));
+  sim.RunFor(Millis(50));
+  b->Send(std::make_shared<TextMessage>("before b observes the failure"));
   sim.Run();
-  EXPECT_TRUE(handler_b.received.empty());  // §4: drops are real
+  EXPECT_TRUE(handler_a.received.empty());  // §4: drops are real
+  EXPECT_TRUE(handler_a.disconnects.empty());  // a failed itself; nothing tells it
+  EXPECT_EQ(handler_b.received, std::vector<std::string>{"toward the survivor"});
   ASSERT_EQ(handler_b.disconnects.size(), 1u);
   EXPECT_EQ(handler_b.disconnects[0], DisconnectReason::kPeerFailure);
 }
@@ -131,14 +143,93 @@ TEST(ConnectionTest, SendAfterCloseIsDropped) {
   EXPECT_TRUE(handler_b.received.empty());
 }
 
+// open() is each end's own view: the end that closes or fails turns false
+// at once, its peer only when the news reaches it.
 TEST(ConnectionTest, OpenReflectsState) {
   Simulator sim;
-  auto [a, b] = CreateConnection(&sim, LatencyModel::Fixed(1.0));
+  auto [a, b] = CreateConnection(&sim, LatencyModel::Fixed(1.0), Millis(100));
   EXPECT_TRUE(a->open());
   EXPECT_TRUE(b->open());
   a->Close();
   EXPECT_FALSE(a->open());
+  EXPECT_TRUE(b->open());
+  sim.RunFor(Millis(2));
   EXPECT_FALSE(b->open());
+
+  auto [c, d] = CreateConnection(&sim, LatencyModel::Fixed(1.0), Millis(100));
+  c->Fail();
+  EXPECT_FALSE(c->open());
+  sim.RunFor(Millis(99));
+  EXPECT_TRUE(d->open());
+  sim.RunFor(Millis(2));
+  EXPECT_FALSE(d->open());
+}
+
+// Logs what reaches one end, stamped with the receiving LP's clock.
+class TimedHandler : public ConnectionHandler {
+ public:
+  explicit TimedHandler(Simulator* sim) : sim_(sim) {}
+  void OnMessage(ConnectionEnd&, MessagePtr message) override {
+    log.push_back(std::to_string(sim_->Now()) + " " +
+                  std::static_pointer_cast<TextMessage>(message)->text);
+  }
+  void OnDisconnect(ConnectionEnd&, DisconnectReason reason) override {
+    log.push_back(std::to_string(sim_->Now()) + " " + ToString(reason));
+  }
+  std::vector<std::string> log;
+
+ private:
+  Simulator* sim_;
+};
+
+// One scripted program on one connection whose ends sit in LPs `lp_a` and
+// `lp_b`: traffic both ways, an abrupt failure of `a` with messages in
+// flight each way, and sends from both ends after `a` is down. Each action
+// runs in the LP of the end it acts on. Returns {a's log, b's log}.
+std::pair<std::vector<std::string>, std::vector<std::string>> RunConnectionScript(
+    Simulator& sim, LpId lp_a, LpId lp_b) {
+  auto [a, b] = CreateConnection(&sim, LatencyModel::Fixed(10.0), Millis(30));
+  a->BindLp(lp_a);
+  b->BindLp(lp_b);
+  TimedHandler handler_a(&sim);
+  TimedHandler handler_b(&sim);
+  a->set_handler(&handler_a);
+  b->set_handler(&handler_b);
+  auto send = [](const std::shared_ptr<ConnectionEnd>& end, const std::string& text) {
+    return [end, text]() { end->Send(std::make_shared<TextMessage>(text)); };
+  };
+  sim.ScheduleAt(lp_a, Millis(0), send(a, "a1"));
+  sim.ScheduleAt(lp_b, Millis(1), send(b, "b1"));
+  sim.ScheduleAt(lp_a, Millis(12), send(a, "a2"));   // b has a1 by now
+  sim.ScheduleAt(lp_b, Millis(13), send(b, "b2"));
+  sim.ScheduleAt(lp_a, Millis(15), [a = a]() { a->Fail(); });  // a2, b2 in flight
+  sim.ScheduleAt(lp_a, Millis(16), send(a, "a3"));   // after its own failure
+  sim.ScheduleAt(lp_b, Millis(20), send(b, "b3"));   // toward the failed end
+  sim.ScheduleAt(lp_b, Millis(50), send(b, "b4"));   // after b observed it
+  sim.Run();
+  return {handler_a.log, handler_b.log};
+}
+
+// The connection rules do not depend on the LP layout: the same program
+// gives the same deliveries, disconnect reasons and times with both ends in
+// one LP as with the ends in two LPs of a partitioned simulator.
+TEST(ConnectionTest, OneModelAtEveryLpLayout) {
+  Simulator one_lp(7);
+  auto [one_a, one_b] = RunConnectionScript(one_lp, kGlobalLp, kGlobalLp);
+
+  SimParallelOptions options;
+  options.num_lps = 3;
+  options.lookahead = Millis(5);
+  Simulator three_lps(7, options);
+  auto [split_a, split_b] = RunConnectionScript(three_lps, LpId(1), LpId(2));
+
+  const std::vector<std::string> want_a = {"11000 b1"};
+  const std::vector<std::string> want_b = {"10000 a1", "22000 a2", "45000 peer-failure"};
+  EXPECT_EQ(one_a, want_a);
+  EXPECT_EQ(one_b, want_b);
+  EXPECT_EQ(split_a, one_a);
+  EXPECT_EQ(split_b, one_b);
+  EXPECT_GT(three_lps.cross_lp_sends(), 0u);
 }
 
 TEST(ConnectionTest, UniqueConnectionIds) {

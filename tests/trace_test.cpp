@@ -72,13 +72,13 @@ ScenarioRun RunLvcScenario(uint64_t seed, double sample_rate = 1.0) {
 // which contains at least one "burst.deliver" span (i.e. an update that
 // made it all the way to a device).
 const TraceRecord* FindDeliveredUpdateTrace(const TraceCollector& trace) {
-  for (const TraceRecord& record : trace.Traces()) {
-    if (record.root() == nullptr || record.root()->name != "update") {
+  for (const TraceRecord* record : trace.AllTraces()) {
+    if (record->root() == nullptr || record->root()->name != "update") {
       continue;
     }
-    for (const Span& span : record.spans) {
+    for (const Span& span : record->spans) {
       if (span.name == "burst.deliver" && !span.open()) {
-        return &record;
+        return record;
       }
     }
   }
@@ -175,12 +175,12 @@ TEST(TraceDeterminismTest, SamplingKeepsSameTraceIds) {
   ScenarioRun sampled = RunLvcScenario(404, /*sample_rate=*/0.1);
 
   std::set<TraceId> full_ids;
-  for (const TraceRecord& record : full.cluster->trace().Traces()) {
-    full_ids.insert(record.trace_id);
+  for (const TraceRecord* record : full.cluster->trace().AllTraces()) {
+    full_ids.insert(record->trace_id);
   }
   std::set<TraceId> sampled_ids;
-  for (const TraceRecord& record : sampled.cluster->trace().Traces()) {
-    sampled_ids.insert(record.trace_id);
+  for (const TraceRecord* record : sampled.cluster->trace().AllTraces()) {
+    sampled_ids.insert(record->trace_id);
   }
   // Head-based sampling is a pure function of the trace id, so the sampled
   // run keeps a strict subset of the full run's trace ids.
