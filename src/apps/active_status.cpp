@@ -29,8 +29,6 @@ BrassAppFactory ActiveStatusApp::Factory(ActiveStatusConfig config) {
 BrassAppDescriptor ActiveStatusApp::Descriptor() {
   BrassAppDescriptor descriptor;
   descriptor.name = "AS";
-  descriptor.topic_prefix = "AS";
-  descriptor.priority_class = BrassPriorityClass::kLow;
   // Each batch is a diff against what the device last saw; collapsing two
   // batches would lose transitions, so batches queue but never conflate.
   descriptor.conflatable = false;

@@ -33,8 +33,8 @@ class ActiveStatusApp : public BrassApplication {
                const std::vector<BrassStream*>& streams) override;
 
   static BrassAppFactory Factory(ActiveStatusConfig config = {});
-  // QoS: low priority — a delayed batch self-heals on the next interval.
-  // Batches are stateful online/offline diffs, so they never conflate.
+  // QoS: batches are stateful online/offline diffs, so they never conflate;
+  // a delayed batch self-heals on the next interval.
   static BrassAppDescriptor Descriptor();
 
  private:

@@ -5,8 +5,6 @@ namespace bladerunner {
 LiveQueryAppSpec CommentFeedSpec() {
   LiveQueryAppSpec spec;
   spec.name = "LiveFeed";
-  spec.topic_prefix = "LQFeed";
-  spec.priority_class = BrassPriorityClass::kNormal;
   spec.conflatable = true;
   spec.fetch_payload = true;
   return spec;

@@ -93,8 +93,6 @@ BrassAppDescriptor LiveVideoCommentsApp::Descriptor() { return Descriptor(LvcCon
 BrassAppDescriptor LiveVideoCommentsApp::Descriptor(const LvcConfig& config) {
   BrassAppDescriptor descriptor;
   descriptor.name = "LVC";
-  descriptor.topic_prefix = "LVC";
-  descriptor.priority_class = BrassPriorityClass::kNormal;
   descriptor.routing = BrassRoutingPolicy::kByLoad;
   // Comments conflate per comment object (edits supersede); distinct
   // comments queue, shed, and ultimately degrade the stream to polling.

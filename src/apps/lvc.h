@@ -101,7 +101,7 @@ class LiveVideoCommentsApp : public BrassApplication {
                const std::vector<BrassStream*>& streams) override;
 
   static BrassAppFactory Factory(LvcConfig config = {});
-  // QoS: normal priority, conflatable per comment object, and the only app
+  // QoS: conflatable per comment object, and the only app
   // with a polling baseline to degrade to under overload. The config-aware
   // overload also declares the placement policy (where the quality floor
   // and pacing run) so POPs can honor it.

@@ -20,8 +20,6 @@ BrassAppFactory MessengerApp::Factory(MessengerConfig config) {
 BrassAppDescriptor MessengerApp::Descriptor() {
   BrassAppDescriptor descriptor;
   descriptor.name = "Messenger";
-  descriptor.topic_prefix = "Mailbox";
-  descriptor.priority_class = BrassPriorityClass::kHigh;
   // Mailbox delivery is sequenced and reliable: conflating or shedding a
   // message would force a gap poll, so the queue bound is deep instead.
   descriptor.conflatable = false;

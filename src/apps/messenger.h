@@ -39,8 +39,8 @@ class MessengerApp : public BrassApplication {
   void OnAck(BrassStream& stream, uint64_t seq) override;
 
   static BrassAppFactory Factory(MessengerConfig config = {});
-  // QoS: high priority and strictly sequenced — never conflated or shed
-  // ahead of lower classes; a deep queue bound absorbs mailbox bursts.
+  // QoS: strictly sequenced — never conflated; a deep queue bound absorbs
+  // mailbox bursts.
   static BrassAppDescriptor Descriptor();
 
  private:

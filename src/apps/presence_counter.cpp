@@ -5,8 +5,6 @@ namespace bladerunner {
 LiveQueryAppSpec PresenceCounterSpec() {
   LiveQueryAppSpec spec;
   spec.name = "LiveCount";
-  spec.topic_prefix = "LQCount";
-  spec.priority_class = BrassPriorityClass::kLow;
   spec.conflatable = true;
   spec.fetch_payload = false;
   return spec;

@@ -17,8 +17,6 @@ BrassAppFactory StoriesApp::Factory(StoriesConfig config) {
 BrassAppDescriptor StoriesApp::Descriptor() {
   BrassAppDescriptor descriptor;
   descriptor.name = "Stories";
-  descriptor.topic_prefix = "Stories";
-  descriptor.priority_class = BrassPriorityClass::kNormal;
   // "New story" pushes conflate per author (the latest story supersedes);
   // tray add/remove deltas are stateful and carry no conflation key.
   descriptor.conflatable = true;

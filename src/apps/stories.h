@@ -30,7 +30,7 @@ class StoriesApp : public BrassApplication {
                const std::vector<BrassStream*>& streams) override;
 
   static BrassAppFactory Factory(StoriesConfig config = {});
-  // QoS: normal priority; "new story" pushes conflate per author, but the
+  // QoS: "new story" pushes conflate per author, but the
   // stateful tray add/remove deltas never carry a conflation key.
   static BrassAppDescriptor Descriptor();
 

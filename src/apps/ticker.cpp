@@ -14,8 +14,6 @@ BrassAppFactory TickerApp::Factory(TickerConfig config) {
 BrassAppDescriptor TickerApp::Descriptor(TickerConfig config) {
   BrassAppDescriptor descriptor;
   descriptor.name = "Ticker";
-  descriptor.topic_prefix = "Ticker";
-  descriptor.priority_class = BrassPriorityClass::kHigh;
   descriptor.conflatable = false;
   descriptor.durable = config.durable;
   return descriptor;

@@ -28,7 +28,7 @@ class TickerApp : public BrassApplication {
                const std::vector<BrassStream*>& streams) override;
 
   static BrassAppFactory Factory(TickerConfig config = {});
-  // QoS: high priority, never conflatable (durable sequences must not be
+  // QoS: never conflatable (durable sequences must not be
   // coalesced away), no poll fallback.
   static BrassAppDescriptor Descriptor(TickerConfig config = {});
 

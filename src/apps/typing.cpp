@@ -14,8 +14,6 @@ BrassAppFactory TypingIndicatorApp::Factory(TypingConfig config) {
 BrassAppDescriptor TypingIndicatorApp::Descriptor() {
   BrassAppDescriptor descriptor;
   descriptor.name = "TI";
-  descriptor.topic_prefix = "TI";
-  descriptor.priority_class = BrassPriorityClass::kLow;
   // Only the latest typing state per (thread, typist) matters; shedding is
   // harmless, so the queue bound is tight and there is no poll fallback.
   descriptor.conflatable = true;

@@ -34,7 +34,7 @@ class TypingIndicatorApp : public BrassApplication {
                const std::vector<BrassStream*>& streams) override;
 
   static BrassAppFactory Factory(TypingConfig config = {});
-  // QoS: low priority (ephemeral UI hint), conflatable per (thread, typist)
+  // QoS: an ephemeral UI hint, conflatable per (thread, typist)
   // — only the latest typing state matters — with a small queue bound.
   static BrassAppDescriptor Descriptor();
 

@@ -2,8 +2,8 @@
 //
 // Each BRASS application declares its delivery policy once, at registration
 // time, instead of scattering per-app knobs across the router (SetAppPolicy
-// string lookups), the host, and Pylon. The descriptor is a leaf type — it
-// depends only on the standard library — so Pylon can read priority classes
+// string lookups) and the host. The descriptor is a leaf type — it depends
+// only on the standard library — so the POP can read placement and pacing
 // without pulling in the BRASS host headers.
 
 #ifndef BLADERUNNER_SRC_BRASS_APP_DESCRIPTOR_H_
@@ -19,14 +19,6 @@ namespace bladerunner {
 enum class BrassRoutingPolicy {
   kByLoad,   // least-loaded alive host (ties broken round-robin)
   kByTopic,  // hash of (app, subscription) so one topic lands on one host
-};
-
-// Priority class for publish-side backpressure: when Pylon's fanout queue is
-// full, pending sends are shed oldest-first starting from the lowest class.
-enum class BrassPriorityClass {
-  kHigh = 0,
-  kNormal = 1,
-  kLow = 2,
 };
 
 // Where an app's per-event processing stages run (docs/BURST.md
@@ -73,24 +65,8 @@ struct PopFilterSpec {
   double min_quality = 0.0;
 };
 
-inline const char* ToString(BrassPriorityClass c) {
-  switch (c) {
-    case BrassPriorityClass::kHigh:
-      return "high";
-    case BrassPriorityClass::kNormal:
-      return "normal";
-    case BrassPriorityClass::kLow:
-      return "low";
-  }
-  return "normal";
-}
-
 struct BrassAppDescriptor {
   std::string name;
-  // First segment of the app's Pylon topics (e.g. "Mailbox" for Messenger);
-  // Pylon maps a topic back to its priority class through this prefix.
-  std::string topic_prefix;
-  BrassPriorityClass priority_class = BrassPriorityClass::kNormal;
   BrassRoutingPolicy routing = BrassRoutingPolicy::kByLoad;
   // Whether queued deliveries on one stream may be coalesced newest-version
   // wins when they carry the same conflation key. Apps opt individual

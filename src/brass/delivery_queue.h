@@ -1,24 +1,30 @@
-// Bounded, conflating per-stream delivery queue.
+// Per-stream push pacing: the bounded, conflating delivery queue and the
+// PushPacer that releases it.
 //
-// When push pacing is on (BrassOverloadConfig::min_push_gap > 0), deliveries
-// that arrive faster than the stream's push budget wait here. Entries that
-// carry the same conflation key coalesce newest-version-wins — a hot object
-// occupies one pending slot no matter how often it updates — and when the
-// queue is full the oldest pending delivery is shed. The queue is pure data
-// structure (no simulator dependency) so tests can pin its semantics
-// directly.
+// Deliveries that arrive faster than a stream's push budget wait in a
+// ConflatingDeliveryQueue. Entries that carry the same conflation key
+// coalesce newest-version-wins — a hot object occupies one pending slot no
+// matter how often it updates — and when the queue is full the oldest
+// pending delivery is shed. The queue is pure data structure (no simulator
+// dependency) so tests can pin its semantics directly. A PushPacer owns a
+// stream's push slot, its queue and the one timer that releases the queue;
+// the BRASS host (BrassOverloadConfig::min_push_gap) and the POP
+// (BrassAppDescriptor::pop_push_gap_us) both pace with it.
 
 #ifndef BLADERUNNER_SRC_BRASS_DELIVERY_QUEUE_H_
 #define BLADERUNNER_SRC_BRASS_DELIVERY_QUEUE_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "src/graphql/value.h"
+#include "src/sim/simulator.h"
 #include "src/sim/time.h"
 #include "src/trace/collector.h"
 
@@ -64,6 +70,19 @@ struct DeliverOptions {
   // when the key names one object, the event creation time otherwise.
   uint64_t version = 0;
 };
+
+// Writes the stamps a device reads off every pushed payload: the update's
+// creation time (when known; Fig. 9's end-to-end leg), the push time, and
+// the app. Every push toward a device stamps through here, whether the
+// host or the POP sends it.
+inline void StampForDevice(Value& payload, const std::string& app, SimTime created_at,
+                           SimTime sent_at) {
+  if (created_at > 0) {
+    payload.Set("_createdAt", created_at);
+  }
+  payload.Set("_sentAt", sent_at);
+  payload.Set("_app", app);
+}
 
 struct PendingDelivery {
   Value payload;
@@ -137,6 +156,85 @@ class ConflatingDeliveryQueue {
 
  private:
   std::deque<PendingDelivery> entries_;
+};
+
+// One stream's push pacing: at most one push per `gap`. A delivery that
+// finds the slot taken (or others already waiting) goes into the queue,
+// and one timer releases the queue's front each time the slot frees. With
+// a gap of 0 the slot is always free and nothing ever waits.
+//
+// The timer is cancelled when the pacer is destroyed or assigned over, so
+// a release never outlives the stream it paces. A pacer with its timer
+// armed must not be moved from.
+class PushPacer {
+ public:
+  // Pushes one released delivery. It must not destroy the pacer.
+  using Release = std::function<void(PendingDelivery)>;
+
+  PushPacer() = default;
+  PushPacer(SimContext ctx, SimTime gap, Release release)
+      : ctx_(ctx), gap_(gap), release_(std::move(release)) {}
+  PushPacer(PushPacer&& other) noexcept { *this = std::move(other); }
+  PushPacer& operator=(PushPacer&& other) noexcept {
+    assert(other.timer_ == kInvalidTimerId && "an armed release is bound to its pacer");
+    CancelRelease();
+    ctx_ = other.ctx_;
+    gap_ = other.gap_;
+    release_ = std::move(other.release_);
+    queue_ = std::move(other.queue_);
+    next_push_at_ = other.next_push_at_;
+    return *this;
+  }
+  ~PushPacer() { CancelRelease(); }
+
+  // Takes the push slot if it is free and no delivery waits for it; the
+  // caller then pushes at once.
+  bool TakeSlot() {
+    const SimTime now = ctx_.Now();
+    if (!queue_.empty() || now < next_push_at_) {
+      return false;
+    }
+    next_push_at_ = now + gap_;
+    return true;
+  }
+
+  // The deliveries waiting for the slot. After offering one, call
+  // ScheduleRelease; a cleared queue leaves an armed release nothing to do.
+  ConflatingDeliveryQueue& queue() { return queue_; }
+  const ConflatingDeliveryQueue& queue() const { return queue_; }
+
+  // Arms the release for when the slot frees, unless it is armed already
+  // or nothing waits.
+  void ScheduleRelease() {
+    if (timer_ != kInvalidTimerId || queue_.empty()) {
+      return;
+    }
+    timer_ = ctx_.Schedule(std::max<SimTime>(next_push_at_ - ctx_.Now(), 1), [this]() {
+      timer_ = kInvalidTimerId;
+      if (queue_.empty()) {
+        return;
+      }
+      PendingDelivery next = queue_.PopFront();
+      next_push_at_ = ctx_.Now() + gap_;
+      release_(std::move(next));
+      ScheduleRelease();
+    });
+  }
+
+ private:
+  void CancelRelease() {
+    if (timer_ != kInvalidTimerId) {
+      ctx_.Cancel(timer_);
+      timer_ = kInvalidTimerId;
+    }
+  }
+
+  SimContext ctx_;
+  SimTime gap_ = 0;
+  Release release_;
+  ConflatingDeliveryQueue queue_;
+  SimTime next_push_at_ = 0;  // the slot frees at this time
+  TimerId timer_ = kInvalidTimerId;
 };
 
 }  // namespace bladerunner

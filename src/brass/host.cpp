@@ -263,6 +263,13 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
     trace_->Annotate(host_stream.stream_span, "app", Value(app));
   }
   HostStream& installed = InstallStream(key, std::move(host_stream));
+  // streams_ nodes never move, and erasing the stream destroys the pacer
+  // with its pending release.
+  installed.pacer = PushPacer(ctx_, config_.overload.min_push_gap,
+                              [this, &installed](PendingDelivery next) {
+                                PushNow(installed.app, installed.state, std::move(next.payload),
+                                        next.options);
+                              });
 
   // Durable tier: position the stream on its channel's log. An absent
   // resume token means a fresh subscriber (live tail from the current log
@@ -751,22 +758,16 @@ const BrassAppDescriptor* BrassHost::DescriptorFor(const std::string& app) const
 
 void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value payload,
                             const DeliverOptions& options) {
-  if (stream.stream == nullptr) {
+  auto hs = streams_.find(stream.key);
+  if (stream.stream == nullptr || hs == streams_.end()) {
     m_.deliveries_dropped->Increment();
     return;
   }
-  const SimTime gap = config_.overload.min_push_gap;
-  auto hs = streams_.find(stream.key);
-  if (hs != streams_.end() && hs->second.durable) {
-    DeliverDurable(hs->second, std::move(payload), options);
-    return;
-  }
-  if (gap <= 0 || hs == streams_.end()) {
-    // Unpaced fast path: identical to the pre-overload-control behavior.
-    PushNow(app, stream, std::move(payload), options);
-    return;
-  }
   HostStream& state = hs->second;
+  if (state.durable) {
+    DeliverDurable(state, std::move(payload), options);
+    return;
+  }
   RollShedWindow(state);
   if (state.degraded) {
     // The device is polling; streaming deliveries are dropped, but the
@@ -776,9 +777,7 @@ void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value p
     return;
   }
   state.window_attempts += 1;
-  const SimTime now = ctx_.Now();
-  if (state.queue.empty() && now >= state.next_push_at) {
-    state.next_push_at = now + gap;
+  if (state.pacer.TakeSlot()) {
     PushNow(app, stream, std::move(payload), options);
     return;
   }
@@ -790,7 +789,7 @@ void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value p
     bound = descriptor->max_pending_per_stream;
   }
   bound = std::max<size_t>(bound, 1);
-  auto result = state.queue.Offer(std::move(payload), options, conflatable, bound);
+  auto result = state.pacer.queue().Offer(std::move(payload), options, conflatable, bound);
   switch (result.outcome) {
     case ConflatingDeliveryQueue::Outcome::kConflated:
       m_.conflated->Increment();
@@ -813,7 +812,7 @@ void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value p
     case ConflatingDeliveryQueue::Outcome::kQueued:
       break;
   }
-  m_.delivery_queue_depth->Record(static_cast<double>(state.queue.size()));
+  m_.delivery_queue_depth->Record(static_cast<double>(state.pacer.queue().size()));
 
   // Degrade-to-poll: sustained shedding of a large fraction of the
   // stream's attempts means pacing alone cannot absorb the spike.
@@ -824,7 +823,7 @@ void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value p
     DegradeStream(stream.key, state);
     return;
   }
-  EnsureQueueDrainTimer(stream.key, std::max<SimTime>(state.next_push_at - now, 1));
+  state.pacer.ScheduleRelease();
 }
 
 void BrassHost::PushNow(const std::string& app, BrassStream& stream, Value payload,
@@ -846,12 +845,7 @@ void BrassHost::PushNow(const std::string& app, BrassStream& stream, Value paylo
         trace_->StartSpan(options.parent, "burst.deliver", "burst", region_, ctx_.Now());
     trace_->Annotate(deliver_span, "app", Value(app));
   }
-  // Stamp timing metadata so the device side can record Fig. 9's legs.
-  if (options.event_created_at > 0) {
-    payload.Set("_createdAt", options.event_created_at);
-  }
-  payload.Set("_sentAt", ctx_.Now());
-  payload.Set("_app", app);
+  StampForDevice(payload, app, options.event_created_at, ctx_.Now());
   stream.stream->PushData(std::move(payload), options.seq, deliver_span);
   if (options.event_created_at > 0) {
     AppMetricsFor(app).push_delay_us->Record(
@@ -1060,11 +1054,7 @@ void BrassHost::ReplayDurableBatch(const StreamKey& key) {
   batch.reserve(read.entries.size());
   for (const DurableEntry* entry : read.entries) {
     Value payload = entry->payload;
-    if (entry->created_at > 0) {
-      payload.Set("_createdAt", entry->created_at);
-    }
-    payload.Set("_sentAt", ctx_.Now());
-    payload.Set("_app", state.app);
+    StampForDevice(payload, state.app, entry->created_at, ctx_.Now());
     payload.Set("_seq", static_cast<int64_t>(entry->seq));
     m_.deliveries->Increment();
     app_metrics.deliveries->Increment();
@@ -1111,39 +1101,14 @@ void BrassHost::RollShedWindow(HostStream& state) {
   }
 }
 
-void BrassHost::EnsureQueueDrainTimer(const StreamKey& key, SimTime delay) {
-  auto hs = streams_.find(key);
-  if (hs == streams_.end() || hs->second.drain_timer_pending) {
-    return;
-  }
-  hs->second.drain_timer_pending = true;
-  ctx_.Schedule(std::max<SimTime>(delay, 1), [this, key]() {
-    auto it = streams_.find(key);
-    if (it == streams_.end()) {
-      return;  // stream closed (or host drained/failed) while waiting
-    }
-    HostStream& state = it->second;
-    state.drain_timer_pending = false;
-    if (state.degraded || state.queue.empty() || state.state.stream == nullptr) {
-      return;
-    }
-    PendingDelivery next = state.queue.PopFront();
-    state.next_push_at = ctx_.Now() + config_.overload.min_push_gap;
-    PushNow(state.app, state.state, std::move(next.payload), next.options);
-    if (!state.queue.empty()) {
-      EnsureQueueDrainTimer(key, config_.overload.min_push_gap);
-    }
-  });
-}
-
 void BrassHost::DegradeStream(const StreamKey& key, HostStream& state) {
   if (state.degraded || state.state.stream == nullptr) {
     return;
   }
   state.degraded = true;
   state.degraded_attempts = 0;
-  m_.degraded_drops->Increment(static_cast<int64_t>(state.queue.size()));
-  state.queue.Clear();
+  m_.degraded_drops->Increment(static_cast<int64_t>(state.pacer.queue().size()));
+  state.pacer.queue().Clear();
   m_.degrade_signals->Increment();
   AppMetricsFor(state.app).degrade_signals->Increment();
   // "burst.degrade" span covers the degraded-to-polling interval on the

@@ -228,10 +228,9 @@ class BrassHost : public BurstServerHandler {
     // error annotation when the stream fails or the host dies.
     TraceContext stream_span;
 
-    // ---- overload state (only used when pacing is configured) ----
-    ConflatingDeliveryQueue queue;
-    SimTime next_push_at = 0;          // earliest time the next push may go
-    bool drain_timer_pending = false;  // a queue-drain timer is scheduled
+    // ---- overload state ----
+    // Paces pushes at min_push_gap; set once the stream is installed.
+    PushPacer pacer;
     // Shed-rate window feeding the degrade-to-poll trigger.
     SimTime window_start = 0;
     uint64_t window_attempts = 0;
@@ -345,15 +344,12 @@ class BrassHost : public BurstServerHandler {
   void RemoveViewer(const std::string& app, UserId viewer);
 
   // ---- overload path (docs/OVERLOAD.md) ----
-  // The pre-overload-control push: accounting, deliver span, stamps, and
-  // the actual BURST PushData.
+  // One push that leaves now: accounting, deliver span, stamps, and the
+  // actual BURST PushData.
   void PushNow(const std::string& app, BrassStream& stream, Value payload,
                const DeliverOptions& options);
   // Rolls the shed-rate window of `state` forward past expired windows.
   void RollShedWindow(HostStream& state);
-  // Schedules (if not already pending) the timer that drains one queued
-  // delivery per min_push_gap.
-  void EnsureQueueDrainTimer(const StreamKey& key, SimTime delay);
   // Flips the stream to degrade-to-poll: drops its queue, signals the
   // device (flow_status degrade_to_poll), starts the recovery checks.
   void DegradeStream(const StreamKey& key, HostStream& state);

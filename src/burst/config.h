@@ -22,10 +22,6 @@ struct BurstConfig {
   // (heartbeat timeout; §4 footnote 11).
   SimTime failure_detection_delay = Millis(600);
 
-  // How long proxies keep the stored subscription request of a stream whose
-  // device-side path is gone before garbage-collecting it.
-  SimTime proxy_stream_gc_timeout = Seconds(30);
-
   // How long a BRASS host keeps the state of a detached stream so a
   // reconnect can resume seamlessly (§4 axiom 2, last paragraph).
   SimTime server_stream_keep_timeout = Seconds(30);
@@ -48,11 +44,6 @@ struct BurstConfig {
   // POP is a dumb forwarder and the deployment is byte-identical to the
   // pre-placement codebase, regardless of per-app BrassPlacement values.
   bool pop_placement_enabled = false;
-
-  // Entry bound of the per-POP versioned payload cache (LRU within the
-  // stale-read rule: a fill superseded by a newer observed version is
-  // delivered to its waiters but never cached).
-  size_t pop_payload_cache_capacity = 256;
 };
 
 }  // namespace bladerunner

@@ -12,6 +12,11 @@ namespace {
 // oldest is shed.
 constexpr size_t kPopMaxPendingPerStream = 8;
 
+// Entry bound of the POP's versioned payload cache (LRU within the
+// stale-read rule: a fill superseded by a newer observed version is
+// delivered to its waiters but never cached).
+constexpr size_t kPopPayloadCacheCapacity = 256;
+
 }  // namespace
 
 Pop::Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector,
@@ -23,7 +28,7 @@ Pop::Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector
       config_(config),
       metrics_(metrics),
       trace_(trace),
-      cache_(config.pop_payload_cache_capacity) {
+      cache_(kPopPayloadCacheCapacity) {
   assert(ctx_.sim() != nullptr && metrics_ != nullptr);
   m_.pop_device_disconnects = &metrics_->GetCounter("burst.pop_device_disconnects");
   m_.pop_failures = &metrics_->GetCounter("burst.pop_failures");
@@ -71,11 +76,6 @@ void Pop::FailPop() {
   }
   uplinks_.clear();
   uplink_by_conn_.clear();
-  for (auto& [key, state] : streams_) {
-    if (state.drain_timer != kInvalidTimerId) {
-      ctx_.Cancel(state.drain_timer);
-    }
-  }
   streams_.clear();
   flights_.clear();
 }
@@ -150,6 +150,12 @@ void Pop::HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message) {
     state.app = view.app();
     state.viewer = view.viewer();
     state.placement = ResolvePlacement(view);
+    if (state.placement != BrassPlacement::kRegional) {
+      state.pacer = PushPacer(ctx_, descriptors_(state.app)->pop_push_gap_us,
+                              [this, key = subscribe->key](PendingDelivery next) {
+                                ResolveAndDeliver({key}, next.payload, next.options);
+                              });
+    }
     // Stamp (or clear) the placement this POP will actually run, so the
     // BRASS host knows which stages it may delegate. A resubscribe through
     // an incapable POP thereby falls the stream back to fully regional
@@ -164,10 +170,7 @@ void Pop::HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message) {
     state.body = subscribe->body;
     state.device_conn = conn_id;
     device_conns_[conn_id].streams.insert(subscribe->key);
-    auto existing = streams_.find(subscribe->key);
-    if (existing != streams_.end() && existing->second.drain_timer != kInvalidTimerId) {
-      ctx_.Cancel(existing->second.drain_timer);
-    }
+    // A resubscribe replaces the stream's state, its pacer's release with it.
     auto [it, inserted] = streams_.insert_or_assign(subscribe->key, std::move(state));
     (void)inserted;
     ForwardSubscribeUp(subscribe->key, it->second, subscribe->resubscribe);
@@ -182,9 +185,6 @@ void Pop::HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message) {
         up->second.streams.erase(cancel->key);
       }
       device_conns_[conn_id].streams.erase(cancel->key);
-      if (it->second.drain_timer != kInvalidTimerId) {
-        ctx_.Cancel(it->second.drain_timer);
-      }
       streams_.erase(it);
       ResendFetchesVia(cancel->key);
     }
@@ -301,7 +301,7 @@ void Pop::HandleEnvelope(const EnvelopeFrame& frame) {
   // for the frame leaves, so the first fetch asks for its viewers too.
   std::vector<StreamKey> ready;
   for (const StreamKey& key : placed) {
-    if (AdmitEnvelope(key, streams_.find(key)->second, *descriptor, frame.metadata, options)) {
+    if (AdmitEnvelope(streams_.find(key)->second, *descriptor, frame.metadata, options)) {
       ready.push_back(key);
     }
   }
@@ -310,20 +310,13 @@ void Pop::HandleEnvelope(const EnvelopeFrame& frame) {
   }
 }
 
-bool Pop::AdmitEnvelope(const StreamKey& key, StreamState& state,
-                        const BrassAppDescriptor& descriptor, const Value& metadata,
-                        const DeliverOptions& options) {
-  const SimTime gap = descriptor.pop_push_gap_us;
-  if (gap <= 0) {
+bool Pop::AdmitEnvelope(StreamState& state, const BrassAppDescriptor& descriptor,
+                        const Value& metadata, const DeliverOptions& options) {
+  if (state.pacer.TakeSlot()) {
     return true;
   }
-  SimTime now = ctx_.Now();
-  if (state.queue.empty() && now >= state.next_push_at) {
-    state.next_push_at = now + gap;
-    return true;
-  }
-  ConflatingDeliveryQueue::OfferResult result =
-      state.queue.Offer(metadata, options, descriptor.conflatable, kPopMaxPendingPerStream);
+  ConflatingDeliveryQueue::OfferResult result = state.pacer.queue().Offer(
+      metadata, options, descriptor.conflatable, kPopMaxPendingPerStream);
   if (result.outcome == ConflatingDeliveryQueue::Outcome::kConflated) {
     m_.pop_conflated->Increment();
     if (trace_ != nullptr && options.parent.valid()) {
@@ -341,42 +334,8 @@ bool Pop::AdmitEnvelope(const StreamKey& key, StreamState& state,
       trace_->Annotate(span, "outcome", Value("shed"));
     }
   }
-  if (state.drain_timer == kInvalidTimerId) {
-    SimTime delay = std::max<SimTime>(state.next_push_at - now, 0);
-    state.drain_timer = ctx_.Schedule(delay, [this, key]() { DrainStreamQueue(key); });
-  }
+  state.pacer.ScheduleRelease();
   return false;
-}
-
-void Pop::DrainStreamQueue(const StreamKey& key) {
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    return;
-  }
-  StreamState& state = it->second;
-  state.drain_timer = kInvalidTimerId;
-  if (state.queue.empty()) {
-    return;
-  }
-  SimTime now = ctx_.Now();
-  if (now < state.next_push_at) {
-    state.drain_timer =
-        ctx_.Schedule(state.next_push_at - now, [this, key]() { DrainStreamQueue(key); });
-    return;
-  }
-  const BrassAppDescriptor* descriptor = descriptors_ ? descriptors_(state.app) : nullptr;
-  SimTime gap = descriptor != nullptr ? descriptor->pop_push_gap_us : 0;
-  PendingDelivery pending = state.queue.PopFront();
-  state.next_push_at = now + gap;
-  ResolveAndDeliver({key}, pending.payload, pending.options);
-  // ResolveAndDeliver may touch streams_ only via lookups; `it` stays valid,
-  // but re-find defensively in case a termination raced in.
-  auto again = streams_.find(key);
-  if (again != streams_.end() && !again->second.queue.empty() &&
-      again->second.drain_timer == kInvalidTimerId) {
-    again->second.drain_timer =
-        ctx_.Schedule(std::max<SimTime>(gap, 1), [this, key]() { DrainStreamQueue(key); });
-  }
 }
 
 void Pop::ResolveAndDeliver(const std::vector<StreamKey>& keys, const Value& metadata,
@@ -469,7 +428,7 @@ std::vector<int64_t> Pop::FetchSet(const std::string& app, int64_t object,
   }
   for (const auto& [key, state] : streams_) {
     if (state.placement != BrassPlacement::kRegional && state.app == app &&
-        state.queue.Holds(options.conflation_key, options.version)) {
+        state.pacer.queue().Holds(options.conflation_key, options.version)) {
       viewers.push_back(state.viewer);
     }
   }
@@ -600,11 +559,7 @@ void Pop::DeliverToDevice(const StreamKey& key, const StreamState& state, Value 
     trace_->Annotate(deliver_span, "app", Value(state.app));
     trace_->Annotate(deliver_span, "placement", Value("pop"));
   }
-  if (options.event_created_at > 0) {
-    payload.Set("_createdAt", options.event_created_at);
-  }
-  payload.Set("_sentAt", ctx_.Now());
-  payload.Set("_app", state.app);
+  StampForDevice(payload, state.app, options.event_created_at, ctx_.Now());
   m_.pop_deliveries->Increment();
   m_.pop_delivered_bytes->Increment(static_cast<int64_t>(payload.WireSize()));
   auto response = std::make_shared<ResponseFrame>();
@@ -645,9 +600,6 @@ void Pop::RemoveStream(const StreamKey& key) {
     return;
   }
   const StreamKey gone = key;
-  if (it->second.drain_timer != kInvalidTimerId) {
-    ctx_.Cancel(it->second.drain_timer);
-  }
   auto dev = device_conns_.find(it->second.device_conn);
   if (dev != device_conns_.end()) {
     dev->second.streams.erase(key);
@@ -698,9 +650,6 @@ void Pop::HandleDeviceDisconnect(uint64_t conn_id) {
       detached->reason = "device connection lost";
       SendUp(up->second, detached);
       up->second.streams.erase(key);
-    }
-    if (it->second.drain_timer != kInvalidTimerId) {
-      ctx_.Cancel(it->second.drain_timer);
     }
     streams_.erase(it);
     ResendFetchesVia(key);

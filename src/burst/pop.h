@@ -106,10 +106,9 @@ class Pop : public ConnectionHandler {
     BrassPlacement placement = BrassPlacement::kRegional;
     std::string app;    // cached from the header; keys descriptor lookups
     int64_t viewer = 0; // cached from the header; keys privacy decisions
-    // kPopFilterConflate: pending envelopes awaiting a push slot.
-    ConflatingDeliveryQueue queue;
-    SimTime next_push_at = 0;
-    TimerId drain_timer = kInvalidTimerId;
+    // kPopFilterConflate: paces the stream's envelopes at the app's
+    // pop_push_gap_us.
+    PushPacer pacer;
   };
 
   struct DeviceConn {
@@ -165,11 +164,8 @@ class Pop : public ConnectionHandler {
   void HandleEnvelope(const EnvelopeFrame& frame);
   // Paces one stream's copy of an envelope: true when its push slot is free
   // (resolve now), otherwise queued, conflated or shed behind the slot.
-  bool AdmitEnvelope(const StreamKey& key, StreamState& state,
-                     const BrassAppDescriptor& descriptor, const Value& metadata,
-                     const DeliverOptions& options);
-  // Pacing drain for one stream's conflation queue.
-  void DrainStreamQueue(const StreamKey& key);
+  bool AdmitEnvelope(StreamState& state, const BrassAppDescriptor& descriptor,
+                     const Value& metadata, const DeliverOptions& options);
   // Resolves one envelope to a payload for each of `keys` (placed streams
   // of one app) via the cache; the misses join the object version's flight,
   // which asks the region for the viewers no outstanding request covers.

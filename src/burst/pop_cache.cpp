@@ -83,15 +83,4 @@ const PopPayloadCache::Entry* PopPayloadCache::Peek(const std::string& app, int6
   return it == index_.end() ? nullptr : &it->second->entry;
 }
 
-void PopPayloadCache::AddDecisions(const std::string& app, int64_t object, uint64_t version,
-                                   const std::vector<std::pair<int64_t, bool>>& decisions) {
-  auto it = index_.find(ObjectVersionKey{app, object, version});
-  if (it == index_.end()) {
-    return;
-  }
-  for (const auto& [viewer, allowed] : decisions) {
-    it->second->entry.decisions[viewer] = allowed;
-  }
-}
-
 }  // namespace bladerunner

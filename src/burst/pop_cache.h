@@ -55,12 +55,6 @@ class PopPayloadCache {
   // Get without the LRU refresh, for inspection.
   const Entry* Peek(const std::string& app, int64_t object, uint64_t version) const;
 
-  // Merges additional per-viewer decisions into an existing entry (a later
-  // fill requested for a viewer the first fill did not cover). No-op if the
-  // entry is gone.
-  void AddDecisions(const std::string& app, int64_t object, uint64_t version,
-                    const std::vector<std::pair<int64_t, bool>>& decisions);
-
   size_t size() const { return index_.size(); }
   uint64_t lru_evictions() const { return lru_evictions_; }
   uint64_t version_invalidations() const { return version_invalidations_; }

@@ -6,13 +6,12 @@
 namespace bladerunner {
 
 ReverseProxy::ReverseProxy(Simulator* sim, ProxyId proxy_id, RegionId region,
-                           BurstServerDirectory* directory, BurstConfig config,
-                           MetricsRegistry* metrics, TraceCollector* trace)
+                           BurstServerDirectory* directory, MetricsRegistry* metrics,
+                           TraceCollector* trace)
     : ctx_(sim),
       proxy_id_(proxy_id),
       region_(region),
       directory_(directory),
-      config_(config),
       metrics_(metrics),
       trace_(trace) {
   assert(ctx_.sim() != nullptr && directory_ != nullptr && metrics_ != nullptr);

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/burst/config.h"
 #include "src/burst/frames.h"
 #include "src/burst/ids.h"
 #include "src/net/connection.h"
@@ -62,7 +61,7 @@ class BurstServerDirectory {
 class ReverseProxy : public ConnectionHandler {
  public:
   ReverseProxy(Simulator* sim, ProxyId proxy_id, RegionId region,
-               BurstServerDirectory* directory, BurstConfig config, MetricsRegistry* metrics,
+               BurstServerDirectory* directory, MetricsRegistry* metrics,
                TraceCollector* trace = nullptr);
 
   ProxyId proxy_id() const { return proxy_id_; }
@@ -137,7 +136,6 @@ class ReverseProxy : public ConnectionHandler {
   ProxyId proxy_id_;
   RegionId region_;
   BurstServerDirectory* directory_;
-  BurstConfig config_;
   MetricsRegistry* metrics_;
   Metrics m_;
   TraceCollector* trace_;

@@ -52,8 +52,8 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
       trace_(ResolveTraceConfig(config_.trace, config_.seed), sim_.num_lps()) {
   app_registry_ = BuildStandardAppRegistry(config_.apps);
   if (config_.livequery.enabled) {
-    // Declarative live-query apps join the registry before the priority
-    // resolver below is built, so their topic prefixes get QoS classes too.
+    // Declarative live-query apps join the registry before any host, router
+    // or POP reads it.
     app_registry_["LiveFeed"] =
         BrassAppRegistration{CommentFeedDescriptor(), CommentFeedFactory()};
     app_registry_["LiveCount"] =
@@ -80,16 +80,6 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
   tao_ = std::make_unique<TaoStore>(&sim_, &topology_, config_.tao, &metrics_);
   if (config_.enable_pylon) {
     pylon_ = std::make_unique<PylonCluster>(&sim_, &topology_, config_.pylon, &metrics_, &trace_);
-    // Publish-side priority classes come from the same app descriptors the
-    // BRASS side registers; keyed by the apps' topic prefixes.
-    std::map<std::string, BrassPriorityClass> priorities;
-    for (const auto& [name, registration] : app_registry_) {
-      priorities[registration.descriptor.topic_prefix] = registration.descriptor.priority_class;
-    }
-    pylon_->SetPriorityResolver([priorities](const std::string& prefix) {
-      auto it = priorities.find(prefix);
-      return it != priorities.end() ? it->second : BrassPriorityClass::kNormal;
-    });
   }
   for (RegionId r = 0; r < topology_.num_regions(); ++r) {
     auto was = std::make_unique<WebAppServer>(&sim_, r, tao_.get(), pylon_.get(), config_.was,
@@ -132,8 +122,7 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
   for (RegionId r = 0; r < topology_.num_regions(); ++r) {
     for (int i = 0; i < config_.proxies_per_region; ++i) {
       proxies_.push_back(std::make_unique<ReverseProxy>(&sim_, ProxyId(next_proxy_id++), r,
-                                                        router_.get(), config_.burst, &metrics_,
-                                                        &trace_));
+                                                        router_.get(), &metrics_, &trace_));
     }
   }
 

@@ -21,8 +21,6 @@ BrassAppFactory LiveQueryAdapterApp::Factory(LiveQueryAppSpec spec) {
 BrassAppDescriptor LiveQueryAdapterApp::Descriptor(const LiveQueryAppSpec& spec) {
   BrassAppDescriptor descriptor;
   descriptor.name = spec.name;
-  descriptor.topic_prefix = spec.topic_prefix;
-  descriptor.priority_class = spec.priority_class;
   descriptor.conflatable = spec.conflatable;
   return descriptor;
 }

@@ -18,9 +18,7 @@
 namespace bladerunner {
 
 struct LiveQueryAppSpec {
-  std::string name;          // BRASS app name (registry key)
-  std::string topic_prefix;  // first segment of the app's view topics
-  BrassPriorityClass priority_class = BrassPriorityClass::kNormal;
+  std::string name;  // BRASS app name (registry key)
   bool conflatable = true;
   // Content-bearing ops ("insert"/"update") fetch the row payload through
   // the WAS fetch handler registered under `name`; metadata-only apps

@@ -38,17 +38,6 @@ PylonServer* PylonCluster::RouteServer(const Topic& topic) {
   return servers_[shard % servers_.size()].get();
 }
 
-BrassPriorityClass PylonCluster::PriorityForTopic(const Topic& topic) const {
-  if (!priority_resolver_) {
-    return BrassPriorityClass::kNormal;
-  }
-  std::vector<std::string> parts = SplitTopic(topic);
-  if (parts.empty()) {
-    return BrassPriorityClass::kNormal;
-  }
-  return priority_resolver_(parts.front());
-}
-
 std::vector<KvNode*> PylonCluster::ReplicasFor(const Topic& topic, RegionId home_region,
                                                const KvNode* assume_live) {
   std::vector<KvNode*> replicas;

@@ -6,14 +6,12 @@
 #define BLADERUNNER_SRC_PYLON_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/brass/app_descriptor.h"
 #include "src/net/rpc.h"
 #include "src/net/topology.h"
 #include "src/pylon/config.h"
@@ -70,17 +68,6 @@ class PylonCluster {
   size_t NumKvNodes() const { return kv_nodes_.size(); }
   KvNode* KvNodeAt(size_t i) { return kv_nodes_[i].get(); }
 
-  // ---- Publish-side priority classes ----
-
-  // Maps a topic's leading segment (the app prefix, e.g. "LVC") to the
-  // publishing app's priority class. Installed by the cluster assembly from
-  // the BRASS app descriptors; unknown prefixes resolve to normal.
-  using PriorityResolver = std::function<BrassPriorityClass(const std::string& prefix)>;
-  void SetPriorityResolver(PriorityResolver resolver) {
-    priority_resolver_ = std::move(resolver);
-  }
-  BrassPriorityClass PriorityForTopic(const Topic& topic) const;
-
   // ---- Subscriber (BRASS host) directory ----
 
   void RegisterSubscriberHost(int64_t host_id, RegionId region, RpcServer* rpc);
@@ -118,7 +105,6 @@ class PylonCluster {
   std::map<uint64_t, KvNode*> kv_by_id_;
 
   std::map<int64_t, SubscriberHostRef> subscriber_hosts_;
-  PriorityResolver priority_resolver_;
 
   std::map<std::pair<RegionId, uint64_t>, std::unique_ptr<RpcChannel>> kv_channels_;
   std::map<std::pair<RegionId, int64_t>, std::unique_ptr<RpcChannel>> host_channels_;

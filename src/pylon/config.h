@@ -3,7 +3,6 @@
 #ifndef BLADERUNNER_SRC_PYLON_CONFIG_H_
 #define BLADERUNNER_SRC_PYLON_CONFIG_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "src/sim/time.h"
@@ -44,14 +43,6 @@ struct PylonConfig {
   // forward (queuing, dedup, serialization batches); calibrated so the
   // publish->BRASS delivery average lands at Table 3's ~100ms.
   double fanout_pipeline_ms = 50.0;
-
-  // Publish-side backpressure: per-server bound on fanout sends sitting in
-  // the internal pipeline (scheduled but not yet on the wire). When full,
-  // the oldest pending send of the lowest priority class at-or-below the
-  // incoming event's class is shed; if every pending send outranks the
-  // incoming event, the incoming send is shed instead. 0 = unbounded
-  // (the pre-overload-control behavior, bit-identical timing).
-  size_t max_pending_fanout_sends = 0;
 
   // Forward a publish as soon as the first replica's subscriber list
   // arrives (§3.1), patching in stragglers later. Disabling waits for a

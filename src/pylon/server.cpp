@@ -16,12 +16,6 @@ PylonServer::PylonServer(Simulator* sim, PylonCluster* cluster, uint64_t server_
   MetricsRegistry* metrics = cluster_->metrics();
   m_.publishes = &metrics->GetCounter("pylon.publishes");
   m_.fanout_dead_hosts = &metrics->GetCounter("pylon.fanout_dead_hosts");
-  m_.fanout_shed = &metrics->GetCounter("pylon.fanout_shed");
-  for (size_t cls = 0; cls < m_.fanout_shed_by_class.size(); ++cls) {
-    m_.fanout_shed_by_class[cls] = &metrics->GetCounter(
-        std::string("pylon.fanout_shed.") + ToString(static_cast<BrassPriorityClass>(cls)));
-  }
-  m_.fanout_pending_depth = &metrics->GetHistogram("pylon.fanout_pending_depth");
   m_.fanout_sends = &metrics->GetCounter("pylon.fanout_sends");
   m_.fanout_send_delay_us = &metrics->GetHistogram("pylon.fanout_send_delay_us");
   m_.fanout_bytes = &metrics->GetCounter("pylon.fanout_bytes");
@@ -106,10 +100,7 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
 
   const double send_us = config.per_subscriber_send_us;
   const double pipeline_ms = config.fanout_pipeline_ms;
-  const size_t pending_cap = config.max_pending_fanout_sends;
-  const BrassPriorityClass incoming = cluster_->PriorityForTopic(event->topic);
-  auto forward_new = [this, event, state, received_at, send_us, pipeline_ms,
-                      pending_cap, incoming, tracer,
+  auto forward_new = [this, event, state, received_at, send_us, pipeline_ms, tracer,
                       publish_span](const std::vector<int64_t>& subscribers) {
     // The fanout batch size informs the Table 3 small/large latency split;
     // carried on each delivery so receivers can bucket their measurements.
@@ -123,15 +114,6 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
       RpcChannel* channel = cluster_->ChannelToHost(region_, host);
       if (channel == nullptr) {
         m_.fanout_dead_hosts->Increment();
-        continue;
-      }
-      if (pending_cap > 0 && pending_sends_.size() >= pending_cap &&
-          !ShedLowerPriority(incoming)) {
-        // Every queued send outranks this event: shed it on arrival, before
-        // any serialization cost is drawn — an under-bound run therefore
-        // consumes the RNG in exactly the unbounded order.
-        m_.fanout_shed->Increment();
-        m_.fanout_shed_by_class[static_cast<size_t>(incoming)]->Increment();
         continue;
       }
       auto delivery = std::make_shared<BrassEventDelivery>();
@@ -159,7 +141,7 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
       // the cached channel — a stale pointer here would be use-after-free.
       PylonCluster* cluster = cluster_;
       RegionId region = region_;
-      auto do_send = [cluster, region, host, delivery]() {
+      ctx_.Schedule(send_cost, [cluster, region, host, delivery]() {
         RpcChannel* live_channel = cluster->ChannelToHost(region, host);
         if (live_channel == nullptr) {
           return;  // host gone: the delivery is simply lost (§4)
@@ -167,22 +149,7 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
         live_channel->Call("brass.event", delivery, [](RpcStatus, MessagePtr) {
           // Best-effort: a failed delivery is simply lost (§4).
         });
-      };
-      if (pending_cap > 0) {
-        // Bounded pipeline: the send is tracked until it fires so a later
-        // higher-priority publish can shed it. The wrapper only does
-        // bookkeeping — fire time and send behavior are unchanged.
-        uint64_t send_id = next_send_id_++;
-        TimerId timer = ctx_.Schedule(send_cost, [this, send_id, do_send]() {
-          pending_sends_.erase(send_id);
-          do_send();
-        });
-        pending_sends_[send_id] = PendingSend{timer, incoming};
-        pending_by_class_[static_cast<size_t>(incoming)].push_back(send_id);
-        m_.fanout_pending_depth->Record(static_cast<double>(pending_sends_.size()));
-      } else {
-        ctx_.Schedule(send_cost, do_send);
-      }
+      });
       m_.fanout_sends->Increment();
       m_.fanout_send_delay_us->Record(static_cast<double>(pylon_delay));
       // Bandwidth accounting for the event-vs-payload ablation: bytes the
@@ -268,27 +235,6 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
           cluster_->config().kv_timeout);
     });
   }
-}
-
-bool PylonServer::ShedLowerPriority(BrassPriorityClass incoming) {
-  for (int cls = static_cast<int>(BrassPriorityClass::kLow);
-       cls >= static_cast<int>(incoming); --cls) {
-    auto& fifo = pending_by_class_[static_cast<size_t>(cls)];
-    while (!fifo.empty()) {
-      uint64_t id = fifo.front();
-      fifo.pop_front();
-      auto it = pending_sends_.find(id);
-      if (it == pending_sends_.end()) {
-        continue;  // already fired; lazily dropped
-      }
-      ctx_.Cancel(it->second.timer);
-      pending_sends_.erase(it);
-      m_.fanout_shed->Increment();
-      m_.fanout_shed_by_class[static_cast<size_t>(cls)]->Increment();
-      return true;
-    }
-  }
-  return false;
 }
 
 void PylonServer::HandleSubscribe(MessagePtr request, RpcServer::Respond respond) {

@@ -4,13 +4,9 @@
 #ifndef BLADERUNNER_SRC_PYLON_SERVER_H_
 #define BLADERUNNER_SRC_PYLON_SERVER_H_
 
-#include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 
-#include "src/brass/app_descriptor.h"
 #include "src/net/rpc.h"
 #include "src/net/topology.h"
 #include "src/pylon/messages.h"
@@ -42,28 +38,12 @@ class PylonServer {
   // that is the §4 signal BRASSes propagate to their clients.
   void HandleSubscribe(MessagePtr request, RpcServer::Respond respond);
 
-  // Cancels the oldest pending fanout send whose priority class is at or
-  // below `incoming` (scanning the lowest class first). Returns false when
-  // every pending send outranks the incoming event, in which case the
-  // caller sheds the incoming send instead.
-  bool ShedLowerPriority(BrassPriorityClass incoming);
-
-  // A fanout send scheduled into the internal pipeline but not yet on the
-  // wire — the unit the publish-side backpressure bound counts.
-  struct PendingSend {
-    TimerId timer = kInvalidTimerId;
-    BrassPriorityClass priority = BrassPriorityClass::kNormal;
-  };
-
   // Metric handles resolved once at construction (docs/PERF.md): the
   // publish/fanout path increments through these pointers instead of
   // re-resolving string-keyed registry lookups per event.
   struct Metrics {
     Counter* publishes;
     Counter* fanout_dead_hosts;
-    Counter* fanout_shed;
-    std::array<Counter*, 3> fanout_shed_by_class;  // indexed by BrassPriorityClass
-    Histogram* fanout_pending_depth;
     Counter* fanout_sends;
     Histogram* fanout_send_delay_us;
     Counter* fanout_bytes;
@@ -83,11 +63,6 @@ class PylonServer {
   RegionId region_;
   Metrics m_;
   RpcServer rpc_;
-  std::map<uint64_t, PendingSend> pending_sends_;
-  // FIFO of send ids per priority class; ids whose send already fired are
-  // dropped lazily when a shed scan reaches them.
-  std::array<std::deque<uint64_t>, 3> pending_by_class_;
-  uint64_t next_send_id_ = 1;
 };
 
 }  // namespace bladerunner

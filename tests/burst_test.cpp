@@ -139,10 +139,8 @@ class BurstTest : public ::testing::Test {
     directory_->AddHost(1, server1_.get());
     directory_->AddHost(2, server2_.get());
 
-    proxy_ =
-        std::make_unique<ReverseProxy>(&sim_, ProxyId(1), 0, directory_.get(), config_, &metrics_);
-    proxy2_ =
-        std::make_unique<ReverseProxy>(&sim_, ProxyId(2), 0, directory_.get(), config_, &metrics_);
+    proxy_ = std::make_unique<ReverseProxy>(&sim_, ProxyId(1), 0, directory_.get(), &metrics_);
+    proxy2_ = std::make_unique<ReverseProxy>(&sim_, ProxyId(2), 0, directory_.get(), &metrics_);
 
     pop_connector_ = [this](Pop*, RegionId, ProxyId exclude) -> Pop::Uplink {
       ReverseProxy* target = nullptr;
@@ -598,7 +596,7 @@ TEST(ProxyRouteTest, EnvelopeFrameIsSplitPerPop) {
   FakeDirectory directory(&sim);
   BurstServer server(&sim, 1, &app, config, &metrics);
   directory.AddHost(1, &server);
-  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, config, &metrics);
+  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics);
 
   FrameRecorder pops[2];
   std::vector<std::shared_ptr<ConnectionEnd>> pop_ends;
@@ -652,7 +650,7 @@ TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
   BurstServer server2(&sim, 2, &app2, config, &metrics);
   directory.AddHost(1, &server1);
   directory.AddHost(2, &server2);
-  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, config, &metrics);
+  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics);
 
   auto [pop_end, proxy_end] = CreateConnection(&sim, LatencyModel::Fixed(2.0), Millis(50));
   FrameRecorder pop;

@@ -1,23 +1,25 @@
-// Overload-control tests: bounded conflating delivery queues, host admission
-// budgets with router spill/reject, drain-aware routing, degrade-to-poll
-// fallback under a hot-topic spike, and Pylon publish-side backpressure with
-// priority classes (docs/OVERLOAD.md).
+// Overload-control tests: bounded conflating delivery queues, the push
+// pacer the host and the POP share, host admission budgets with router
+// spill/reject, drain-aware routing, and degrade-to-poll fallback under a
+// hot-topic spike (docs/OVERLOAD.md).
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/brass/delivery_queue.h"
+#include "src/brass/host.h"
 #include "src/core/cluster.h"
 #include "src/core/device.h"
+#include "src/net/connection.h"
 #include "src/net/rpc.h"
-#include "src/pylon/cluster.h"
 #include "src/pylon/messages.h"
-#include "src/pylon/topic.h"
 #include "src/sim/simulator.h"
+#include "src/tao/store.h"
+#include "src/was/server.h"
 #include "src/workload/social_gen.h"
 
 namespace bladerunner {
@@ -374,139 +376,168 @@ TEST(OverloadClusterTest, HotTopicSpikeDegradesToPollAndRecovers) {
   EXPECT_EQ(viewer->active_fallback_pollers(), 0u);
 }
 
-// ---- Pylon publish-side backpressure ----
+// ---- PushPacer unit tests ----
 
-// Drives a PylonCluster directly with fake subscriber hosts (pylon_test.cpp
-// idiom) so the pending-send pipeline can be saturated deterministically.
-class PylonBackpressureTest : public ::testing::Test {
- protected:
-  PylonBackpressureTest() : topology_(Topology::ThreeRegions()), sim_(11) {
-    PylonConfig config;
-    config.servers_per_region = 2;
-    config.kv_nodes_per_region = 2;
-    config.max_pending_fanout_sends = 4;
-    cluster_ = std::make_unique<PylonCluster>(&sim_, &topology_, config, &metrics_, &trace_);
-    cluster_->SetPriorityResolver([](const std::string& prefix) {
-      if (prefix == "Mailbox") {
-        return BrassPriorityClass::kHigh;
-      }
-      if (prefix == "TI") {
-        return BrassPriorityClass::kLow;
-      }
-      return BrassPriorityClass::kNormal;
-    });
+TEST(PushPacerTest, GapOfZeroAlwaysTakesTheSlot) {
+  Simulator sim(1);
+  int released = 0;
+  PushPacer pacer(&sim, 0, [&released](PendingDelivery) { ++released; });
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(pacer.TakeSlot());
   }
+  sim.RunFor(Millis(1));
+  EXPECT_TRUE(pacer.TakeSlot());
+  EXPECT_TRUE(pacer.queue().empty());
+  EXPECT_EQ(released, 0);
+}
 
-  // Registers a fake BRASS host that records which topics reach it.
-  void AddHost(int64_t host_id) {
-    auto host = std::make_unique<FakeHost>();
-    host->rpc.RegisterMethod("brass.event",
-                             [raw = host.get()](MessagePtr request, RpcServer::Respond respond) {
-                               auto delivery = std::static_pointer_cast<BrassEventDelivery>(request);
-                               raw->received.push_back(delivery->event->topic);
-                               respond(std::make_shared<PylonAck>());
-                             });
-    cluster_->RegisterSubscriberHost(host_id, 0, &host->rpc);
-    hosts_[host_id] = std::move(host);
-  }
+TEST(PushPacerTest, ReleasesTheQueueOnePushPerGap) {
+  Simulator sim(1);
+  std::vector<std::pair<SimTime, std::string>> released;
+  PushPacer pacer(&sim, Millis(100), [&](PendingDelivery next) {
+    released.emplace_back(sim.Now(), next.payload.Get("tag").AsString());
+  });
+  ASSERT_TRUE(pacer.TakeSlot());
+  EXPECT_FALSE(pacer.TakeSlot());
+  pacer.queue().Offer(Payload("a"), DeliverOptions{}, false, 8);
+  pacer.queue().Offer(Payload("b"), DeliverOptions{}, false, 8);
+  pacer.ScheduleRelease();
+  pacer.ScheduleRelease();  // already armed: still one release per slot
+  sim.RunFor(Millis(250));
+  ASSERT_EQ(released.size(), 2u);
+  EXPECT_EQ(released[0], std::make_pair(Millis(100), std::string("a")));
+  EXPECT_EQ(released[1], std::make_pair(Millis(200), std::string("b")));
+  // The last release took the slot until 300 ms.
+  EXPECT_FALSE(pacer.TakeSlot());
+  sim.RunFor(Millis(50));
+  EXPECT_TRUE(pacer.TakeSlot());
+}
 
-  bool Subscribe(const Topic& topic, int64_t host_id) {
-    PylonServer* server = cluster_->RouteServer(topic);
-    RpcChannel channel(&sim_, server->rpc(), LatencyModel::IntraRegion());
-    auto request = std::make_shared<PylonSubscribeRequest>();
-    request->topic = topic;
-    request->host_id = host_id;
-    request->subscribe = true;
-    bool ok = false;
-    channel.Call("pylon.subscribe", request, [&](RpcStatus status, MessagePtr response) {
-      ok = status == RpcStatus::kOk && std::static_pointer_cast<PylonAck>(response)->ok;
-    });
-    sim_.RunFor(Seconds(3));
-    return ok;
-  }
-
-  void Publish(const Topic& topic) {
-    PylonServer* server = cluster_->RouteServer(topic);
-    RpcChannel channel(&sim_, server->rpc(), LatencyModel::IntraRegion());
-    auto event = std::make_shared<UpdateEvent>();
-    event->topic = topic;
-    event->event_id = next_event_id_++;
-    event->created_at = sim_.Now();
-    auto request = std::make_shared<PylonPublishRequest>();
-    request->event = std::move(event);
-    channel.Call("pylon.publish", request, [](RpcStatus, MessagePtr) {});
-  }
-
-  size_t ReceivedCount(int64_t host_id, const Topic& topic) {
-    size_t count = 0;
-    for (const Topic& t : hosts_[host_id]->received) {
-      if (t == topic) {
-        ++count;
-      }
-    }
-    return count;
-  }
-
-  struct FakeHost {
-    RpcServer rpc;
-    std::vector<Topic> received;
+TEST(PushPacerTest, DestroyedOrAssignedOverPacerNeverReleases) {
+  Simulator sim(1);
+  int released = 0;
+  auto count = [&released](PendingDelivery) { ++released; };
+  auto armed = [&]() {
+    auto pacer = std::make_unique<PushPacer>(&sim, Millis(100), count);
+    EXPECT_TRUE(pacer->TakeSlot());
+    pacer->queue().Offer(Payload("waiting"), DeliverOptions{}, false, 8);
+    pacer->ScheduleRelease();
+    EXPECT_EQ(sim.PendingEvents(), 1u);
+    return pacer;
   };
 
-  Topology topology_;
-  Simulator sim_;
-  MetricsRegistry metrics_;
-  TraceCollector trace_;
-  std::unique_ptr<PylonCluster> cluster_;
-  std::map<int64_t, std::unique_ptr<FakeHost>> hosts_;
-  uint64_t next_event_id_ = 1;
-};
+  armed().reset();
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  sim.RunFor(Seconds(1));
+  EXPECT_EQ(released, 0);
 
-TEST_F(PylonBackpressureTest, HighPriorityPublishShedsLowPriorityPendingSends) {
-  // Pick a Mailbox topic homed on the same Pylon server as the TI topic:
-  // the pending-send pipeline (and its bound) is per server.
-  const Topic ti_topic = "/TI/1/1";
-  PylonServer* ti_server = cluster_->RouteServer(ti_topic);
-  Topic mailbox_topic;
-  for (int k = 1; k < 500; ++k) {
-    Topic candidate = MailboxTopic(k);
-    if (cluster_->RouteServer(candidate) == ti_server) {
-      mailbox_topic = candidate;
-      break;
+  std::unique_ptr<PushPacer> pacer = armed();
+  *pacer = PushPacer(&sim, Millis(100), count);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  EXPECT_TRUE(pacer->queue().empty());
+  sim.RunFor(Seconds(1));
+  EXPECT_EQ(released, 0);
+}
+
+// ---- host push pacing ----
+
+// Pushes a payload for every event to every stream the event reaches.
+class PushEveryEventApp : public BrassApplication {
+ public:
+  using BrassApplication::BrassApplication;
+  void OnStreamStarted(BrassStream&) override {}
+  void OnEvent(const Topic&, const UpdateEvent&,
+               const std::vector<BrassStream*>& streams) override {
+    for (BrassStream* stream : streams) {
+      runtime().DeliverData(*stream, Payload("event"), DeliverOptions{});
     }
   }
-  ASSERT_FALSE(mailbox_topic.empty());
+};
 
-  // 6 low-priority subscribers vs a pending cap of 4, plus 2 high-priority
-  // subscribers published immediately behind them.
-  for (int64_t id = 601; id <= 606; ++id) {
-    AddHost(id);
-    ASSERT_TRUE(Subscribe(ti_topic, id));
+// Records when each data push reaches the proxy's end of a host connection.
+class PushArrivals : public ConnectionHandler {
+ public:
+  explicit PushArrivals(Simulator* sim) : sim_(sim) {}
+  void OnMessage(ConnectionEnd&, MessagePtr message) override {
+    if (auto response = std::dynamic_pointer_cast<ResponseFrame>(message)) {
+      for (const Delta& delta : response->batch) {
+        if (delta.kind == DeltaKind::kData) {
+          times.push_back(sim_->Now());
+        }
+      }
+    }
   }
-  for (int64_t id = 701; id <= 702; ++id) {
-    AddHost(id);
-    ASSERT_TRUE(Subscribe(mailbox_topic, id));
-  }
+  void OnDisconnect(ConnectionEnd&, DisconnectReason) override {}
 
-  Publish(ti_topic);
-  Publish(mailbox_topic);
-  sim_.RunFor(Seconds(3));
+  std::vector<SimTime> times;
 
-  // High priority is never shed: both Mailbox subscribers got the event.
-  EXPECT_EQ(ReceivedCount(701, mailbox_topic), 1u);
-  EXPECT_EQ(ReceivedCount(702, mailbox_topic), 1u);
-  EXPECT_EQ(metrics_.GetCounter("pylon.fanout_shed.high").value(), 0);
+ private:
+  Simulator* sim_;
+};
 
-  // The TI fanout (6 sends) overflowed the 4-slot pipeline, and the Mailbox
-  // sends each displaced a pending low-priority send: 4 low sheds total,
-  // leaving exactly 2 TI deliveries.
-  EXPECT_EQ(metrics_.GetCounter("pylon.fanout_shed.low").value(), 4);
-  EXPECT_EQ(metrics_.GetCounter("pylon.fanout_shed").value(), 4);
-  size_t ti_delivered = 0;
-  for (int64_t id = 601; id <= 606; ++id) {
-    ti_delivered += ReceivedCount(id, ti_topic);
-  }
-  EXPECT_EQ(ti_delivered, 2u);
-  EXPECT_GE(metrics_.GetHistogram("pylon.fanout_pending_depth").max(), 4.0);
+// A stream's pending release goes with the stream: a new stream under the
+// same key paces from its own push slot, and the old stream's release must
+// not push the new stream's queued delivery early.
+TEST(HostPacingTest, ClosedStreamsReleaseCannotPushForItsSuccessor) {
+  Topology topology = Topology::OneRegion();
+  Simulator sim(5);
+  MetricsRegistry metrics;
+  TaoStore tao(&sim, &topology, TaoConfig{}, &metrics);
+  WebAppServer was(&sim, 0, &tao, nullptr, WasConfig{}, &metrics);
+  was.RegisterSubscriptionResolver("probe", [](const Field&, UserId, ExecContext&) {
+    SubscriptionResolution resolution;
+    resolution.topics = {"t"};
+    return resolution;
+  });
+  BrassAppRegistry registry;
+  registry["P"] = BrassAppRegistration{BrassAppDescriptor{}, [](BrassRuntime& runtime) {
+                                         return std::make_unique<PushEveryEventApp>(runtime);
+                                       }};
+  BrassConfig config;
+  config.overload.min_push_gap = Millis(500);
+  BrassHost host(&sim, 1, 0, &was, nullptr, &registry, config, BurstConfig{}, &metrics);
+  auto [proxy, host_end] = CreateConnection(&sim, LatencyModel::Fixed(1.0), Millis(50));
+  host.burst()->AttachProxyConnection(host_end);
+  PushArrivals pushes(&sim);
+  proxy->set_handler(&pushes);
+  RpcChannel events(&sim, host.event_rpc(), LatencyModel::Fixed(1.0));
+
+  const StreamKey key{1, 1};
+  auto subscribe = [&]() {
+    StreamHeader header;
+    header.set_app("P").set_viewer(1).set_subscription("subscription { probe }");
+    auto frame = std::make_shared<SubscribeFrame>();
+    frame->key = key;
+    frame->header = std::move(header).Take();
+    proxy->Send(frame);
+    sim.RunFor(Millis(50));
+  };
+  auto publish = [&]() {
+    auto delivery = std::make_shared<BrassEventDelivery>();
+    auto event = std::make_shared<UpdateEvent>();
+    event->topic = "t";
+    delivery->event = std::move(event);
+    events.Call("brass.event", delivery, [](RpcStatus, MessagePtr) {});
+    sim.RunFor(Millis(50));
+  };
+
+  subscribe();
+  publish();  // pushes at once
+  publish();  // waits for the slot
+  auto cancel = std::make_shared<CancelFrame>();
+  cancel->key = key;
+  proxy->Send(cancel);
+  sim.RunFor(Millis(50));
+  ASSERT_EQ(host.StreamCount(), 0u);
+
+  subscribe();  // the same key: a new stream
+  ASSERT_EQ(host.StreamCount(), 1u);
+  publish();  // the new stream's first push goes at once
+  publish();  // and its second waits a whole gap for the slot
+  sim.RunFor(Seconds(2));
+
+  ASSERT_EQ(pushes.times.size(), 3u);
+  EXPECT_GE(pushes.times[2] - pushes.times[1], Millis(500));
 }
 
 }  // namespace

@@ -78,10 +78,13 @@ TEST(PopPayloadCacheTest, BoundedByLruEviction) {
   EXPECT_NE(cache.Get("LVC", 3, 1), nullptr);
 }
 
+// A later fill of a cached version, asked for viewers the first fill did
+// not cover, adds their decisions to the entry and keeps the earlier ones.
 TEST(PopPayloadCacheTest, AddDecisionsMergesForLaterViewers) {
   PopPayloadCache cache(4);
   ASSERT_TRUE(cache.Put("LVC", 7, 1, Payload("v1"), {{100, true}}));
-  cache.AddDecisions("LVC", 7, 1, {{101, false}});
+  ASSERT_TRUE(cache.Put("LVC", 7, 1, Payload("v1"), {{101, false}}));
+  EXPECT_EQ(cache.size(), 1u);
   const PopPayloadCache::Entry* entry = cache.Get("LVC", 7, 1);
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(entry->decisions.at(100));
