@@ -15,9 +15,11 @@
 // the baseline field to compare, and its direction:
 //   higher is better: passes at value >= base x (1 - tolerance)
 //   lower is better:  passes at value <= base x (1 + tolerance)
-// so a zero lower-is-better baseline admits only a zero run. A row or field
-// missing from the baseline fails, and so does every value gated against a
-// file that is missing, unreadable, empty or malformed.
+// A zero baseline value fails whatever the run reads: against it a
+// higher-is-better gate admits anything, and a lower-is-better one passes a
+// metric that measured nothing. A row or field missing from the baseline
+// fails, and so does every value gated against a file that is missing,
+// unreadable, empty or malformed.
 
 #ifndef BLADERUNNER_BENCH_BASELINE_GATE_H_
 #define BLADERUNNER_BENCH_BASELINE_GATE_H_
@@ -107,6 +109,9 @@ class BaselineGate {
     double base = 0.0;
     if (field == row->end() || !ParseNumber(field->second, &base)) {
       return fail("no numeric baseline value");
+    }
+    if (base == 0.0) {
+      return fail("zero baseline value");
     }
     const bool higher = gated.better == Better::kHigher;
     const double limit = base * (higher ? 1.0 - tolerance : 1.0 + tolerance);

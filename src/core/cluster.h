@@ -81,6 +81,7 @@ class BladerunnerCluster {
   TraceCollector& trace() { return trace_; }
   const Topology& topology() const { return topology_; }
   const ClusterConfig& config() const { return config_; }
+  const BrassAppRegistry& app_registry() const { return app_registry_; }
 
   TaoStore& tao() { return *tao_; }
   PylonCluster* pylon() { return pylon_.get(); }

@@ -234,12 +234,17 @@ TEST(BaselineGateTest, MissingEmptyOrMalformedFileFails) {
   }
 }
 
-TEST(BaselineGateTest, ZeroBaselineAdmitsOnlyAZeroRun) {
+// A zero baseline gates nothing: a run of 0 would pass a lower-is-better
+// gate vacuously, and any run would pass a higher-is-better one.
+TEST(BaselineGateTest, ZeroBaselineFails) {
   BaselineGate gate(WriteBaseline(
-      "zero.json", "{\"scenario\":\"a\",\"scale\":\"smoke\",\"delivery_p99_ms\":0.000}\n"));
+      "zero.json",
+      "{\"scenario\":\"a\",\"scale\":\"smoke\",\"delivered\":0,\"delivery_p99_ms\":0.000}\n"));
   ASSERT_TRUE(gate.ok()) << gate.error();
-  EXPECT_TRUE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 0.0), 0.25));
+  EXPECT_FALSE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 0.0), 0.25));
   EXPECT_FALSE(gate.Check(Scenario("a", "delivery_p99_ms", Better::kLower, 10214.5), 0.25));
+  EXPECT_FALSE(gate.Check(Scenario("a", "delivered", Better::kHigher, 0.0), 0.25));
+  EXPECT_FALSE(gate.Check(Scenario("a", "delivered", Better::kHigher, 907.0), 0.25));
 }
 
 TEST(BaselineGateTest, ReadsArrayAndJsonLinesFiles) {
@@ -261,10 +266,11 @@ TEST(BaselineGateTest, ReadsArrayAndJsonLinesFiles) {
   EXPECT_FALSE(lines.Check(Scenario("a", "delivered", Better::kHigher, 2.0), 0.0));
 }
 
-// Every row CI gates is present and numeric in the committed baselines, so a
-// baseline edit that stops parsing fails here rather than in the perf job.
-// At tolerance 1 a run value of 0 passes any non-negative baseline value, so
-// each check fails only on a row or field that is missing or does not parse.
+// Every row CI gates is present, numeric and nonzero in the committed
+// baselines, so a baseline edit that stops parsing, or records a zero, fails
+// here rather than in the perf job. At tolerance 1 a run value of 0 passes
+// any positive baseline value, so each check fails only on a row or field
+// that is missing, does not parse or is zero.
 TEST(BaselineGateTest, CommittedBaselinesHoldEveryGatedRow) {
   const std::string root = BR_SOURCE_DIR;
   BaselineGate pr7(root + "/BENCH_PR7.json");
