@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
     shape.post_phase = Seconds(20);
   } else {
     PrintHeader("Ablation 6",
-                "admission, conflation, and degrade-to-poll under a 10x hot-topic spike");
+                "pacing, conflation, and degrade-to-poll under a 10x hot-topic spike");
   }
   PrintRow("phases: %ds baseline -> %ds spike at %dx -> %ds settle -> %ds baseline",
            static_cast<int>(shape.pre_phase / Seconds(1)),

@@ -33,10 +33,7 @@ void MessengerApp::OnStreamStarted(BrassStream& stream) {
   // Resume point: an explicit resume token (rewritten into the header on
   // every delivery) wins; otherwise the subscription-time mailbox size from
   // the WAS resolution context (the device just polled to that point).
-  int64_t resume = 0;
-  if (stream.stream != nullptr) {
-    resume = StreamHeaderView(stream.stream->header()).resume_token();
-  }
+  int64_t resume = StreamHeaderView(stream.stream->header()).resume_token();
   if (resume == 0) {
     resume = stream.context.Get("maxSeq").AsInt(0);
   }
@@ -58,9 +55,6 @@ void MessengerApp::OnStreamResumed(BrassStream& stream) {
   // Redeliver everything the device never acked; deliveries during the
   // detach window were dropped by the transport.
   MailboxState& state = it->second;
-  if (state.stream->stream == nullptr) {
-    return;
-  }
   for (auto& [seq, payload] : state.unacked) {
     redeliveries_->Increment();
     DeliverOptions deliver;
@@ -228,7 +222,7 @@ void MessengerApp::PersistProgress(MailboxState& state) {
   // Rewrite the resume token into the stream header (§3.5 "Resumption"):
   // after any failure, the resubscribe carries the last delivered sequence,
   // and the replacement BRASS resumes from exactly there.
-  if (state.stream == nullptr || state.stream->stream == nullptr) {
+  if (state.stream == nullptr) {
     return;
   }
   ServerStream* raw = state.stream->stream;

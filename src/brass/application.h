@@ -31,7 +31,10 @@ class BrassRuntime;
 
 // Per-stream state the host keeps on behalf of applications.
 struct BrassStream {
-  ServerStream* stream = nullptr;  // push interface; nullptr once closed
+  // Push interface: set when the host installs the stream and re-pointed
+  // when it resumes; never null. The host erases a BrassStream as its
+  // stream closes.
+  ServerStream* stream = nullptr;
   StreamKey key;
   UserId viewer = 0;
   std::vector<Topic> topics;  // Pylon topics this stream is fed from
@@ -44,7 +47,7 @@ struct BrassStream {
   // incapable POP clears the stamp and the stream falls back to regional.
   bool pop_placed = false;
 
-  bool attached() const { return stream != nullptr && stream->attached(); }
+  bool attached() const { return stream->attached(); }
 };
 
 class BrassApplication {

@@ -32,15 +32,9 @@ struct FetchPipelineConfig {
   size_t max_batch_viewers = 64;
 };
 
-// Overload-control knobs (docs/OVERLOAD.md). Defaults are inert: no stream
-// budget, no pacing, so existing configs behave exactly as before.
+// Overload-control knobs (docs/OVERLOAD.md). Defaults are inert: no
+// pacing, so existing configs behave exactly as before.
 struct BrassOverloadConfig {
-  // Admission budget on concurrent streams per host (0: unlimited). The
-  // two-instances-per-core cap bounds VM count; this bounds stream fanout.
-  // The router spills new streams past saturated hosts and redirects
-  // (rewrite_request) when every host is at budget.
-  int max_streams_per_host = 0;
-
   // Minimum gap between consecutive data pushes on one stream (0: unpaced
   // fast path). When pacing is on, deliveries that arrive faster than the
   // gap queue per stream, conflate, and shed.
@@ -81,7 +75,7 @@ struct BrassConfig {
   // Shared WAS fetch pipeline (coalescing + versioned payload cache).
   FetchPipelineConfig fetch;
 
-  // Admission control, delivery pacing/conflation, degrade-to-poll.
+  // Delivery pacing/conflation, degrade-to-poll.
   BrassOverloadConfig overload;
 
   // Durable reliable-delivery tier: per-topic log bounds, replay pacing,

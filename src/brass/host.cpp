@@ -28,7 +28,6 @@ BrassHost::BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppSer
   m_.vm_cap_rejections = &metrics_->GetCounter("brass.vm_cap_rejections");
   m_.app_spawns = &metrics_->GetCounter("brass.app_spawns");
   m_.streams_started = &metrics_->GetCounter("brass.streams_started");
-  m_.host_admission_rejections = &metrics_->GetCounter("brass.host_admission_rejections");
   m_.topic_attaches = &metrics_->GetCounter("brass.topic_attaches");
   m_.pylon_subscribes = &metrics_->GetCounter("brass.pylon_subscribes");
   m_.pylon_subscribe_failures = &metrics_->GetCounter("brass.pylon_subscribe_failures");
@@ -38,7 +37,6 @@ BrassHost::BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppSer
   m_.decisions = &metrics_->GetCounter("brass.decisions");
   m_.decisions_positive = &metrics_->GetCounter("brass.decisions_positive");
   m_.filtered = &metrics_->GetCounter("brass.filtered");
-  m_.deliveries_dropped = &metrics_->GetCounter("brass.deliveries_dropped");
   m_.degraded_drops = &metrics_->GetCounter("brass.degraded_drops");
   m_.conflated = &metrics_->GetCounter("brass.conflated");
   m_.shed = &metrics_->GetCounter("brass.shed");
@@ -146,23 +144,6 @@ void BrassHost::OnStreamStarted(ServerStream& stream) {
     sub_span = trace_->StartSpan(root, "brass.subscribe", "brass", region_, ctx_.Now());
     trace_->Annotate(sub_span, "app", Value(app_name));
     trace_->Annotate(sub_span, "viewer", Value(viewer));
-  }
-
-  // Admission defense in depth: the router already skips saturated hosts,
-  // but racing subscribes (or a stale sticky header) can still land here
-  // past budget. Redirect with a cleared sticky host so the device's retry
-  // re-enters router admission.
-  const int stream_budget = config_.overload.max_streams_per_host;
-  if (stream_budget > 0 && static_cast<int>(burst_->StreamCount()) > stream_budget) {
-    m_.host_admission_rejections->Increment();
-    if (trace_ != nullptr) {
-      trace_->MarkError(sub_span, "host at stream budget", ctx_.Now());
-    }
-    StreamHeader redirect(stream.header());
-    redirect.set_brass_host(0);
-    stream.Rewrite(std::move(redirect).Take());
-    stream.Terminate(TerminateReason::kRedirect, "host at stream budget");
-    return;
   }
 
   AppInstance* app = GetOrSpawnApp(app_name);
@@ -536,7 +517,9 @@ std::shared_ptr<const BrassHost::DispatchPlan> BrassHost::PlanFor(TopicEntry& en
 void BrassHost::OnStreamResumed(ServerStream& stream) {
   auto hs = streams_.find(stream.key());
   if (hs == streams_.end()) {
-    // Shouldn't happen (resume implies retained state), but be safe:
+    // The transport kept the stream but the host has no state for it: the
+    // resume arrived before the stream's first resolve completed. Start it
+    // the way a new stream starts; the earlier resolve is superseded.
     OnStreamStarted(stream);
     return;
   }
@@ -758,11 +741,9 @@ const BrassAppDescriptor* BrassHost::DescriptorFor(const std::string& app) const
 
 void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value payload,
                             const DeliverOptions& options) {
+  // Apps deliver only to streams they were handed and that have not closed.
   auto hs = streams_.find(stream.key);
-  if (stream.stream == nullptr || hs == streams_.end()) {
-    m_.deliveries_dropped->Increment();
-    return;
-  }
+  assert(hs != streams_.end() && &hs->second.state == &stream);
   HostStream& state = hs->second;
   if (state.durable) {
     DeliverDurable(state, std::move(payload), options);
@@ -828,10 +809,6 @@ void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value p
 
 void BrassHost::PushNow(const std::string& app, BrassStream& stream, Value payload,
                         const DeliverOptions& options) {
-  if (stream.stream == nullptr) {
-    m_.deliveries_dropped->Increment();
-    return;
-  }
   // Fig. 8's "update deliveries" series: actual pushes toward devices.
   m_.deliveries->Increment();
   AppMetricsFor(app).deliveries->Increment();
@@ -862,10 +839,6 @@ void BrassHost::PushEnvelope(const std::string& app, const std::vector<BrassStre
   std::vector<std::pair<uint64_t, ServerStream*>> by_connection;
   by_connection.reserve(streams.size());
   for (BrassStream* stream : streams) {
-    if (stream->stream == nullptr) {
-      m_.deliveries_dropped->Increment();
-      continue;
-    }
     m_.envelopes->Increment();
     if (!stream->attached()) {
       m_.server_pushes_dropped->Increment();
@@ -969,7 +942,7 @@ void BrassHost::DeliverDurable(HostStream& state, Value payload, const DeliverOp
       m_.durable_duplicates_suppressed->Increment();
       return;
     }
-    if (state.state.stream == nullptr || !state.state.stream->attached()) {
+    if (!state.state.attached()) {
       // Detached: the entry is durable in the log; the resume replay
       // delivers it (the best-effort tier would simply drop it here).
       m_.durable_live_suppressed->Increment();
@@ -1001,7 +974,7 @@ void BrassHost::StartDurableReplay(const StreamKey& key) {
     // Surface the restart (the app layer must re-snapshot or accept the
     // gap) and resume from the oldest retained entry.
     m_.durable_truncated_resumes->Increment();
-    if (state.state.stream != nullptr && state.state.stream->attached()) {
+    if (state.state.attached()) {
       state.state.stream->PushFlow(FlowStatus::kRestarted,
                                    "durable log truncated past resume token");
     }
@@ -1030,7 +1003,7 @@ void BrassHost::ReplayDurableBatch(const StreamKey& key) {
   }
   HostStream& state = hs->second;
   ServerStream* raw = state.state.stream;
-  if (raw == nullptr || !raw->attached()) {
+  if (!raw->attached()) {
     // Detached mid-replay; the next resume rewinds to the acked watermark
     // and starts a fresh replay.
     EndDurableReplay(state, "aborted: stream detached");
@@ -1102,7 +1075,7 @@ void BrassHost::RollShedWindow(HostStream& state) {
 }
 
 void BrassHost::DegradeStream(const StreamKey& key, HostStream& state) {
-  if (state.degraded || state.state.stream == nullptr) {
+  if (state.degraded) {
     return;
   }
   state.degraded = true;
@@ -1135,7 +1108,7 @@ void BrassHost::ScheduleRecoveryCheck(const StreamKey& key) {
     const SimTime interval = config_.overload.recover_check_interval;
     const bool sustainable =
         gap <= 0 || static_cast<SimTime>(state.degraded_attempts) * gap <= interval;
-    if (!sustainable || state.state.stream == nullptr) {
+    if (!sustainable) {
       state.degraded_attempts = 0;
       ScheduleRecoveryCheck(key);
       return;

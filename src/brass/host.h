@@ -64,7 +64,6 @@ class BrassHost : public BurstServerHandler {
   SimContext ctx() const { return ctx_; }
   MetricsRegistry* metrics() { return metrics_; }
   TraceCollector* trace() { return trace_; }
-  const BrassConfig& config() const { return config_; }
 
   BurstServer* burst() { return burst_.get(); }
   RpcServer* event_rpc() { return &event_rpc_; }
@@ -256,7 +255,6 @@ class BrassHost : public BurstServerHandler {
     Counter* vm_cap_rejections;
     Counter* app_spawns;
     Counter* streams_started;
-    Counter* host_admission_rejections;
     Counter* topic_attaches;
     Counter* pylon_subscribes;
     Counter* pylon_subscribe_failures;
@@ -266,7 +264,6 @@ class BrassHost : public BurstServerHandler {
     Counter* decisions;
     Counter* decisions_positive;
     Counter* filtered;
-    Counter* deliveries_dropped;
     Counter* degraded_drops;
     Counter* conflated;
     Counter* shed;

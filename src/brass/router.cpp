@@ -7,28 +7,10 @@
 
 namespace bladerunner {
 
-namespace {
-
-// At (or over) the host's admission budget on concurrent streams. A budget
-// of 0 means unlimited.
-bool AtBudget(const BrassHost* host) {
-  int budget = host->config().overload.max_streams_per_host;
-  return budget > 0 && host->StreamCount() >= static_cast<size_t>(budget);
-}
-
-}  // namespace
-
 BrassRouter::BrassRouter(Simulator* sim, const Topology* topology,
-                         const BrassAppRegistry* registry, BurstConfig burst_config,
-                         MetricsRegistry* metrics)
-    : ctx_(sim),
-      topology_(topology),
-      registry_(registry),
-      burst_config_(burst_config),
-      metrics_(metrics) {
-  assert(ctx_.sim() != nullptr && topology_ != nullptr && metrics_ != nullptr);
-  saturated_rejections_ = &metrics_->GetCounter("brass.router_saturated_rejections");
-  spills_ = &metrics_->GetCounter("brass.router_spills");
+                         const BrassAppRegistry* registry, BurstConfig burst_config)
+    : ctx_(sim), topology_(topology), registry_(registry), burst_config_(burst_config) {
+  assert(ctx_.sim() != nullptr && topology_ != nullptr);
 }
 
 void BrassRouter::RegisterHost(BrassHost* host) {
@@ -41,52 +23,28 @@ BrassHost* BrassRouter::FindHost(int64_t host_id) const {
   return it == by_id_.end() ? nullptr : it->second;
 }
 
-HostPick BrassRouter::PickHost(const StreamHeaderView& header) {
+int64_t BrassRouter::PickHost(const StreamHeaderView& header) {
   const std::string& app = header.app();
   RegionId preferred = static_cast<RegionId>(header.region(-1));
 
-  // Routable hosts: alive and not mid-drain (a draining host still serves
-  // its existing streams but must not receive new ones).
+  // Candidates: the routable hosts (alive and not mid-drain; a draining
+  // host still serves its existing streams but must not receive new ones)
+  // in the stream's region, or every routable host if that region has none.
   std::vector<BrassHost*> routable;
+  std::vector<BrassHost*> candidates;
   for (BrassHost* host : hosts_) {
     if (host->alive() && !host->draining()) {
       routable.push_back(host);
-    }
-  }
-  if (routable.empty()) {
-    return HostPick{0, false};
-  }
-
-  // Admission: prefer in-region hosts with budget headroom, then spill new
-  // streams cross-region rather than overloading the preferred region.
-  bool preferred_had_routable = false;
-  std::vector<BrassHost*> candidates;
-  for (BrassHost* host : routable) {
-    if (preferred >= 0 && host->region() != preferred) {
-      continue;
-    }
-    preferred_had_routable = true;
-    if (!AtBudget(host)) {
-      candidates.push_back(host);
-    }
-  }
-  bool spilled = false;
-  if (candidates.empty() && preferred >= 0) {
-    for (BrassHost* host : routable) {
-      if (host->region() != preferred && !AtBudget(host)) {
+      if (preferred < 0 || host->region() == preferred) {
         candidates.push_back(host);
       }
     }
-    // Count budget-driven spills only; falling back because the preferred
-    // region simply has no routable host is ordinary failover.
-    spilled = !candidates.empty() && preferred_had_routable;
   }
   if (candidates.empty()) {
-    saturated_rejections_->Increment();
-    return HostPick{0, true};
+    candidates = std::move(routable);
   }
-  if (spilled) {
-    spills_->Increment();
+  if (candidates.empty()) {
+    return 0;
   }
 
   BrassRoutingPolicy policy = BrassRoutingPolicy::kByLoad;
@@ -101,7 +59,7 @@ HostPick BrassRouter::PickHost(const StreamHeaderView& header) {
     // curtailing the number of Pylon subscriptions (§3.2).
     const std::string& topic = header.subscription();
     uint64_t h = TopicHash(app + "|" + topic);
-    return HostPick{candidates[h % candidates.size()]->host_id(), false};
+    return candidates[h % candidates.size()]->host_id();
   }
   // Load-based: least streams. Stream counts only update once a subscribe
   // reaches its host, so a burst of picks in one instant would all see the
@@ -117,7 +75,7 @@ HostPick BrassRouter::PickHost(const StreamHeaderView& header) {
       tied.push_back(host);
     }
   }
-  return HostPick{tied[round_robin_++ % tied.size()]->host_id(), false};
+  return tied[round_robin_++ % tied.size()]->host_id();
 }
 
 bool BrassRouter::IsHostAlive(int64_t host_id) const {

@@ -3,10 +3,7 @@
 // "Proxies determine which BRASS host to route device subscription requests
 // to. This routing is based on load, topic, or a combination of both,
 // depending on application configurations." (§3.2) Per-app policy comes
-// from the registered BrassAppDescriptor; admission budgets
-// (BrassOverloadConfig::max_streams_per_host) make the router spill new
-// streams past saturated hosts and report saturation when every host is at
-// budget (the proxy then redirects the device).
+// from the registered BrassAppDescriptor.
 
 #ifndef BLADERUNNER_SRC_BRASS_ROUTER_H_
 #define BLADERUNNER_SRC_BRASS_ROUTER_H_
@@ -20,7 +17,6 @@
 #include "src/brass/host.h"
 #include "src/burst/proxy.h"
 #include "src/net/topology.h"
-#include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace bladerunner {
@@ -30,7 +26,7 @@ class BrassRouter : public BurstServerDirectory {
   // `registry` supplies each app's routing policy and QoS descriptor
   // (nullptr: every app routes by load).
   BrassRouter(Simulator* sim, const Topology* topology, const BrassAppRegistry* registry,
-              BurstConfig burst_config, MetricsRegistry* metrics);
+              BurstConfig burst_config);
 
   // Hosts are owned by the cluster; the router only routes.
   void RegisterHost(BrassHost* host);
@@ -39,7 +35,7 @@ class BrassRouter : public BurstServerDirectory {
   const std::vector<BrassHost*>& hosts() const { return hosts_; }
 
   // BurstServerDirectory:
-  HostPick PickHost(const StreamHeaderView& header) override;
+  int64_t PickHost(const StreamHeaderView& header) override;
   bool IsHostAlive(int64_t host_id) const override;
   std::shared_ptr<ConnectionEnd> ConnectToHost(ReverseProxy* proxy, int64_t host_id) override;
 
@@ -48,9 +44,6 @@ class BrassRouter : public BurstServerDirectory {
   const Topology* topology_;
   const BrassAppRegistry* registry_;
   BurstConfig burst_config_;
-  MetricsRegistry* metrics_;
-  Counter* saturated_rejections_;  // resolved once at construction (docs/PERF.md)
-  Counter* spills_;
   std::vector<BrassHost*> hosts_;
   std::map<int64_t, BrassHost*> by_id_;
   size_t round_robin_ = 0;  // tie-break rotation for load-based picks

@@ -19,7 +19,6 @@ BurstClient::BurstClient(SimContext ctx, int64_t device_id, Connector connector,
   m_.client_cancels = &metrics_->GetCounter("burst.client_cancels");
   m_.client_data_deltas = &metrics_->GetCounter("burst.client_data_deltas");
   m_.client_duplicates_dropped = &metrics_->GetCounter("burst.client_duplicates_dropped");
-  m_.client_redirect_backoffs = &metrics_->GetCounter("burst.client_redirect_backoffs");
   m_.client_redirects = &metrics_->GetCounter("burst.client_redirects");
   m_.client_resubscribes = &metrics_->GetCounter("burst.client_resubscribes");
   m_.client_subscribes = &metrics_->GetCounter("burst.client_subscribes");
@@ -265,7 +264,6 @@ void BurstClient::HandleResponse(const ResponseFrame& response) {
           durable_ack_seq = delta.seq;
         }
         m_.client_data_deltas->Increment();
-        it->second.consecutive_redirects = 0;  // stream is making progress
         // The update has reached the device: close its "burst.deliver" span
         // (opened by the BRASS host when the push left the backend).
         if (trace_ != nullptr && delta.trace.valid()) {
@@ -288,33 +286,10 @@ void BurstClient::HandleResponse(const ResponseFrame& response) {
   }
   if (terminated) {
     if (reason == TerminateReason::kRedirect && connected()) {
-      // Redirect (§3.5): re-issue the subscription using the just-rewritten
-      // header; the proxies route it to the new target. Back-to-back
-      // redirects (admission rejection under overload) switch to delayed
-      // retries so rejected devices do not storm the proxies.
+      // Redirect (§3.5): re-issue the subscription at once using the
+      // just-rewritten header; the proxies route it to the new target.
       m_.client_redirects->Increment();
-      it->second.consecutive_redirects += 1;
-      if (it->second.consecutive_redirects <= config_.max_immediate_redirects) {
-        SendSubscribe(sid, it->second, /*resubscribe=*/true);
-      } else if (!it->second.redirect_retry_pending) {
-        it->second.redirect_retry_pending = true;
-        m_.client_redirect_backoffs->Increment();
-        // Delayed retries widen with each further redirect past the
-        // immediate allowance (the first delayed one draws the base window).
-        SimTime backoff = DrawBackoff(it->second.consecutive_redirects -
-                                      config_.max_immediate_redirects - 1);
-        ctx_.Schedule(backoff, [this, sid]() {
-          auto retry = streams_.find(sid);
-          if (retry == streams_.end()) {
-            return;  // cancelled while backing off
-          }
-          retry->second.redirect_retry_pending = false;
-          if (connected()) {
-            SendSubscribe(sid, retry->second, /*resubscribe=*/true);
-          }
-          // Not connected: ResubscribeAll() covers the stream on reconnect.
-        });
-      }
+      SendSubscribe(sid, it->second, /*resubscribe=*/true);
     } else {
       observer_->OnStreamTerminated(sid, reason, term_detail);
       streams_.erase(it);

@@ -116,12 +116,6 @@ class BurstClient : public ConnectionHandler {
     // are dropped so each sequence reaches the app exactly once.
     bool durable = false;
     uint64_t last_durable_seq = 0;
-    // Redirect storm protection: after max_immediate_redirects back-to-back
-    // redirects (no data in between), further retries are delayed by the
-    // reconnect backoff — an admission-rejected device must not hammer the
-    // proxies with instant resubscribes.
-    int consecutive_redirects = 0;
-    bool redirect_retry_pending = false;
   };
 
   // Sends a client-originated frame, paying the radio-promotion delay if
@@ -131,10 +125,9 @@ class BurstClient : public ConnectionHandler {
   void SendSubscribe(uint64_t sid, ClientStream& stream, bool resubscribe);
   void ResubscribeAll();
   void ScheduleReconnect();
-  // One backoff policy for both reconnects and delayed redirect retries:
-  // capped exponential with full jitter. `failures` == 0 draws the base
-  // [min, max] window; each further failure doubles the upper edge up to
-  // config_.reconnect_backoff_cap.
+  // The reconnect backoff: capped exponential with full jitter.
+  // `failures` == 0 draws the base [min, max] window; each further failure
+  // doubles the upper edge up to config_.reconnect_backoff_cap.
   SimTime DrawBackoff(int failures);
   void HandleResponse(const ResponseFrame& response);
 
@@ -143,7 +136,6 @@ class BurstClient : public ConnectionHandler {
     Counter* client_cancels;
     Counter* client_data_deltas;
     Counter* client_duplicates_dropped;
-    Counter* client_redirect_backoffs;
     Counter* client_redirects;
     Counter* client_resubscribes;
     Counter* client_subscribes;

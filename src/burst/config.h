@@ -26,11 +26,6 @@ struct BurstConfig {
   // reconnect can resume seamlessly (§4 axiom 2, last paragraph).
   SimTime server_stream_keep_timeout = Seconds(30);
 
-  // How many back-to-back redirects (no data in between) a stream retries
-  // immediately before switching to reconnect-backoff-delayed retries —
-  // keeps admission-rejected devices from storming the proxies.
-  int max_immediate_redirects = 3;
-
   // Mobile radio promotion: a device whose radio has gone idle pays a
   // wake-up delay before its next uplink send. This is what makes the
   // paper's device-observed subscription latency (~490ms NA/EU, ~970ms

@@ -15,7 +15,6 @@ ReverseProxy::ReverseProxy(Simulator* sim, ProxyId proxy_id, RegionId region,
       metrics_(metrics),
       trace_(trace) {
   assert(ctx_.sim() != nullptr && directory_ != nullptr && metrics_ != nullptr);
-  m_.proxy_admission_redirects = &metrics_->GetCounter("burst.proxy_admission_redirects");
   m_.proxy_failures = &metrics_->GetCounter("burst.proxy_failures");
   m_.proxy_host_disconnects = &metrics_->GetCounter("burst.proxy_host_disconnects");
   m_.proxy_induced_reconnects = &metrics_->GetCounter("burst.proxy_induced_reconnects");
@@ -73,13 +72,13 @@ ReverseProxy::HostConn* ReverseProxy::EnsureHostConn(int64_t host_id) {
   return &ins->second;
 }
 
-HostPick ReverseProxy::RouteHost(const Value& header) const {
+int64_t ReverseProxy::RouteHost(const Value& header) const {
   // Sticky routing first (§3.5): a BRASS-rewritten header names the host
   // that previously serviced the stream; honor it while the host lives.
   StreamHeaderView view(header);
   int64_t sticky = view.brass_host();
   if (sticky != 0 && directory_->IsHostAlive(sticky)) {
-    return HostPick{sticky, false};
+    return sticky;
   }
   return directory_->PickHost(view);
 }
@@ -110,8 +109,7 @@ void ReverseProxy::HandlePopFrame(ConnectionEnd& on, const MessagePtr& message) 
     state.header = subscribe->header;
     state.body = subscribe->body;
     state.pop_conn = conn_id;
-    HostPick pick = RouteHost(subscribe->header);
-    state.host_id = pick.host_id;
+    state.host_id = RouteHost(subscribe->header);
     // A subscribe for a key already tracked (device reconnect through a
     // different POP connection, or a re-route to another host) replaces the
     // stream state below; detach the old route's bookkeeping first, or the
@@ -136,15 +134,7 @@ void ReverseProxy::HandlePopFrame(ConnectionEnd& on, const MessagePtr& message) 
     auto [it, inserted] = streams_.insert_or_assign(subscribe->key, std::move(state));
     (void)inserted;
     if (it->second.host_id == 0) {
-      if (pick.saturated) {
-        // Admission rejection (§3.2 budgets): every alive host is at its
-        // stream budget. Redirect instead of erroring — the device retries
-        // with backoff and is admitted once capacity frees up.
-        m_.proxy_admission_redirects->Increment();
-        RedirectDownstream(subscribe->key, "all BRASS hosts saturated");
-      } else {
-        TerminateDownstream(subscribe->key, TerminateReason::kError, "no BRASS host available");
-      }
+      TerminateDownstream(subscribe->key, TerminateReason::kError, "no BRASS host available");
       RemoveStream(subscribe->key);
       return;
     }
@@ -286,26 +276,6 @@ void ReverseProxy::ForwardSubscribeToHost(const StreamKey& key, StreamState& sta
   host->end->Send(subscribe);
 }
 
-void ReverseProxy::RedirectDownstream(const StreamKey& key, const std::string& detail) {
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    return;
-  }
-  auto pop = pop_conns_.find(it->second.pop_conn);
-  if (pop == pop_conns_.end()) {
-    return;
-  }
-  // rewrite_request + redirect: clear the sticky host so the retry goes
-  // back through router admission instead of pinning a saturated host.
-  StreamHeader rewritten(it->second.header);
-  rewritten.set_brass_host(0);
-  auto response = std::make_shared<ResponseFrame>();
-  response->key = key;
-  response->batch.push_back(Delta::Rewrite(std::move(rewritten).Take()));
-  response->batch.push_back(Delta::Terminate(TerminateReason::kRedirect, detail));
-  pop->second.end->Send(response);
-}
-
 void ReverseProxy::TerminateDownstream(const StreamKey& key, TerminateReason reason,
                                        const std::string& detail) {
   auto it = streams_.find(key);
@@ -414,18 +384,13 @@ void ReverseProxy::HandleHostDisconnect(uint64_t conn_id) {
     }
     // Repair: re-route. The stored header may still name the dead host for
     // stickiness; RouteHost overrides stickiness for dead hosts.
-    HostPick repair = RouteHost(it->second.header);
-    if (repair.host_id == 0 || repair.host_id == dead_host) {
-      if (repair.saturated) {
-        m_.proxy_admission_redirects->Increment();
-        RedirectDownstream(key, "no BRASS host with admission capacity");
-      } else {
-        TerminateDownstream(key, TerminateReason::kError, "no alternate BRASS host");
-      }
+    int64_t repair = RouteHost(it->second.header);
+    if (repair == 0 || repair == dead_host) {
+      TerminateDownstream(key, TerminateReason::kError, "no alternate BRASS host");
       RemoveStream(key);
       continue;
     }
-    it->second.host_id = repair.host_id;
+    it->second.host_id = repair;
     m_.proxy_induced_reconnects->Increment();
     ForwardSubscribeToHost(key, it->second, /*resubscribe=*/true);
   }

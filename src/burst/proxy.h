@@ -29,24 +29,15 @@ namespace bladerunner {
 
 class ReverseProxy;
 
-// Result of a routing decision. `host_id == 0` means no host was picked:
-// either none is alive (`saturated == false`, a hard error) or every alive
-// host is at its admission budget (`saturated == true`, the proxy redirects
-// the device with a rewrite_request so it retries with backoff).
-struct HostPick {
-  int64_t host_id = 0;
-  bool saturated = false;
-};
-
 // How the proxy finds and reaches BRASS hosts; implemented by the BRASS
 // router (src/brass/router.h) so the burst layer stays app-agnostic.
 class BurstServerDirectory {
  public:
   virtual ~BurstServerDirectory() = default;
 
-  // Picks a host for a stream with this header (honoring the application's
-  // topic- or load-based routing policy and per-host admission budgets).
-  virtual HostPick PickHost(const StreamHeaderView& header) = 0;
+  // Picks a host for a stream with this header, honoring the application's
+  // topic- or load-based routing policy. 0 means no host is available.
+  virtual int64_t PickHost(const StreamHeaderView& header) = 0;
 
   // True if the host is currently alive (sticky routing must be overridden
   // when the remembered host is gone).
@@ -108,10 +99,8 @@ class ReverseProxy : public ConnectionHandler {
   };
 
   HostConn* EnsureHostConn(int64_t host_id);
-  HostPick RouteHost(const Value& header) const;
-  // Sends a rewrite_request redirect downstream: the sticky host in the
-  // stored header is cleared so the device's retry re-enters admission.
-  void RedirectDownstream(const StreamKey& key, const std::string& detail);
+  // The sticky host while it lives, else the directory's pick (0: none).
+  int64_t RouteHost(const Value& header) const;
   void HandlePopFrame(ConnectionEnd& on, const MessagePtr& message);
   void HandleHostFrame(ConnectionEnd& on, const MessagePtr& message);
   // Forwards a host's envelope frame as one frame per POP connection.
@@ -125,7 +114,6 @@ class ReverseProxy : public ConnectionHandler {
 
   // Metric handles resolved once at construction (docs/PERF.md).
   struct Metrics {
-    Counter* proxy_admission_redirects;
     Counter* proxy_failures;
     Counter* proxy_host_disconnects;
     Counter* proxy_induced_reconnects;

@@ -99,8 +99,7 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
     }
   }
 
-  router_ = std::make_unique<BrassRouter>(&sim_, &topology_, &app_registry_, config_.burst,
-                                          &metrics_);
+  router_ = std::make_unique<BrassRouter>(&sim_, &topology_, &app_registry_, config_.burst);
   // One durable-log directory shared by every host: the log is the
   // sequencer for durable apps, and it must survive any single host's
   // failure the way the real replicated log service would.

@@ -86,7 +86,7 @@ class FakeDirectory : public BurstServerDirectory {
 
   void AddHost(int64_t id, BurstServer* server) { hosts_[id] = server; }
 
-  HostPick PickHost(const StreamHeaderView& header) override {
+  int64_t PickHost(const StreamHeaderView& header) override {
     (void)header;
     size_t min_load = SIZE_MAX;
     for (auto& [id, server] : hosts_) {
@@ -101,9 +101,9 @@ class FakeDirectory : public BurstServerDirectory {
       }
     }
     if (tied.empty()) {
-      return HostPick{};
+      return 0;
     }
-    return HostPick{tied[round_robin_++ % tied.size()], false};
+    return tied[round_robin_++ % tied.size()];
   }
   bool IsHostAlive(int64_t host_id) const override {
     auto it = hosts_.find(host_id);

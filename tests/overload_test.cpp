@@ -1,7 +1,6 @@
 // Overload-control tests: bounded conflating delivery queues, the push
-// pacer the host and the POP share, host admission budgets with router
-// spill/reject, drain-aware routing, and degrade-to-poll fallback under a
-// hot-topic spike (docs/OVERLOAD.md).
+// pacer the host and the POP share, drain- and failure-aware routing, and
+// degrade-to-poll fallback under a hot-topic spike (docs/OVERLOAD.md).
 
 #include <gtest/gtest.h>
 
@@ -275,54 +274,97 @@ TEST(OverloadClusterTest, RouterSkipsDrainingHost) {
   EXPECT_EQ(other.StreamCount(), 2u);
 }
 
-// With every host at its stream budget the router first spills across
-// regions, then rejects; rejected devices retry and are admitted once a
-// slot frees.
-TEST(OverloadClusterTest, AdmissionSpillsThenRejectsThenRecovers) {
+// A device that also records why each of its streams ended.
+class RecordingDevice : public DeviceAgent {
+ public:
+  using DeviceAgent::DeviceAgent;
+
+  void OnStreamTerminated(uint64_t sid, TerminateReason reason,
+                          const std::string& detail) override {
+    terminations.emplace_back(sid, reason);
+    DeviceAgent::OnStreamTerminated(sid, reason, detail);
+  }
+
+  std::vector<std::pair<uint64_t, TerminateReason>> terminations;
+};
+
+// The router places a stream in its own region while that region has a
+// routable host, and in another region once its host is draining or
+// failed. With every host failed the proxy ends the subscribe with kError.
+TEST(OverloadClusterTest, RouterKeepsRegionFailsOverThenErrors) {
   ClusterConfig config;
   config.seed = 99;
   config.brass_hosts_per_region = 1;
-  config.brass.overload.max_streams_per_host = 1;
   TestCluster tc = MakeCluster(std::move(config), Topology::ThreeRegions());
   ASSERT_EQ(tc.cluster->NumBrassHosts(), 3u);
 
-  auto total_streams = [&] {
+  BrassHost* home = nullptr;
+  for (size_t i = 0; i < tc.cluster->NumBrassHosts(); ++i) {
+    if (tc.cluster->brass_host(i).region() == 0) {
+      home = &tc.cluster->brass_host(i);
+    }
+  }
+  ASSERT_NE(home, nullptr);
+  auto streams_outside_region = [&] {
     size_t total = 0;
     for (size_t i = 0; i < tc.cluster->NumBrassHosts(); ++i) {
-      total += tc.cluster->brass_host(i).StreamCount();
+      BrassHost& host = tc.cluster->brass_host(i);
+      if (&host != home) {
+        total += host.StreamCount();
+      }
     }
     return total;
   };
+  auto device = [&](size_t user_index) {
+    return std::make_unique<RecordingDevice>(tc.cluster.get(), tc.graph.users[user_index],
+                                             /*region=*/0, DeviceProfile::kWifi);
+  };
 
-  // All devices live in region 0, so the 2nd and 3rd stream must spill out
-  // of the preferred region to stay under the per-host budget.
-  std::vector<std::unique_ptr<DeviceAgent>> devices;
-  std::vector<uint64_t> sids;
-  for (size_t i = 0; i < 3; ++i) {
-    devices.push_back(MakeDevice(tc, i, /*region=*/0));
-    sids.push_back(devices.back()->SubscribeLvc(tc.graph.videos[0]));
-    tc.cluster->sim().RunFor(Seconds(1));
+  // In region: both region-0 streams land on the home host, though by
+  // load alone the second would go to an idle host elsewhere.
+  std::vector<std::unique_ptr<RecordingDevice>> devices;
+  for (size_t i = 0; i < 2; ++i) {
+    devices.push_back(device(i));
+    devices.back()->SubscribeLvc(tc.graph.videos[0]);
+    tc.cluster->sim().RunFor(Seconds(3));
   }
+  EXPECT_EQ(home->StreamCount(), 2u);
+  EXPECT_EQ(streams_outside_region(), 0u);
+
+  // Draining: the home host keeps its streams, the new one leaves the region.
+  home->StartDrain(Seconds(60));
+  devices.push_back(device(2));
+  devices.back()->SubscribeLvc(tc.graph.videos[0]);
   tc.cluster->sim().RunFor(Seconds(3));
-  EXPECT_EQ(total_streams(), 3u);
-  for (size_t i = 0; i < tc.cluster->NumBrassHosts(); ++i) {
-    EXPECT_LE(tc.cluster->brass_host(i).StreamCount(), 1u);
-  }
-  EXPECT_GE(tc.cluster->metrics().GetCounter("brass.router_spills").value(), 1);
+  EXPECT_EQ(home->StreamCount(), 2u);
+  EXPECT_EQ(streams_outside_region(), 1u);
 
-  // A 4th subscription finds every host saturated: redirect-rejected at the
-  // proxy, and the device keeps retrying on backoff without being admitted.
-  devices.push_back(MakeDevice(tc, 3, /*region=*/0));
+  // Failed: the proxy moves the home host's streams out of the region, and
+  // a new stream goes there too.
+  home->FailHost();
+  devices.push_back(device(3));
   devices.back()->SubscribeLvc(tc.graph.videos[0]);
   tc.cluster->sim().RunFor(Seconds(5));
-  EXPECT_EQ(total_streams(), 3u);
-  EXPECT_GE(tc.cluster->metrics().GetCounter("brass.router_saturated_rejections").value(), 1);
-  EXPECT_GE(tc.cluster->metrics().GetCounter("burst.proxy_admission_redirects").value(), 1);
+  EXPECT_EQ(home->StreamCount(), 0u);
+  EXPECT_EQ(streams_outside_region(), 4u);
 
-  // Freeing one slot lets the rejected device in on its next retry.
-  devices[0]->CancelStream(sids[0]);
-  tc.cluster->sim().RunFor(Seconds(12));  // cancel + redirect backoff (<= 3 s)
-  EXPECT_EQ(total_streams(), 3u);
+  // No host left: the proxy ends a new subscribe with kError, not a
+  // redirect, and the device counts the stream as terminated.
+  for (size_t i = 0; i < tc.cluster->NumBrassHosts(); ++i) {
+    tc.cluster->brass_host(i).FailHost();
+  }
+  tc.cluster->sim().RunFor(Seconds(5));
+  Counter& terminated = tc.cluster->metrics().GetCounter("device.streams_terminated");
+  const int64_t terminated_before = terminated.value();
+  auto last = device(4);
+  uint64_t sid = last->SubscribeLvc(tc.graph.videos[0]);
+  tc.cluster->sim().RunFor(Seconds(3));
+  ASSERT_EQ(last->terminations.size(), 1u);
+  EXPECT_EQ(last->terminations[0].first, sid);
+  EXPECT_EQ(last->terminations[0].second, TerminateReason::kError);
+  EXPECT_EQ(terminated.value(), terminated_before + 1);
+  EXPECT_EQ(last->burst().ActiveStreamCount(), 0u);
+  EXPECT_EQ(tc.cluster->metrics().GetCounter("burst.client_redirects").value(), 0);
 }
 
 // A 10x hot-topic spike on one LVC stream: the bounded queue sheds, the
