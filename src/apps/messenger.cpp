@@ -109,7 +109,7 @@ void MessengerApp::OnEvent(const Topic& topic, const UpdateEvent& event,
 void MessengerApp::FetchAndQueue(const StreamKey& key, const Value& metadata, uint64_t seq,
                                  SimTime created_at, TraceContext span) {
   auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.stream == nullptr) {
+  if (it == mailboxes_.end()) {
     runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
     runtime().EndSpan(span);
     return;
@@ -167,13 +167,11 @@ void MessengerApp::DrainPending(const StreamKey& key) {
     state.pending.erase(state.pending.begin());
     SimTime created_at = payload.Get("_createdAtEvent").AsInt(0);
     state.next_seq = seq + 1;
-    if (state.stream != nullptr) {
-      DeliverOptions deliver;
-      deliver.seq = seq;
-      deliver.event_created_at = created_at;
-      deliver.parent = span;
-      runtime().DeliverData(*state.stream, payload, deliver);
-    }
+    DeliverOptions deliver;
+    deliver.seq = seq;
+    deliver.event_created_at = created_at;
+    deliver.parent = span;
+    runtime().DeliverData(*state.stream, payload, deliver);
     runtime().EndSpan(span);
     state.unacked[seq] = std::move(payload);
     if (state.unacked.size() > config_.redelivery_buffer) {
@@ -185,7 +183,7 @@ void MessengerApp::DrainPending(const StreamKey& key) {
 
 void MessengerApp::RecoverGap(const StreamKey& key) {
   auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.recovering || it->second.stream == nullptr) {
+  if (it == mailboxes_.end() || it->second.recovering) {
     return;
   }
   MailboxState& state = it->second;
@@ -194,7 +192,9 @@ void MessengerApp::RecoverGap(const StreamKey& key) {
   std::string query = "query { mailbox(afterSeq: " + std::to_string(after) +
                       ", first: 50) { id seq author thread text time } }";
   gap_polls_->Increment();
-  runtime().WasQuery(query, FetchOptions{.viewer = state.stream->viewer, .bypass_cache = true},
+  runtime().WasQuery(query,
+                     FetchOptions{.viewer = state.stream->viewer, .parent = {},
+                                  .bypass_cache = true},
                      [this, key](bool ok, Value data) {
     auto it2 = mailboxes_.find(key);
     if (it2 == mailboxes_.end()) {
@@ -222,9 +222,6 @@ void MessengerApp::PersistProgress(MailboxState& state) {
   // Rewrite the resume token into the stream header (§3.5 "Resumption"):
   // after any failure, the resubscribe carries the last delivered sequence,
   // and the replacement BRASS resumes from exactly there.
-  if (state.stream == nullptr) {
-    return;
-  }
   ServerStream* raw = state.stream->stream;
   if (!raw->attached()) {
     return;

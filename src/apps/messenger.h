@@ -52,7 +52,7 @@ class MessengerApp : public BrassApplication {
   };
 
   struct MailboxState {
-    BrassStream* stream = nullptr;
+    BrassStream* stream = nullptr;         // set when made, never cleared
     uint64_t next_seq = 1;                 // next sequence to deliver
     std::map<uint64_t, PendingMessage> pending;  // fetched, waiting for their turn
     std::map<uint64_t, Value> unacked;     // delivered, awaiting device ack

@@ -17,11 +17,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/graphql/value.h"
 #include "src/sim/simulator.h"
@@ -97,6 +97,19 @@ class ConflatingDeliveryQueue {
     kShed,       // appended after shedding the oldest pending delivery
   };
 
+  ConflatingDeliveryQueue() = default;
+  // A moved-from queue is empty.
+  ConflatingDeliveryQueue(ConflatingDeliveryQueue&& other) noexcept { *this = std::move(other); }
+  ConflatingDeliveryQueue& operator=(ConflatingDeliveryQueue&& other) noexcept {
+    if (this != &other) {
+      slots_ = std::move(other.slots_);
+      head_ = other.head_;
+      size_ = other.size_;
+      other.Clear();
+    }
+    return *this;
+  }
+
   struct OfferResult {
     Outcome outcome = Outcome::kQueued;
     // The delivery displaced by a shed (meaningful only for kShed); the
@@ -110,7 +123,8 @@ class ConflatingDeliveryQueue {
                     size_t bound) {
     OfferResult result;
     if (conflatable && !options.conflation_key.empty()) {
-      for (PendingDelivery& pending : entries_) {
+      for (size_t i = 0; i < size_; ++i) {
+        PendingDelivery& pending = At(i);
         if (pending.options.conflation_key != options.conflation_key) {
           continue;
         }
@@ -124,38 +138,73 @@ class ConflatingDeliveryQueue {
         return result;
       }
     }
-    if (entries_.size() >= bound && !entries_.empty()) {
+    if (size_ >= bound && size_ > 0) {
       result.outcome = Outcome::kShed;
-      result.shed = std::move(entries_.front());
-      entries_.pop_front();
+      result.shed = PopFront();
     }
-    entries_.push_back(PendingDelivery{std::move(payload), options});
+    if (size_ == slots_.size()) {
+      Grow();
+    }
+    At(size_++) = PendingDelivery{std::move(payload), options};
     return result;
   }
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
 
   // Whether a pending delivery carries this (non-empty) conflation key at
   // exactly this version.
   bool Holds(const std::string& conflation_key, uint64_t version) const {
-    return !conflation_key.empty() &&
-           std::any_of(entries_.begin(), entries_.end(), [&](const PendingDelivery& pending) {
-             return pending.options.version == version &&
-                    pending.options.conflation_key == conflation_key;
-           });
+    if (conflation_key.empty()) {
+      return false;
+    }
+    for (size_t i = 0; i < size_; ++i) {
+      const PendingDelivery& pending = At(i);
+      if (pending.options.version == version && pending.options.conflation_key == conflation_key) {
+        return true;
+      }
+    }
+    return false;
   }
 
   PendingDelivery PopFront() {
-    PendingDelivery front = std::move(entries_.front());
-    entries_.pop_front();
+    PendingDelivery front = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    if (--size_ == 0) {
+      Clear();
+    }
     return front;
   }
 
-  void Clear() { entries_.clear(); }
+  // Empties the queue and frees its storage.
+  void Clear() {
+    std::vector<PendingDelivery>().swap(slots_);
+    head_ = 0;
+    size_ = 0;
+  }
 
  private:
-  std::deque<PendingDelivery> entries_;
+  // The i-th pending delivery, oldest first.
+  PendingDelivery& At(size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+  const PendingDelivery& At(size_t i) const { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+
+  // Doubles the ring (from nothing to one slot), keeping the order.
+  void Grow() {
+    std::vector<PendingDelivery> grown(std::max<size_t>(1, 2 * slots_.size()));
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(At(i));
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+
+  // A ring of power-of-two size holding the pending deliveries from
+  // slots_[head_]. It is allocated when a delivery first waits and freed
+  // when the last one leaves: most streams never queue, and a stream that
+  // did holds no storage once it drains.
+  std::vector<PendingDelivery> slots_;
+  size_t head_ = 0;
+  size_t size_ = 0;
 };
 
 // One stream's push pacing: at most one push per `gap`. A delivery that

@@ -238,7 +238,7 @@ void BurstClient::HandleResponse(const ResponseFrame& response) {
   std::string term_detail;
   for (const Delta& delta : response.batch) {
     if (delta.kind == DeltaKind::kRewrite) {
-      it->second.header = delta.new_header;
+      delta.ApplyRewrite(it->second.header);
       it->second.durable = StreamHeaderView(it->second.header).durable();
     } else if (delta.kind == DeltaKind::kTermination) {
       terminated = true;

@@ -1,5 +1,7 @@
 #include "src/burst/frames.h"
 
+#include <cassert>
+
 namespace bladerunner {
 
 // The wire-format keys of the well-known header fields. Private to this
@@ -13,6 +15,49 @@ constexpr char kHeaderResumeToken[] = "resume";        // sync offset
 constexpr char kHeaderDurable[] = "durable";           // durable-tier marker
 constexpr char kHeaderRegion[] = "region";             // preferred DC region
 constexpr char kHeaderPlacement[] = "placement";       // edge-placement stamp
+
+// The RFC 7386 merge patch that turns `from` into `to`. A key `to` maps to
+// null reads as absent: a merge patch cannot tell the two apart.
+Value MergePatch(const Value& from, const Value& to) {
+  if (!from.is_map() || !to.is_map()) {
+    return to;  // a non-map patch replaces its target whole
+  }
+  Value patch(ValueMap{});
+  for (const auto& [key, value] : to.AsMap()) {
+    const Value& before = from.Get(key);
+    if (before != value) {
+      patch.Set(key, MergePatch(before, value));
+    }
+  }
+  for (const auto& [key, value] : from.AsMap()) {
+    if (!to.Has(key)) {
+      patch.Set(key, nullptr);
+    }
+  }
+  return patch;
+}
+
+// RFC 7386 MergePatch(target, patch), written into `target`.
+void ApplyMergePatch(const Value& patch, Value& target) {
+  if (!patch.is_map()) {
+    target = patch;
+    return;
+  }
+  if (!target.is_map()) {
+    target = Value(ValueMap{});
+  }
+  for (const auto& [key, value] : patch.AsMap()) {
+    if (value.is_null()) {
+      target.Erase(key);
+    } else if (!value.is_map()) {
+      target.Set(key, value);
+    } else {
+      Value member = target.Get(key);
+      ApplyMergePatch(value, member);
+      target.Set(key, std::move(member));
+    }
+  }
+}
 }  // namespace
 
 StreamHeaderView::StreamHeaderView(const Value& header) {
@@ -157,10 +202,12 @@ Delta Delta::Flow(FlowStatus status, std::string detail) {
   return d;
 }
 
-Delta Delta::Rewrite(Value new_header) {
+Delta Delta::Rewrite(const Value& base, const Value& header) {
   Delta d;
   d.kind = DeltaKind::kRewrite;
-  d.new_header = std::move(new_header);
+  d.rewrite.patch = MergePatch(base, header);
+  d.rewrite.base = base;
+  d.rewrite.header = header;
   return d;
 }
 
@@ -172,6 +219,15 @@ Delta Delta::Terminate(TerminateReason reason, std::string detail) {
   return d;
 }
 
+void Delta::ApplyRewrite(Value& header) const {
+  assert(kind == DeltaKind::kRewrite);
+  if (header == rewrite.base) {
+    header = rewrite.header;
+  } else {
+    ApplyMergePatch(rewrite.patch, header);
+  }
+}
+
 uint64_t Delta::WireSize() const {
   switch (kind) {
     case DeltaKind::kData:
@@ -179,7 +235,7 @@ uint64_t Delta::WireSize() const {
     case DeltaKind::kFlowStatus:
       return 8 + detail.size();
     case DeltaKind::kRewrite:
-      return 8 + new_header.WireSize();
+      return 8 + rewrite.patch.WireSize();
     case DeltaKind::kTermination:
       return 8 + detail.size();
   }

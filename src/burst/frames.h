@@ -140,7 +140,7 @@ class StreamHeader {
 enum class DeltaKind {
   kData,        // a GraphQL payload (one update)
   kFlowStatus,  // failure / recovery signalling
-  kRewrite,     // replace the stored subscription header
+  kRewrite,     // patch the stored subscription header
   kTermination, // the stream is over
 };
 
@@ -166,6 +166,18 @@ const char* ToString(DeltaKind kind);
 const char* ToString(FlowStatus status);
 const char* ToString(TerminateReason reason);
 
+// A rewrite_request's content: an RFC 7386 JSON merge patch that turns the
+// header the server held (`base`) into its new header (`header`) — the keys
+// added or changed, and each removed key mapped to null. Only the patch
+// crosses the wire. `base` and `header` are the server's own trees, which
+// the simulated hops share rather than copy (docs/BURST.md "State kept per
+// hop"); only Delta::ApplyRewrite reads them.
+struct HeaderRewrite {
+  Value patch;
+  Value base;
+  Value header;
+};
+
 struct Delta {
   DeltaKind kind = DeltaKind::kData;
   // kData: the payload.
@@ -174,7 +186,7 @@ struct Delta {
   // kFlowStatus
   FlowStatus status = FlowStatus::kDegraded;
   // kRewrite
-  Value new_header;
+  HeaderRewrite rewrite;
   // kTermination
   TerminateReason reason = TerminateReason::kComplete;
   // free-form detail for logs/UX
@@ -185,8 +197,16 @@ struct Delta {
 
   static Delta Data(Value payload, uint64_t seq);
   static Delta Flow(FlowStatus status, std::string detail = "");
-  static Delta Rewrite(Value new_header);
+  // A rewrite from `base` to `header`; computes the merge patch.
+  static Delta Rewrite(const Value& base, const Value& header);
   static Delta Terminate(TerminateReason reason, std::string detail = "");
+
+  // Applies this rewrite to a hop's stored header. A hop that holds the
+  // rewrite's base adopts the server's new tree, which is what the patch
+  // would make of it, so every such hop keeps sharing one tree with the
+  // server; a hop that holds anything else gets the patch applied to its
+  // own header (a key the patch does not name keeps its value or absence).
+  void ApplyRewrite(Value& header) const;
 
   uint64_t WireSize() const;
 };

@@ -227,7 +227,7 @@ void Pop::HandleUplinkFrame(ConnectionEnd& on, const MessagePtr& message) {
     if (delta.kind == DeltaKind::kRewrite) {
       // Proxies keep the current header so they can repair streams (§3.5);
       // rewrites update the stored copy as they pass through.
-      it->second.header = delta.new_header;
+      delta.ApplyRewrite(it->second.header);
     } else if (delta.kind == DeltaKind::kTermination) {
       terminated = true;
     } else if (delta.kind == DeltaKind::kFlowStatus && delta.status == FlowStatus::kDegraded) {

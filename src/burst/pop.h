@@ -89,6 +89,11 @@ class Pop : public ConnectionHandler {
   void FailPop();
 
   size_t StreamCount() const { return streams_.size(); }
+  // The stream's stored header (reflecting rewrites); nullptr if unknown.
+  const Value* HeaderOf(const StreamKey& key) const {
+    auto it = streams_.find(key);
+    return it == streams_.end() ? nullptr : &it->second.header;
+  }
   size_t DeviceConnectionCount() const { return device_conns_.size(); }
   const PopPayloadCache& payload_cache() const { return cache_; }
 

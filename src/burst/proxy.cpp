@@ -214,7 +214,7 @@ void ReverseProxy::HandleHostFrame(ConnectionEnd& on, const MessagePtr& message)
   bool terminated = false;
   for (const Delta& delta : response->batch) {
     if (delta.kind == DeltaKind::kRewrite) {
-      it->second.header = delta.new_header;
+      delta.ApplyRewrite(it->second.header);
     } else if (delta.kind == DeltaKind::kTermination) {
       terminated = true;
     } else if (delta.kind == DeltaKind::kData && trace_ != nullptr && delta.trace.valid()) {

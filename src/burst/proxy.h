@@ -66,6 +66,11 @@ class ReverseProxy : public ConnectionHandler {
   void FailProxy();
 
   size_t StreamCount() const { return streams_.size(); }
+  // The stream's stored header (reflecting rewrites); nullptr if unknown.
+  const Value* HeaderOf(const StreamKey& key) const {
+    auto it = streams_.find(key);
+    return it == streams_.end() ? nullptr : &it->second.header;
+  }
 
   // Streams currently booked against the connection to `host_id` (0 when
   // no such connection). Tests use this to assert re-routed streams are

@@ -28,9 +28,10 @@ void ServerStream::PushFlow(FlowStatus status, std::string detail) {
   Push(Batch(Delta::Flow(status, std::move(detail))));
 }
 
-void ServerStream::Rewrite(Value new_header) {
-  header_ = new_header;
-  Push(Batch(Delta::Rewrite(std::move(new_header))));
+void ServerStream::Rewrite(Value header) {
+  Delta rewrite = Delta::Rewrite(header_, header);
+  header_ = std::move(header);
+  Push(Batch(std::move(rewrite)));
 }
 
 void ServerStream::Terminate(TerminateReason reason, std::string detail) {

@@ -48,9 +48,10 @@ class ServerStream {
   void PushFlow(FlowStatus status, std::string detail = "");
 
   // Replaces the subscription header everywhere along the path (§3.5).
-  // The stored copies at the proxies, POP, and device all update, so the
-  // next resubscribe carries the new header.
-  void Rewrite(Value new_header);
+  // The delta carries the merge patch from the current header, and the
+  // stored copies at the proxies, POP, and device all apply it, so the next
+  // resubscribe carries the new header.
+  void Rewrite(Value header);
 
   // Ends the stream. kRedirect tells the device to resubscribe with the
   // current (typically just-rewritten) header.

@@ -16,7 +16,11 @@
 #include "src/burst/pop.h"
 #include "src/burst/proxy.h"
 #include "src/burst/server.h"
+#include "src/core/cluster.h"
+#include "src/core/device.h"
+#include "src/pylon/topic.h"
 #include "src/sim/simulator.h"
+#include "src/was/resolvers.h"
 
 namespace bladerunner {
 namespace {
@@ -252,7 +256,8 @@ TEST_F(BurstTest, BatchesApplyAtomically) {
   FakeAppHandler& app = app1_.started.empty() ? app2_ : app1_;
   Value rewritten = app.last_stream->header();
   rewritten.Set("extra", "state");
-  app.last_stream->Push({Delta::Rewrite(rewritten), Delta::Data(Value("d1"), 1),
+  app.last_stream->Push({Delta::Rewrite(app.last_stream->header(), rewritten),
+                         Delta::Data(Value("d1"), 1),
                          Delta::Data(Value("d2"), 2)});
   sim_.RunFor(Seconds(1));
   ASSERT_EQ(observer_.data.size(), 2u);
@@ -709,7 +714,7 @@ TEST(FramesTest, DeltaFactories) {
   Delta f = Delta::Flow(FlowStatus::kRecovered, "x");
   EXPECT_EQ(f.kind, DeltaKind::kFlowStatus);
   EXPECT_EQ(f.status, FlowStatus::kRecovered);
-  Delta r = Delta::Rewrite(Value(ValueMap{}));
+  Delta r = Delta::Rewrite(Value(ValueMap{}), Value(ValueMap{}));
   EXPECT_EQ(r.kind, DeltaKind::kRewrite);
   Delta t = Delta::Terminate(TerminateReason::kRedirect, "go");
   EXPECT_EQ(t.kind, DeltaKind::kTermination);
@@ -756,6 +761,304 @@ TEST(FramesTest, ResumeTokenZeroIsDistinctFromAbsent) {
   EXPECT_TRUE(view.durable());
   EXPECT_TRUE(view.has_resume_token());
   EXPECT_EQ(view.resume_token(), 7);
+}
+
+// ---- rewrite_request deltas: an RFC 7386 merge patch of the header ----
+
+TEST(HeaderRewriteTest, PatchCarriesAddedChangedAndRemovedKeys) {
+  Value base =
+      std::move(StreamHeader().set_app("t").set_viewer(1).set_resume_token(3).set_placement(2))
+          .Take();
+  Value header =
+      std::move(StreamHeader(base).set_resume_token(4).set_brass_host(7).set_placement(0)).Take();
+  Delta rewrite = Delta::Rewrite(base, header);
+  EXPECT_EQ(rewrite.kind, DeltaKind::kRewrite);
+  EXPECT_EQ(rewrite.rewrite.patch.ToJson(), R"({"brass_host":7,"placement":null,"resume":4})");
+}
+
+TEST(HeaderRewriteTest, RewriteToAnIdenticalHeaderIsAnEmptyPatch) {
+  Value base = std::move(StreamHeader().set_app("t").set_viewer(1).set_brass_host(7)).Take();
+  Delta rewrite = Delta::Rewrite(base, base);
+  EXPECT_EQ(rewrite.rewrite.patch.ToJson(), "{}");
+  EXPECT_EQ(rewrite.WireSize(), 8u + 2u);
+  Value hop = std::move(StreamHeader().set_app("t").set_viewer(2)).Take();
+  const Value before = hop;
+  rewrite.ApplyRewrite(hop);
+  EXPECT_EQ(hop, before);
+}
+
+TEST(HeaderRewriteTest, WireSizeIsEightPlusThePatch) {
+  Value base = std::move(StreamHeader()
+                             .set_app("LVC")
+                             .set_subscription("subscription { liveVideoComments(videoId: 9) }")
+                             .set_viewer(5)
+                             .set_region(1))
+                   .Take();
+  Value header = std::move(StreamHeader(base).set_brass_host(12)).Take();
+  Delta rewrite = Delta::Rewrite(base, header);
+  EXPECT_EQ(rewrite.WireSize(), 8 + rewrite.rewrite.patch.WireSize());
+  // {"brass_host": <int>}: 2 B of braces + 10 B of key + 3 B of quoting and
+  // colon + 8 B of value + 1 B separator.
+  EXPECT_EQ(rewrite.rewrite.patch.WireSize(), 24u);
+  EXPECT_LT(rewrite.WireSize(), 8 + header.WireSize());
+  ResponseFrame frame;
+  frame.batch.push_back(rewrite);
+  EXPECT_EQ(frame.WireSize(), 24 + 8 + rewrite.rewrite.patch.WireSize());
+}
+
+TEST(HeaderRewriteTest, HopHoldingTheBaseAdoptsTheServerTree) {
+  Value base = std::move(StreamHeader().set_app("t").set_viewer(1).set_placement(2)).Take();
+  Value header = std::move(StreamHeader(base).set_brass_host(7).set_resume_token(0)).Take();
+  Delta rewrite = Delta::Rewrite(base, header);
+  Value shared = base;                 // the tree the server itself held
+  Value copied(ValueMap(base.AsMap()));  // an equal header in a tree of its own
+  rewrite.ApplyRewrite(shared);
+  rewrite.ApplyRewrite(copied);
+  EXPECT_EQ(shared, header);
+  EXPECT_EQ(copied, header);
+  // Both now reference the server's new tree rather than a copy of it.
+  EXPECT_EQ(&shared.AsMap(), &header.AsMap());
+  EXPECT_EQ(&copied.AsMap(), &header.AsMap());
+}
+
+TEST(HeaderRewriteTest, HopHoldingADifferentHeaderGetsItsHeaderPlusThePatch) {
+  // The client of a POP-placed stream never saw the POP's placement stamp.
+  Value client = std::move(StreamHeader().set_app("t").set_viewer(1).set_resume_token(3)).Take();
+  Value base = std::move(StreamHeader(client).set_placement(2)).Take();
+  Value header = std::move(StreamHeader(base).set_brass_host(7).set_resume_token(4)).Take();
+  Delta rewrite = Delta::Rewrite(base, header);
+  rewrite.ApplyRewrite(client);
+  EXPECT_EQ(client, std::move(StreamHeader(header).set_placement(0)).Take());
+  EXPECT_EQ(StreamHeaderView(client).brass_host(), 7);
+  EXPECT_EQ(StreamHeaderView(client).resume_token(), 4);
+  EXPECT_EQ(StreamHeaderView(client).placement(), 0);
+}
+
+TEST(HeaderRewriteTest, PatchRecursesIntoNestedMaps) {
+  Value base;
+  base.Set("a", Value(ValueMap{{"x", Value(1)}, {"y", Value(2)}}));
+  base.Set("b", 1);
+  Value header;
+  header.Set("a", Value(ValueMap{{"x", Value(1)}, {"z", Value(3)}}));
+  header.Set("b", 1);
+  Delta rewrite = Delta::Rewrite(base, header);
+  EXPECT_EQ(rewrite.rewrite.patch.ToJson(), R"({"a":{"y":null,"z":3}})");
+  Value hop;
+  hop.Set("a", Value(ValueMap{{"x", Value(5)}, {"y", Value(2)}}));
+  rewrite.ApplyRewrite(hop);
+  EXPECT_EQ(hop.ToJson(), R"({"a":{"x":5,"z":3}})");
+}
+
+// ---- rewrite deltas from every producer, over the full cluster ----
+
+class HeaderRewriteClusterTest : public ::testing::Test {
+ protected:
+  void Build(ClusterConfig config = {}) {
+    config.seed = 515;
+    config.apps.lvc.min_quality = 0.0;
+    config.apps.lvc.non_friend_quality = 0.0;
+    config.apps.lvc.filter_language = false;
+    config.apps.lvc.push_interval = Seconds(1);
+    cluster_ = std::make_unique<BladerunnerCluster>(config, Topology::OneRegion());
+    alice_ = CreateUser(cluster_->tao(), "alice", "en");
+    bob_ = CreateUser(cluster_->tao(), "bob", "en");
+    MakeFriends(cluster_->tao(), alice_, bob_);
+    video_ = CreateVideo(cluster_->tao(), alice_, "v");
+    thread_ = CreateThread(cluster_->tao(), {alice_, bob_});
+    cluster_->sim().RunFor(Seconds(2));
+  }
+
+  void BuildPlaced() {
+    ClusterConfig config;
+    config.apps.lvc.placement = BrassPlacement::kPopFilterConflate;
+    config.burst.pop_placement_enabled = true;
+    Build(config);
+  }
+
+  std::unique_ptr<DeviceAgent> Device(UserId user) {
+    return std::make_unique<DeviceAgent>(cluster_.get(), user, 0, DeviceProfile::kWifi);
+  }
+
+  int64_t Counter(const std::string& name) {
+    return cluster_->metrics().GetCounter(name).value();
+  }
+
+  // The header the stream's BRASS host holds (nullptr: no host has it).
+  const Value* ServerHeader(const DeviceAgent& device, uint64_t sid) {
+    const StreamKey key{device.user(), sid};
+    for (size_t i = 0; i < cluster_->NumBrassHosts(); ++i) {
+      if (ServerStream* stream = cluster_->brass_host(i).burst()->FindStream(key)) {
+        return &stream->header();
+      }
+    }
+    return nullptr;
+  }
+
+  // The client, and every POP and proxy that stores the stream (at least
+  // one of each), hold the header the BRASS host holds.
+  void ExpectEveryHopHoldsTheServerHeader(DeviceAgent& device, uint64_t sid) {
+    const StreamKey key{device.user(), sid};
+    const Value* server = ServerHeader(device, sid);
+    ASSERT_NE(server, nullptr);
+    const Value* client = device.burst().HeaderOf(sid);
+    ASSERT_NE(client, nullptr);
+    EXPECT_EQ(*client, *server);
+    int pops = 0;
+    for (size_t i = 0; i < cluster_->NumPops(); ++i) {
+      if (const Value* header = cluster_->pop(i).HeaderOf(key)) {
+        EXPECT_EQ(*header, *server) << "POP " << i;
+        pops += 1;
+      }
+    }
+    int proxies = 0;
+    for (size_t i = 0; i < cluster_->NumProxies(); ++i) {
+      if (const Value* header = cluster_->proxy(i).HeaderOf(key)) {
+        EXPECT_EQ(*header, *server) << "proxy " << i;
+        proxies += 1;
+      }
+    }
+    EXPECT_GE(pops, 1);
+    EXPECT_GE(proxies, 1);
+  }
+
+  std::unique_ptr<BladerunnerCluster> cluster_;
+  UserId alice_ = 0;
+  UserId bob_ = 0;
+  ObjectId video_ = 0;
+  ObjectId thread_ = 0;
+};
+
+TEST_F(HeaderRewriteClusterTest, StreamStartRewriteReachesEveryHop) {
+  Build();
+  auto device = Device(alice_);
+  uint64_t sid = device->SubscribeTyping(thread_);
+  cluster_->sim().RunFor(Seconds(3));
+  const Value* server = ServerHeader(*device, sid);
+  ASSERT_NE(server, nullptr);
+  EXPECT_NE(StreamHeaderView(*server).brass_host(), 0);
+  EXPECT_FALSE(StreamHeaderView(*server).durable());
+  EXPECT_FALSE(StreamHeaderView(*server).has_resume_token());
+  ExpectEveryHopHoldsTheServerHeader(*device, sid);
+}
+
+TEST_F(HeaderRewriteClusterTest, DurableStreamStartRewriteReachesEveryHop) {
+  Build();
+  auto device = Device(alice_);
+  uint64_t sid = device->SubscribeTicker(1);
+  cluster_->sim().RunFor(Seconds(3));
+  const Value* server = ServerHeader(*device, sid);
+  ASSERT_NE(server, nullptr);
+  EXPECT_NE(StreamHeaderView(*server).brass_host(), 0);
+  EXPECT_TRUE(StreamHeaderView(*server).durable());
+  EXPECT_TRUE(StreamHeaderView(*server).has_resume_token());
+  ExpectEveryHopHoldsTheServerHeader(*device, sid);
+}
+
+TEST_F(HeaderRewriteClusterTest, DurableTokenRewriteReachesEveryHop) {
+  Build();
+  auto device = Device(alice_);
+  uint64_t sid = device->SubscribeTicker(1);
+  cluster_->sim().RunFor(Seconds(3));
+  const int64_t interval =
+      static_cast<int64_t>(cluster_->config().brass.durable_log.token_rewrite_interval);
+  for (int64_t tick = 1; tick <= 2 * interval; ++tick) {
+    PublishSpec spec;
+    spec.topic = TickerTopic(1);
+    spec.metadata.Set("tick", tick);
+    cluster_->was(0).PublishNow(spec, cluster_->sim().Now());
+    cluster_->sim().RunFor(Millis(100));
+  }
+  cluster_->sim().RunFor(Seconds(3));
+  EXPECT_EQ(Counter("brass.durable_token_rewrites"), 2);
+  const Value* server = ServerHeader(*device, sid);
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(StreamHeaderView(*server).resume_token(), 2 * interval);
+  ExpectEveryHopHoldsTheServerHeader(*device, sid);
+}
+
+TEST_F(HeaderRewriteClusterTest, MessengerProgressRewriteReachesEveryHop) {
+  Build();
+  auto receiver = Device(alice_);
+  auto sender = Device(bob_);
+  uint64_t sid = receiver->SubscribeMailbox(0);
+  cluster_->sim().RunFor(Seconds(3));
+  for (int i = 1; i <= 2; ++i) {
+    sender->SendMessage(thread_, "m" + std::to_string(i));
+    cluster_->sim().RunFor(Seconds(3));
+    ASSERT_EQ(receiver->last_messenger_seq(), static_cast<uint64_t>(i));
+    const Value* server = ServerHeader(*receiver, sid);
+    ASSERT_NE(server, nullptr);
+    EXPECT_EQ(StreamHeaderView(*server).resume_token(), i);
+    ExpectEveryHopHoldsTheServerHeader(*receiver, sid);
+  }
+}
+
+// A stream start sends one response frame down the backbone: 24 B of frame
+// and 8 B of delta around the patch, which only names the sticky host.
+TEST_F(HeaderRewriteClusterTest, StreamStartCostsOnePatchOnTheBackbone) {
+  Build();
+  auto device = Device(alice_);
+  uint64_t sid = device->SubscribeTyping(thread_);
+  const Value subscribed = *device->burst().HeaderOf(sid);
+  const int64_t bytes_before = Counter("burst.pop_backbone_bytes_down");
+  const int64_t pushes_before = Counter("burst.server_pushes");
+  cluster_->sim().RunFor(Seconds(3));
+  const Value* server = ServerHeader(*device, sid);
+  ASSERT_NE(server, nullptr);
+  const Value patch = Delta::Rewrite(subscribed, *server).rewrite.patch;
+  EXPECT_EQ(patch.ToJson(),
+            R"({"brass_host":)" + std::to_string(StreamHeaderView(*server).brass_host()) + "}");
+  EXPECT_EQ(Counter("burst.server_pushes") - pushes_before, 1);
+  EXPECT_EQ(Counter("burst.pop_backbone_bytes_down") - bytes_before,
+            static_cast<int64_t>(24 + 8 + patch.WireSize()));
+}
+
+// The POP stamps `placement` on the subscribe it forwards, so the host,
+// proxy and POP hold it; the client never saw it and the rewrite's patch
+// does not name it, so the client gains the sticky host but not the stamp.
+TEST_F(HeaderRewriteClusterTest, PlacedStreamClientGainsBrassHostButNotPlacement) {
+  BuildPlaced();
+  auto device = Device(alice_);
+  uint64_t sid = device->SubscribeLvc(video_);
+  cluster_->sim().RunFor(Seconds(3));
+  const Value* server = ServerHeader(*device, sid);
+  ASSERT_NE(server, nullptr);
+  EXPECT_NE(StreamHeaderView(*server).placement(), 0);
+  const Value* client = device->burst().HeaderOf(sid);
+  ASSERT_NE(client, nullptr);
+  EXPECT_EQ(StreamHeaderView(*client).brass_host(), StreamHeaderView(*server).brass_host());
+  EXPECT_EQ(StreamHeaderView(*client).placement(), 0);
+  EXPECT_EQ(*client, std::move(StreamHeader(*server).set_placement(0)).Take());
+  const StreamKey key{device->user(), sid};
+  EXPECT_EQ(*cluster_->pop(0).HeaderOf(key), *server);
+}
+
+// A resubscribe through a placement-incapable POP carries the client's
+// unstamped header, so the stream falls back to regional processing, and
+// every hop then holds one header again.
+TEST_F(HeaderRewriteClusterTest, ResubscribeThroughIncapablePopFallsBackToRegional) {
+  BuildPlaced();
+  ASSERT_GE(cluster_->NumPops(), 2u);
+  cluster_->pop(1).set_placement_enabled(false);
+  auto viewer = Device(alice_);
+  auto poster = Device(bob_);
+  uint64_t sid = viewer->SubscribeLvc(video_);
+  cluster_->sim().RunFor(Seconds(3));
+  ASSERT_NE(cluster_->pop(0).HeaderOf(StreamKey{viewer->user(), sid}), nullptr);
+
+  cluster_->pop(0).FailPop();
+  cluster_->sim().RunFor(Seconds(10));
+  const Value* server = ServerHeader(*viewer, sid);
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(StreamHeaderView(*server).placement(), 0);
+  EXPECT_NE(StreamHeaderView(*server).brass_host(), 0);
+  ExpectEveryHopHoldsTheServerHeader(*viewer, sid);
+
+  const int64_t regional_before = Counter("brass.deliveries");
+  poster->PostComment(video_, "after failover", "en");
+  cluster_->sim().RunFor(Seconds(15));
+  EXPECT_GT(Counter("brass.deliveries"), regional_before);
+  EXPECT_GE(viewer->payloads_received(), 1u);
 }
 
 // Regression: the reconnect backoff drew uniformly from the same base

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include <memory>
 #include <string>
 #include <utility>
@@ -89,6 +92,53 @@ TEST(DeliveryQueueTest, ShedsOldestAtBound) {
   ASSERT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.PopFront().payload.Get("tag").AsString(), "two");
   EXPECT_EQ(queue.PopFront().payload.Get("tag").AsString(), "three");
+}
+
+// The queue is a ring that doubles when full and is freed when it drains:
+// a long run of offers, sheds, conflations and pops across many wraps and
+// regrowths must drain in the order a plain FIFO model does, and a
+// moved-from queue is empty.
+TEST(DeliveryQueueTest, OrderHoldsAcrossStorageReuse) {
+  // Offer i carries tag "t<i>" and conflation key "k<i % 7>".
+  auto tag = [](int i) { return "t" + std::to_string(i); };
+  auto key = [](int i) { return "k" + std::to_string(i % 7); };
+  ConflatingDeliveryQueue queue;
+  std::deque<int> model;  // the pending offers, oldest first
+  const size_t bound = 5;
+  for (int i = 0; i < 400; ++i) {
+    auto result = queue.Offer(Payload(tag(i)), Keyed(key(i), static_cast<uint64_t>(i)), true,
+                              bound);
+    auto same_key = std::find_if(model.begin(), model.end(),
+                                 [&](int pending) { return key(pending) == key(i); });
+    if (same_key != model.end()) {
+      ASSERT_EQ(result.outcome, ConflatingDeliveryQueue::Outcome::kConflated);
+      *same_key = i;  // newest version wins, in place
+    } else if (model.size() >= bound) {
+      ASSERT_EQ(result.outcome, ConflatingDeliveryQueue::Outcome::kShed);
+      EXPECT_EQ(result.shed.payload.Get("tag").AsString(), tag(model.front()));
+      model.pop_front();
+      model.push_back(i);
+    } else {
+      ASSERT_EQ(result.outcome, ConflatingDeliveryQueue::Outcome::kQueued);
+      model.push_back(i);
+    }
+    if (i % 3 == 0 && !model.empty()) {
+      EXPECT_EQ(queue.PopFront().payload.Get("tag").AsString(), tag(model.front()));
+      model.pop_front();
+    }
+    ASSERT_EQ(queue.size(), model.size());
+    if (!model.empty()) {
+      EXPECT_TRUE(queue.Holds(key(model.back()), static_cast<uint64_t>(model.back())));
+    }
+  }
+  ConflatingDeliveryQueue moved = std::move(queue);
+  EXPECT_TRUE(queue.empty());  // a moved-from queue is empty
+  EXPECT_EQ(queue.size(), 0u);
+  ASSERT_EQ(moved.size(), model.size());
+  for (int pending : model) {
+    EXPECT_EQ(moved.PopFront().payload.Get("tag").AsString(), tag(pending));
+  }
+  EXPECT_TRUE(moved.empty());
 }
 
 // Conservation invariant: every offered delivery is accounted for exactly
