@@ -66,7 +66,6 @@ void ActiveStatusApp::OnEvent(const Topic& topic, const UpdateEvent& event,
     if (it == viewers_.end()) {
       continue;
     }
-    it->second.stream = stream;
     // Decision accounting happens per examined event (Fig. 8): a heartbeat
     // that flips the friend to online will be delivered (in the next
     // batch); one that merely refreshes an already-online friend is
@@ -132,7 +131,7 @@ void ActiveStatusApp::PushBatch(const StreamKey& key) {
   if (came_online.empty() && went_offline.empty()) {
     return;
   }
-  if (viewer.stream == nullptr || !viewer.stream->attached()) {
+  if (!viewer.stream->attached()) {
     return;
   }
   Value payload;

@@ -241,7 +241,7 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
               return;
             }
             auto it2 = viewers_.find(key);
-            if (it2 == viewers_.end() || it2->second.stream == nullptr) {
+            if (it2 == viewers_.end()) {
               runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
               runtime().EndSpan(span);
               return;
@@ -322,7 +322,7 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
       runtime().CountDecision(false);
     }
   }
-  if (viewer.buffer.empty() || viewer.stream == nullptr || !viewer.stream->attached()) {
+  if (viewer.buffer.empty() || !viewer.stream->attached()) {
     return;
   }
   // Pick by freshness-weighted rank: a live-video comment loses relevance
@@ -361,7 +361,7 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
           return;
         }
         auto it2 = viewers_.find(stream_key);
-        if (it2 == viewers_.end() || it2->second.stream == nullptr) {
+        if (it2 == viewers_.end()) {
           runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
           runtime().EndSpan(span);
           return;

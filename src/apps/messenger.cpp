@@ -51,7 +51,6 @@ void MessengerApp::OnStreamResumed(BrassStream& stream) {
     OnStreamStarted(stream);
     return;
   }
-  it->second.stream = &stream;
   // Redeliver everything the device never acked; deliveries during the
   // detach window were dropped by the transport.
   MailboxState& state = it->second;
@@ -88,7 +87,6 @@ void MessengerApp::OnEvent(const Topic& topic, const UpdateEvent& event,
     if (it == mailboxes_.end()) {
       continue;
     }
-    it->second.stream = stream;
     MailboxState& state = it->second;
     if (seq < state.next_seq) {
       runtime().CountDecision(false);  // duplicate / already delivered

@@ -44,7 +44,6 @@ void StoriesApp::OnEvent(const Topic& topic, const UpdateEvent& event,
     if (it == viewers_.end()) {
       continue;
     }
-    it->second.stream = stream;
     ContainerInfo& info = it->second.containers[author];
     info.rank = std::max(info.rank, rank);
     info.freshest = event.created_at;
@@ -58,7 +57,7 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
   // Expire stale containers (story TTL).
   for (auto it = viewer.containers.begin(); it != viewer.containers.end();) {
     if (now - it->second.freshest > config_.story_ttl) {
-      if (it->second.displayed && viewer.stream != nullptr && viewer.stream->attached()) {
+      if (it->second.displayed && viewer.stream->attached()) {
         Value removal;
         removal.Set("__type", "StoryTrayRemove");
         removal.Set("owner", it->first);
@@ -93,7 +92,7 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
       // push even without a tray change.
       if (should_display && uid == trigger_author) {
         runtime().CountDecision(true);
-        if (viewer.stream != nullptr && viewer.stream->attached()) {
+        if (viewer.stream->attached()) {
           StreamKey key = viewer.stream->key;
           TraceContext span = runtime().StartSpan(trigger.trace, "brass.process");
           DeliverOptions deliver;
@@ -113,7 +112,7 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
                   return;
                 }
                 auto it = viewers_.find(key);
-                if (it == viewers_.end() || it->second.stream == nullptr) {
+                if (it == viewers_.end()) {
                   runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
                   runtime().EndSpan(span);
                   return;
@@ -129,7 +128,7 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
       continue;
     }
     info->displayed = should_display;
-    if (viewer.stream == nullptr || !viewer.stream->attached()) {
+    if (!viewer.stream->attached()) {
       continue;
     }
     runtime().CountDecision(true);

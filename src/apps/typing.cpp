@@ -47,7 +47,6 @@ void TypingIndicatorApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                                  const std::vector<BrassStream*>& streams) {
   (void)topic;
   for (BrassStream* stream : streams) {
-    streams_[stream->key] = stream;
     runtime().CountDecision(true);
     // "brass.process": event receipt -> push handed to BURST. Table 3's
     // "BRASS receives update -> sent to devices" span for non-buffering
@@ -71,7 +70,7 @@ void TypingIndicatorApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                 transform.Sample(runtime().rng()),
                 [this, key, deliver, span, payload = std::move(payload)]() mutable {
                   auto it = streams_.find(key);
-                  if (it == streams_.end() || it->second == nullptr) {
+                  if (it == streams_.end()) {
                     runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
                     runtime().EndSpan(span);
                     return;

@@ -15,7 +15,7 @@ BurstClient::BurstClient(SimContext ctx, int64_t device_id, Connector connector,
       config_(config),
       metrics_(metrics),
       trace_(trace) {
-  assert(ctx_.sim() != nullptr && observer_ != nullptr && metrics_ != nullptr);
+  assert(ctx_.sim() != nullptr && observer_ != nullptr && metrics_ != nullptr && trace_ != nullptr);
   m_.client_cancels = &metrics_->GetCounter("burst.client_cancels");
   m_.client_data_deltas = &metrics_->GetCounter("burst.client_data_deltas");
   m_.client_duplicates_dropped = &metrics_->GetCounter("burst.client_duplicates_dropped");
@@ -255,9 +255,7 @@ void BurstClient::HandleResponse(const ResponseFrame& response) {
             // Replay overlap after a reconnect: already delivered. Still
             // close the delivery span so traced live pushes don't leak.
             m_.client_duplicates_dropped->Increment();
-            if (trace_ != nullptr && delta.trace.valid()) {
-              trace_->EndSpan(delta.trace, ctx_.Now());
-            }
+            trace_->EndSpan(delta.trace, ctx_.Now());
             break;
           }
           it->second.last_durable_seq = delta.seq;
@@ -266,9 +264,7 @@ void BurstClient::HandleResponse(const ResponseFrame& response) {
         m_.client_data_deltas->Increment();
         // The update has reached the device: close its "burst.deliver" span
         // (opened by the BRASS host when the push left the backend).
-        if (trace_ != nullptr && delta.trace.valid()) {
-          trace_->EndSpan(delta.trace, ctx_.Now());
-        }
+        trace_->EndSpan(delta.trace, ctx_.Now());
         observer_->OnStreamData(sid, delta.payload, delta.seq);
         break;
       case DeltaKind::kFlowStatus:

@@ -58,11 +58,11 @@ class BurstClient : public ConnectionHandler {
   using ConnectDone = std::function<void(std::shared_ptr<ConnectionEnd>)>;
   using Connector = std::function<void(int64_t device_id, ConnectDone done)>;
 
-  // `trace` (optional) lets the client close the "burst.deliver" span of
-  // each traced data delta at the moment the device receives it. `ctx`
-  // carries the device's LP; a raw Simulator* converts to the global LP.
+  // The client closes the "burst.deliver" span of each traced data delta
+  // in `trace` at the moment the device receives it. `ctx` carries the
+  // device's LP; a raw Simulator* converts to the global LP.
   BurstClient(SimContext ctx, int64_t device_id, Connector connector, Observer* observer,
-              BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace = nullptr);
+              BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace);
   ~BurstClient() override;
 
   int64_t device_id() const { return device_id_; }

@@ -1,12 +1,11 @@
 // Small typed identifiers for the BURST edge tier.
 //
-// POP and reverse-proxy ids used to travel through pop.cpp/proxy.cpp and the
-// cluster's ProxyConnector as raw uint64_t, so a placement-routing bug could
-// silently compare a POP id against a proxy id (or either against a region).
-// These wrappers mirror the LpId idiom from src/sim/lp.h: a zero default,
-// explicit construction from the raw integer, and ordering so they work as
-// map keys. Zero is "no id" (e.g. ProxyId{} as the nothing-excluded value in
-// ProxyConnector).
+// POP and reverse-proxy ids once travelled through pop.cpp/proxy.cpp and the
+// cluster as raw uint64_t, so a placement-routing bug could silently compare
+// a POP id against a proxy id (or either against a region). These wrappers
+// mirror the LpId idiom from src/sim/lp.h: a zero default, explicit
+// construction from the raw integer, and ordering so they work as map keys.
+// Zero is "no id".
 
 #ifndef BLADERUNNER_SRC_BURST_IDS_H_
 #define BLADERUNNER_SRC_BURST_IDS_H_

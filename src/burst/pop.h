@@ -1,13 +1,13 @@
 // Point of Presence (POP): the edge hop between devices and the reverse
 // proxies at the datacenters.
 //
-// A POP terminates device connections, keeps a copy of each stream's
-// current subscription request (header + body, §3.5), and multiplexes
-// streams onto per-datacenter uplinks to reverse proxies. When an uplink
-// fails, the POP is the component immediately downstream of the failure and
-// repairs each affected stream by resubscribing through an alternate proxy
-// (§4 axiom 2); when a device connection fails, the POP notifies the
-// upstream BRASSes and garbage-collects its stream state (§4 axiom 1).
+// A POP is a BurstRelay (src/burst/relay.h) between device connections and
+// one uplink per datacenter region to a reverse proxy: it keeps each
+// stream's current subscription request (header + body, §3.5), detaches the
+// streams of a lost device connection upstream (§4 axiom 1) and repairs
+// those of a lost uplink through an alternate proxy (§4 axiom 2). The POP
+// adds its routing (a stream runs over the uplink to its header's preferred
+// region), its backbone byte accounting, and edge placement.
 //
 // Edge placement (docs/BURST.md "Placement"): when the deployment enables
 // it, apps whose descriptor asks for BrassPlacement::kPopFilterConflate have
@@ -26,9 +26,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/brass/app_descriptor.h"
@@ -37,6 +37,7 @@
 #include "src/burst/frames.h"
 #include "src/burst/ids.h"
 #include "src/burst/pop_cache.h"
+#include "src/burst/relay.h"
 #include "src/net/connection.h"
 #include "src/net/topology.h"
 #include "src/sim/metrics.h"
@@ -45,20 +46,23 @@
 
 namespace bladerunner {
 
-class Pop : public ConnectionHandler {
- public:
-  // A newly established uplink to some reverse proxy.
-  struct Uplink {
-    std::shared_ptr<ConnectionEnd> end;
-    ProxyId proxy_id;
-  };
+// A POP's own per-stream fields (edge placement), set at Subscribe. They
+// ride in the relay's stream entry.
+struct PopStreamFields {
+  BrassPlacement placement = BrassPlacement::kRegional;
+  std::string app;     // cached from the header; keys descriptor lookups
+  int64_t viewer = 0;  // cached from the header; keys privacy decisions
+  // kPopFilterConflate: paces the stream's envelopes at the app's
+  // pop_push_gap_us.
+  PushPacer pacer;
+};
 
+class Pop : public BurstRelay<PopStreamFields> {
+ public:
   // Asks the infrastructure for an uplink to a reverse proxy serving
-  // `target_region`, excluding `exclude_proxy_id` (the proxy that just
-  // failed; ProxyId{} to exclude none). Returns an empty Uplink if none
-  // available.
-  using ProxyConnector = std::function<Uplink(Pop* pop, RegionId target_region,
-                                              ProxyId exclude_proxy_id)>;
+  // `target_region`: this POP's end, or nullptr if no proxy is available.
+  using ProxyConnector =
+      std::function<std::shared_ptr<ConnectionEnd>(Pop* pop, RegionId target_region)>;
 
   // Resolves an app name to its descriptor (placement policy, coarse-filter
   // spec, pacing). Wired by the cluster from the shared app registry; a
@@ -66,11 +70,9 @@ class Pop : public ConnectionHandler {
   using DescriptorLookup = std::function<const BrassAppDescriptor*(const std::string& app)>;
 
   Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector,
-      BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace = nullptr);
+      BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace);
 
   PopId pop_id() const { return pop_id_; }
-  RegionId region() const { return region_; }
-  bool alive() const { return alive_; }
 
   // Wires the app-descriptor registry in (cluster construction). Without it
   // the POP never stamps placement, regardless of config.
@@ -82,51 +84,18 @@ class Pop : public ConnectionHandler {
 
   // The infrastructure attaches the POP-side end of a new device
   // connection here (the device holds the other end).
-  void AttachDeviceConnection(std::shared_ptr<ConnectionEnd> end);
+  void AttachDeviceConnection(std::shared_ptr<ConnectionEnd> end) {
+    AttachDownstream(std::move(end));
+  }
 
   // Catastrophic POP failure: every device connection and uplink fails
   // abruptly. Devices reconnect elsewhere; proxies notify the BRASSes.
   void FailPop();
 
-  size_t StreamCount() const { return streams_.size(); }
-  // The stream's stored header (reflecting rewrites); nullptr if unknown.
-  const Value* HeaderOf(const StreamKey& key) const {
-    auto it = streams_.find(key);
-    return it == streams_.end() ? nullptr : &it->second.header;
-  }
-  size_t DeviceConnectionCount() const { return device_conns_.size(); }
+  size_t DeviceConnectionCount() const { return DownstreamCount(); }
   const PopPayloadCache& payload_cache() const { return cache_; }
 
-  // ConnectionHandler:
-  void OnMessage(ConnectionEnd& on, MessagePtr message) override;
-  void OnDisconnect(ConnectionEnd& on, DisconnectReason reason) override;
-
  private:
-  struct StreamState {
-    Value header;       // most recent, including BRASS rewrites
-    std::string body;
-    uint64_t device_conn = 0;  // connection id of the device side
-    RegionId up_region = 0;    // which uplink the stream runs over
-    // ---- edge placement (set at Subscribe when this POP is capable) ----
-    BrassPlacement placement = BrassPlacement::kRegional;
-    std::string app;    // cached from the header; keys descriptor lookups
-    int64_t viewer = 0; // cached from the header; keys privacy decisions
-    // kPopFilterConflate: paces the stream's envelopes at the app's
-    // pop_push_gap_us.
-    PushPacer pacer;
-  };
-
-  struct DeviceConn {
-    std::shared_ptr<ConnectionEnd> end;
-    std::set<StreamKey> streams;
-  };
-
-  struct UplinkState {
-    std::shared_ptr<ConnectionEnd> end;
-    ProxyId proxy_id;
-    std::set<StreamKey> streams;
-  };
-
   // The regional fetches of one versioned object; every miss for the same
   // (app, object, version) joins it (singleflight, like the fetch
   // pipeline's Flights). Each fill answers the request that asked for it;
@@ -149,15 +118,18 @@ class Pop : public ConnectionHandler {
     // waits for that request's fill instead of asking again.
     std::set<int64_t> pending_viewers;
   };
-  // Returns (establishing if needed) the uplink toward `target_region`.
-  UplinkState* EnsureUplink(RegionId target_region, ProxyId exclude_proxy_id = ProxyId{});
 
-  void HandleDeviceFrame(ConnectionEnd& on, const MessagePtr& message);
-  void HandleUplinkFrame(ConnectionEnd& on, const MessagePtr& message);
-  void HandleDeviceDisconnect(uint64_t conn_id);
-  void HandleUplinkDisconnect(RegionId up_region);
-  void ForwardSubscribeUp(const StreamKey& key, StreamState& state, bool resubscribe);
-  void RemoveStream(const StreamKey& key);
+  // ---- the relay's hooks ----
+  // A stream runs over the uplink to its header's preferred region.
+  std::optional<int64_t> Route(const Value& header) override;
+  std::shared_ptr<ConnectionEnd> ConnectUpstream(int64_t region) override;
+  void HandleUpstreamFrame(const MessagePtr& message) override;
+  // Resolves the stream's placement, stamps it into the header and, for a
+  // placed stream, sets up its pacer.
+  void PrepareStream(SubscribeFrame& frame, Stream& stream) override;
+  void OnPathLost(const StreamKey& key) override { ResendFetchesVia(key); }
+  // Every uplink send is backbone traffic.
+  void OnSendUp(const Message& frame) override;
 
   // ---- edge placement ----
   // The placement this POP will run for the subscription, after gating on
@@ -169,7 +141,7 @@ class Pop : public ConnectionHandler {
   void HandleEnvelope(const EnvelopeFrame& frame);
   // Paces one stream's copy of an envelope: true when its push slot is free
   // (resolve now), otherwise queued, conflated or shed behind the slot.
-  bool AdmitEnvelope(StreamState& state, const BrassAppDescriptor& descriptor,
+  bool AdmitEnvelope(Stream& stream, const BrassAppDescriptor& descriptor,
                      const Value& metadata, const DeliverOptions& options);
   // Resolves one envelope to a payload for each of `keys` (placed streams
   // of one app) via the cache; the misses join the object version's flight,
@@ -184,9 +156,6 @@ class Pop : public ConnectionHandler {
                                 const DeliverOptions& options) const;
   // Sends `flight`'s `request` as a PopFetch up through its `via` stream.
   void SendFetch(const std::string& app, const Flight& flight, const Flight::Request& request);
-  // Whether a fetch can go up through `key` (its stream is here, with an
-  // uplink).
-  bool HasUplink(const StreamKey& key) const;
   // The fetches that went up through `key` will not be answered (the stream
   // left the POP, or its path was lost and repaired): drops waiters whose
   // stream is gone, re-sends each such request through a waiting stream,
@@ -195,17 +164,11 @@ class Pop : public ConnectionHandler {
   void HandleFill(const PopFillFrame& fill);
   // Pushes the resolved payload to the stream's device, stamping the e2e
   // latency fields and opening the "burst.deliver" span the client ends.
-  void DeliverToDevice(const StreamKey& key, const StreamState& state, Value payload,
+  void DeliverToDevice(const StreamKey& key, const Stream& stream, Value payload,
                        const DeliverOptions& options);
-  // All uplink sends go through this so backbone bytes are accounted.
-  void SendUp(UplinkState& uplink, const MessagePtr& frame);
 
   // Metric handles resolved once at construction (docs/PERF.md).
   struct Metrics {
-    Counter* pop_device_disconnects;
-    Counter* pop_failures;
-    Counter* pop_initiated_reconnects;
-    Counter* pop_uplink_failures;
     // Backbone accounting (POP <-> proxy leg), always on, and the share of
     // it each placement frame kind carries.
     Counter* pop_backbone_bytes_up;
@@ -227,21 +190,11 @@ class Pop : public ConnectionHandler {
     Counter* pop_privacy_drops;
   };
 
-  SimContext ctx_;
   PopId pop_id_;
-  RegionId region_;
   ProxyConnector connector_;
   BurstConfig config_;
-  MetricsRegistry* metrics_;
   Metrics m_;
-  TraceCollector* trace_;
   DescriptorLookup descriptors_;
-  bool alive_ = true;
-
-  std::unordered_map<StreamKey, StreamState, StreamKeyHash> streams_;
-  std::map<uint64_t, DeviceConn> device_conns_;    // by connection id
-  std::map<RegionId, UplinkState> uplinks_;        // one uplink per DC region
-  std::map<uint64_t, RegionId> uplink_by_conn_;    // connection id -> region
 
   PopPayloadCache cache_;
   std::map<ObjectVersionKey, Flight> flights_;

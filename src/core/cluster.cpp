@@ -147,11 +147,11 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
 BladerunnerCluster::~BladerunnerCluster() = default;
 
 Pop::ProxyConnector BladerunnerCluster::MakeProxyConnector() {
-  return [this](Pop* pop, RegionId target_region, ProxyId exclude_proxy_id) -> Pop::Uplink {
+  return [this](Pop* pop, RegionId target_region) -> std::shared_ptr<ConnectionEnd> {
     // Prefer an alive proxy in the target region; fall back to any region.
     ReverseProxy* chosen = nullptr;
     for (auto& proxy : proxies_) {
-      if (!proxy->alive() || proxy->proxy_id() == exclude_proxy_id) {
+      if (!proxy->alive()) {
         continue;
       }
       if (proxy->region() == target_region) {
@@ -163,17 +163,14 @@ Pop::ProxyConnector BladerunnerCluster::MakeProxyConnector() {
       }
     }
     if (chosen == nullptr) {
-      return {};
+      return nullptr;
     }
     LatencyModel link = Compose(LatencyModel::PopToDatacenter(),
                                 topology_.LinkModel(pop->region(), chosen->region()));
     auto [pop_end, proxy_end] =
         CreateConnection(&sim_, link, config_.burst.failure_detection_delay);
     chosen->AttachPopConnection(std::move(proxy_end));
-    Pop::Uplink uplink;
-    uplink.end = std::move(pop_end);
-    uplink.proxy_id = chosen->proxy_id();
-    return uplink;
+    return pop_end;
   };
 }
 

@@ -44,14 +44,10 @@ void LiveQueryAdapterApp::OnEvent(const Topic& topic, const UpdateEvent& event,
       invalid_view_seq_ = &runtime().metrics().GetCounter("livequery.invalid_view_seq");
     }
     invalid_view_seq_->Increment();
-    for (BrassStream* stream : streams) {
-      streams_[stream->key] = stream;
-      runtime().CountDecision(false);
-    }
+    runtime().CountDecision(false, static_cast<int64_t>(streams.size()));
     return;
   }
   for (BrassStream* stream : streams) {
-    streams_[stream->key] = stream;  // refresh the pointer after a resume
     // The engine already suppressed no-net-change deltas; every op that
     // reaches the adapter is deliverable.
     runtime().CountDecision(true);
@@ -100,7 +96,7 @@ void LiveQueryAdapterApp::OnEvent(const Topic& topic, const UpdateEvent& event,
 void LiveQueryAdapterApp::Deliver(const StreamKey& key, Value payload,
                                   const DeliverOptions& options) {
   auto it = streams_.find(key);
-  if (it == streams_.end() || it->second == nullptr || !it->second->attached()) {
+  if (it == streams_.end() || !it->second->attached()) {
     runtime().AnnotateSpan(options.parent, "outcome", Value("stream_gone"));
     runtime().EndSpan(options.parent);
     return;

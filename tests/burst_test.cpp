@@ -20,6 +20,7 @@
 #include "src/core/device.h"
 #include "src/pylon/topic.h"
 #include "src/sim/simulator.h"
+#include "src/trace/collector.h"
 #include "src/was/resolvers.h"
 
 namespace bladerunner {
@@ -143,27 +144,21 @@ class BurstTest : public ::testing::Test {
     directory_->AddHost(1, server1_.get());
     directory_->AddHost(2, server2_.get());
 
-    proxy_ = std::make_unique<ReverseProxy>(&sim_, ProxyId(1), 0, directory_.get(), &metrics_);
-    proxy2_ = std::make_unique<ReverseProxy>(&sim_, ProxyId(2), 0, directory_.get(), &metrics_);
+    proxy_ = std::make_unique<ReverseProxy>(&sim_, ProxyId(1), 0, directory_.get(), &metrics_,
+                                            &trace_);
+    proxy2_ = std::make_unique<ReverseProxy>(&sim_, ProxyId(2), 0, directory_.get(), &metrics_,
+                                             &trace_);
 
-    pop_connector_ = [this](Pop*, RegionId, ProxyId exclude) -> Pop::Uplink {
-      ReverseProxy* target = nullptr;
-      if (proxy_->alive() && proxy_->proxy_id() != exclude) {
-        target = proxy_.get();
-      } else if (proxy2_->alive() && proxy2_->proxy_id() != exclude) {
-        target = proxy2_.get();
-      }
-      if (target == nullptr) {
-        return {};
+    pop_connector_ = [this](Pop*, RegionId) -> std::shared_ptr<ConnectionEnd> {
+      ReverseProxy* target = proxy_->alive() ? proxy_.get() : proxy2_.get();
+      if (!target->alive()) {
+        return nullptr;
       }
       auto [pop_end, proxy_end] = CreateConnection(&sim_, LatencyModel::Fixed(2.0), Millis(50));
       target->AttachPopConnection(std::move(proxy_end));
-      Pop::Uplink uplink;
-      uplink.end = std::move(pop_end);
-      uplink.proxy_id = target->proxy_id();
-      return uplink;
+      return pop_end;
     };
-    pop_ = std::make_unique<Pop>(&sim_, PopId(1), 0, pop_connector_, config_, &metrics_);
+    pop_ = std::make_unique<Pop>(&sim_, PopId(1), 0, pop_connector_, config_, &metrics_, &trace_);
 
     client_connector_ = [this](int64_t, BurstClient::ConnectDone done) {
       if (!pop_->alive()) {
@@ -175,7 +170,7 @@ class BurstTest : public ::testing::Test {
       done(std::move(device_end));
     };
     client_ = std::make_unique<BurstClient>(&sim_, 100, client_connector_, &observer_, config_,
-                                            &metrics_);
+                                            &metrics_, &trace_);
   }
 
   Value MakeHeader(const std::string& app) {
@@ -186,6 +181,7 @@ class BurstTest : public ::testing::Test {
 
   Simulator sim_;
   MetricsRegistry metrics_;
+  TraceCollector trace_;
   BurstConfig config_;
   FakeAppHandler app1_;
   FakeAppHandler app2_;
@@ -473,7 +469,7 @@ TEST_F(BurstTest, PopFailureForcesClientReconnect) {
 TEST_F(BurstTest, SubscribeWhileDisconnectedConnectsLazily) {
   // Fresh client that never called Connect().
   FakeObserver observer2;
-  BurstClient client2(&sim_, 200, client_connector_, &observer2, config_, &metrics_);
+  BurstClient client2(&sim_, 200, client_connector_, &observer2, config_, &metrics_, &trace_);
   EXPECT_FALSE(client2.connected());
   client2.Subscribe(MakeHeader("test"));
   sim_.RunFor(Seconds(1));
@@ -555,7 +551,7 @@ TEST_F(BurstTest, RadioPromotionDelaysIdleUplinkSends) {
   config.radio_promotion_sigma = 0.0;
   config.radio_idle_threshold = Seconds(5);
   FakeObserver observer2;
-  BurstClient client2(&sim_, 300, client_connector_, &observer2, config, &metrics_);
+  BurstClient client2(&sim_, 300, client_connector_, &observer2, config, &metrics_, &trace_);
   client2.Connect();
   sim_.RunFor(Seconds(10));  // idle: radio sleeps
 
@@ -601,7 +597,8 @@ TEST(ProxyRouteTest, EnvelopeFrameIsSplitPerPop) {
   FakeDirectory directory(&sim);
   BurstServer server(&sim, 1, &app, config, &metrics);
   directory.AddHost(1, &server);
-  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics);
+  TraceCollector trace;
+  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics, &trace);
 
   FrameRecorder pops[2];
   std::vector<std::shared_ptr<ConnectionEnd>> pop_ends;
@@ -643,9 +640,12 @@ TEST(ProxyRouteTest, EnvelopeFrameIsSplitPerPop) {
   }
 }
 
-TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
+// The proxy's input of the stale-route test below: the stream is re-routed
+// to another BRASS host, and the old host dies later.
+void ProxyStreamMovesToAnotherHost() {
   Simulator sim(33);
   MetricsRegistry metrics;
+  TraceCollector trace;
   BurstConfig config;
   config.failure_detection_delay = Millis(50);
   FakeAppHandler app1;
@@ -655,7 +655,7 @@ TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
   BurstServer server2(&sim, 2, &app2, config, &metrics);
   directory.AddHost(1, &server1);
   directory.AddHost(2, &server2);
-  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics);
+  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics, &trace);
 
   auto [pop_end, proxy_end] = CreateConnection(&sim, LatencyModel::Fixed(2.0), Millis(50));
   FrameRecorder pop;
@@ -695,6 +695,7 @@ TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
   size_t server2_subscribes = app2.started.size() + app2.resumed.size();
   server1.FailHost();
   sim.RunFor(Seconds(2));
+  EXPECT_EQ(metrics.GetCounter("burst.proxy_host_disconnects").value(), 1);
   EXPECT_EQ(metrics.GetCounter("burst.proxy_induced_reconnects").value(), reconnects_before);
   EXPECT_EQ(app2.started.size() + app2.resumed.size(), server2_subscribes);
   EXPECT_EQ(server2.StreamCount(), 1u);
@@ -704,6 +705,87 @@ TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
         EXPECT_NE(delta.status, FlowStatus::kDegraded);
       }
     }
+  }
+}
+
+// The POP's input: the device resubscribes over a new connection to the
+// same POP before the POP detects that the old connection failed.
+void PopStreamMovesToANewConnection() {
+  Simulator sim(35);
+  MetricsRegistry metrics;
+  TraceCollector trace;
+  BurstConfig config;
+  FakeAppHandler app;
+  FakeDirectory directory(&sim);
+  BurstServer server(&sim, 1, &app, config, &metrics);
+  directory.AddHost(1, &server);
+  ReverseProxy proxy(&sim, ProxyId(1), 0, &directory, &metrics, &trace);
+  Pop pop(
+      &sim, PopId(1), 0,
+      [&](Pop*, RegionId) {
+        auto [pop_end, proxy_end] = CreateConnection(&sim, LatencyModel::Fixed(2.0), Millis(50));
+        proxy.AttachPopConnection(std::move(proxy_end));
+        return pop_end;
+      },
+      config, &metrics, &trace);
+  // A device connection whose failure the POP notices 500 ms late.
+  FrameRecorder device;
+  auto connect = [&]() {
+    auto [device_end, pop_end] = CreateConnection(&sim, LatencyModel::Fixed(5.0), Millis(500));
+    device_end->set_handler(&device);
+    pop.AttachDeviceConnection(std::move(pop_end));
+    return device_end;
+  };
+  const StreamKey key{100, 1};
+  auto subscribe = [&](ConnectionEnd& on, bool resubscribe) {
+    auto frame = std::make_shared<SubscribeFrame>();
+    frame->key = key;
+    frame->header = std::move(StreamHeader().set_app("test").set_viewer(100)).Take();
+    frame->resubscribe = resubscribe;
+    on.Send(frame);
+  };
+  std::shared_ptr<ConnectionEnd> old_conn = connect();
+  subscribe(*old_conn, /*resubscribe=*/false);
+  sim.RunFor(Seconds(1));
+  ASSERT_EQ(server.StreamCount(), 1u);
+
+  old_conn->Fail();
+  std::shared_ptr<ConnectionEnd> new_conn = connect();
+  subscribe(*new_conn, /*resubscribe=*/true);
+  sim.RunFor(Millis(100));
+  ASSERT_EQ(app.resumed.size(), 1u);
+  ASSERT_EQ(metrics.GetCounter("burst.pop_device_disconnects").value(), 0);
+
+  // The old connection's failure is detected now, after the move: no
+  // StreamDetached goes up, and the stream stays at every hop.
+  sim.RunFor(Seconds(1));
+  EXPECT_EQ(metrics.GetCounter("burst.pop_device_disconnects").value(), 1);
+  EXPECT_EQ(pop.DeviceConnectionCount(), 1u);
+  EXPECT_TRUE(app.detached.empty());
+  EXPECT_EQ(pop.StreamCount(), 1u);
+  EXPECT_EQ(proxy.StreamCount(), 1u);
+
+  // Data keeps reaching the device over the new connection.
+  const size_t responses_before = device.responses.size();
+  app.last_stream->PushData(Value("after the move"), 1);
+  sim.RunFor(Seconds(1));
+  ASSERT_EQ(device.responses.size(), responses_before + 1);
+  const Delta& delta = device.responses.back()->batch.front();
+  EXPECT_EQ(delta.kind, DeltaKind::kData);
+  EXPECT_EQ(delta.payload.AsString(), "after the move");
+}
+
+// The stale-route rule (docs/BURST.md "Failure handling"), one input per
+// hop: a stream moves to a newer route before the hop detects that its old
+// route failed, and the late detection must leave the moved stream alone.
+TEST(ProxyRouteTest, ResubscribeToNewHostDetachesOldRoute) {
+  const std::pair<const char*, void (*)()> inputs[] = {
+      {"proxy: the stream moves to another BRASS host", ProxyStreamMovesToAnotherHost},
+      {"pop: the device resubscribes over a new connection", PopStreamMovesToANewConnection},
+  };
+  for (const auto& [hop, run] : inputs) {
+    SCOPED_TRACE(hop);
+    run();
   }
 }
 
@@ -1089,7 +1171,8 @@ TEST(BackoffTest, GrowsUnderRepeatedFailureAndResetsOnSuccess) {
     far_end_keep = pop_end;
     done(std::move(device_end));
   };
-  BurstClient client(&sim, 100, connector, &observer, config, &metrics);
+  TraceCollector trace;
+  BurstClient client(&sim, 100, connector, &observer, config, &metrics, &trace);
 
   client.Subscribe(std::move(StreamHeader().set_app("test").set_viewer(100)).Take());
   sim.RunFor(Seconds(30));
@@ -1139,7 +1222,7 @@ TEST_F(BurstTest, StreamsOpenedWhileConnectingAreFirstSubscribes) {
     });
   };
   FakeObserver observer;
-  BurstClient client(&sim_, 200, handshake, &observer, config_, &metrics_);
+  BurstClient client(&sim_, 200, handshake, &observer, config_, &metrics_, &trace_);
   client.Subscribe(MakeHeader("test"));
   client.Subscribe(MakeHeader("test"));
   ASSERT_FALSE(client.connected());
