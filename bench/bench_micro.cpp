@@ -313,19 +313,20 @@ PerfRow BenchEndToEnd(const PerfShape& shape) {
 }
 
 // Live-query fold throughput: a bare Simulator + TAO + WAS + engine (no
-// Pylon, so publishes are no-ops and the number isolates delta folding),
-// replaying a deterministic comment-feed workload against a handful of
-// registered views. Reports deltas applied per wall second.
+// Pylon, so publishes are no-ops and the number isolates delta folding;
+// tracing off), replaying a deterministic comment-feed workload against a
+// handful of registered views. Reports deltas applied per wall second.
 PerfRow BenchLiveQueryFold(const PerfShape& shape) {
   Topology topology = Topology::OneRegion();
   Simulator sim(7);
   MetricsRegistry metrics;
+  TraceCollector trace(TraceConfig{.enabled = false});
   TaoStore tao(&sim, &topology, TaoConfig{}, &metrics);
-  WebAppServer was(&sim, 0, &tao, nullptr, WasConfig{}, &metrics, nullptr);
+  WebAppServer was(&sim, 0, &tao, nullptr, WasConfig{}, &metrics, &trace);
   InstallSocialSchema(was);
   LiveQueryConfig lq_config;
   lq_config.enabled = true;
-  LiveQueryEngine engine(&sim, &tao, &was, lq_config, &metrics);
+  LiveQueryEngine engine(&sim, &tao, &was, lq_config, &metrics, &trace);
 
   std::vector<UserId> users;
   for (int i = 0; i < 20; ++i) {

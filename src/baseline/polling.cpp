@@ -187,20 +187,16 @@ LvcTriggerClient::LvcTriggerClient(BladerunnerCluster* cluster, UserId user, Reg
     // Notify the device over the last mile; the device then polls.
     ctx_.Schedule(last_mile_.Sample(ctx_.rng()), [this]() { OnNotified(); });
   });
-  if (cluster_->pylon() != nullptr) {
-    cluster_->pylon()->RegisterSubscriberHost(notifier_host_id_, region, &notify_rpc_);
-  }
+  cluster_->pylon()->RegisterSubscriberHost(notifier_host_id_, region, &notify_rpc_);
 }
 
 LvcTriggerClient::~LvcTriggerClient() {
   Stop();
-  if (cluster_->pylon() != nullptr) {
-    cluster_->pylon()->UnregisterSubscriberHost(notifier_host_id_);
-  }
+  cluster_->pylon()->UnregisterSubscriberHost(notifier_host_id_);
 }
 
 void LvcTriggerClient::Start() {
-  if (running_ || cluster_->pylon() == nullptr) {
+  if (running_) {
     return;
   }
   running_ = true;

@@ -15,21 +15,13 @@ namespace bladerunner {
 // (docs/BRASS_FETCH.md): coalesces concurrent fetches of the same event
 // version into one WAS call, caches versioned payloads, and batches the
 // per-viewer privacy checks of a host's streams into that one call.
+// The coalescing window and the viewer cap of one batched RPC are constants
+// of src/brass/fetch_pipeline.cpp.
 struct FetchPipelineConfig {
   bool enabled = true;
 
-  // How long a fresh fetch flight collects same-object joiners before its
-  // RPC is dispatched. Zero still merges fetches issued within the same
-  // simulation instant (e.g. one Pylon event fanning out to the streams of
-  // an application instance).
-  double coalesce_window_ms = 0.5;
-
   // LRU payload-cache entries per host.
   size_t cache_capacity = 512;
-
-  // Cap on the viewers whose privacy decisions are prefetched in one
-  // batched WAS fetch RPC.
-  size_t max_batch_viewers = 64;
 };
 
 // Overload-control knobs (docs/OVERLOAD.md). Defaults are inert: no

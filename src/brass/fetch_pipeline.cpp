@@ -13,6 +13,14 @@ namespace {
 // Suffix distinguishing a privacy-only top-up flight from the payload
 // flight of the same cache key (both may be in the air at once).
 constexpr char kPrivacyFlightSuffix[] = "#priv";
+
+// How long a fresh flight collects same-object joiners before its RPC is
+// dispatched. Zero would still merge fetches issued within the same
+// simulation instant (one Pylon event fanning out to an app's streams).
+constexpr double kCoalesceWindowMs = 0.5;
+
+// Cap on the viewers whose privacy decisions one WAS fetch RPC carries.
+constexpr size_t kMaxBatchViewers = 64;
 }  // namespace
 
 FetchPipeline::FetchPipeline(Simulator* sim, RegionId region, RpcChannel* was_channel,
@@ -28,6 +36,7 @@ FetchPipeline::FetchPipeline(Simulator* sim, RegionId region, RpcChannel* was_ch
       trace_(trace),
       viewers_for_app_(std::move(viewers_for_app)) {
   assert(ctx_.sim() != nullptr && was_channel_ != nullptr && metrics_ != nullptr);
+  assert(trace_ != nullptr);
   m_.requests = &metrics_->GetCounter("brass.fetch.requests");
   m_.cache_hits = &metrics_->GetCounter("brass.fetch.cache_hits");
   m_.coalesced = &metrics_->GetCounter("brass.fetch.coalesced");
@@ -136,7 +145,7 @@ void FetchPipeline::FetchKeyed(const std::string& key, const std::string& app,
 
 void FetchPipeline::ServeFromCache(const CacheEntry& entry, bool allowed, Waiter waiter) {
   m_.cache_hits->Increment();
-  if (trace_ != nullptr && waiter.parent.valid()) {
+  if (waiter.parent.valid()) {
     // Instant span: the fetch was served host-locally. Named distinctly
     // from "brass.fetch" so latency analyses over WAS round trips (e.g.
     // Table 3) keep measuring actual round trips.
@@ -185,7 +194,7 @@ FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& fligh
       flight.rpc_viewers.assign(
           viewers.begin(),
           viewers.begin() + static_cast<std::ptrdiff_t>(
-                                std::min<size_t>(viewers.size(), config_.max_batch_viewers)));
+                                std::min<size_t>(viewers.size(), kMaxBatchViewers)));
     }
   }
   if (std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
@@ -194,7 +203,7 @@ FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& fligh
   }
   flight.waiters.push_back(std::move(waiter));
   Flight& started = flights_.emplace(flight_key, std::move(flight)).first->second;
-  ctx_.Schedule(MillisF(config_.coalesce_window_ms),
+  ctx_.Schedule(MillisF(kCoalesceWindowMs),
                  [this, flight_key]() { DispatchFlight(flight_key); });
   return started;
 }
@@ -202,7 +211,7 @@ FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& fligh
 void FetchPipeline::JoinFlight(Flight& flight, Waiter waiter) {
   m_.coalesced->Increment();
   // Size first: once the batch is full, joining skips the viewer scan.
-  if (!flight.dispatched && flight.rpc_viewers.size() < config_.max_batch_viewers &&
+  if (!flight.dispatched && flight.rpc_viewers.size() < kMaxBatchViewers &&
       std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
           flight.rpc_viewers.end()) {
     flight.rpc_viewers.push_back(waiter.viewer);
@@ -228,15 +237,13 @@ void FetchPipeline::DispatchFlight(const std::string& flight_key) {
   // point query + privacy check"); the WAS nests its processing span in it.
   // Parented under the first waiter that carries a sampled trace.
   TraceContext span;
-  if (trace_ != nullptr) {
-    for (const Waiter& waiter : flight.waiters) {
-      if (waiter.parent.valid()) {
-        span = trace_->StartSpan(waiter.parent, "brass.fetch", "brass", region_, ctx_.Now());
-        trace_->Annotate(span, "viewers", Value(static_cast<int64_t>(flight.rpc_viewers.size())));
-        trace_->Annotate(span, "coalesced", Value(static_cast<int64_t>(flight.waiters.size())));
-        trace_->Annotate(span, "privacy_only", Value(!flight.need_payload));
-        break;
-      }
+  for (const Waiter& waiter : flight.waiters) {
+    if (waiter.parent.valid()) {
+      span = trace_->StartSpan(waiter.parent, "brass.fetch", "brass", region_, ctx_.Now());
+      trace_->Annotate(span, "viewers", Value(static_cast<int64_t>(flight.rpc_viewers.size())));
+      trace_->Annotate(span, "coalesced", Value(static_cast<int64_t>(flight.waiters.size())));
+      trace_->Annotate(span, "privacy_only", Value(!flight.need_payload));
+      break;
     }
   }
   request->trace = span;
@@ -261,18 +268,14 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
   flights_.erase(it);
 
   if (status != RpcStatus::kOk) {
-    if (trace_ != nullptr) {
-      trace_->MarkError(span, ToString(status), ctx_.Now());
-    }
+    trace_->MarkError(span, ToString(status), ctx_.Now());
     m_.rpc_failures->Increment();
     for (Waiter& waiter : flight.waiters) {
       Answer(waiter, false, Value(nullptr));
     }
     return;
   }
-  if (trace_ != nullptr) {
-    trace_->EndSpan(span, ctx_.Now());
-  }
+  trace_->EndSpan(span, ctx_.Now());
   auto fetch = std::static_pointer_cast<WasFetchResponse>(response);
 
   std::unordered_map<UserId, bool> decisions;
@@ -348,7 +351,7 @@ void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata, W
   request->metadata = metadata;
   request->viewers.push_back(waiter.viewer);
   TraceContext span;
-  if (trace_ != nullptr && waiter.parent.valid()) {
+  if (waiter.parent.valid()) {
     span = trace_->StartSpan(waiter.parent, "brass.fetch", "brass", region_, ctx_.Now());
     trace_->Annotate(span, "bypass", Value(true));
   }
@@ -358,15 +361,11 @@ void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata, W
       "was.fetch", request,
       [this, shared, span](RpcStatus status, MessagePtr response) {
         if (status != RpcStatus::kOk) {
-          if (trace_ != nullptr) {
-            trace_->MarkError(span, ToString(status), ctx_.Now());
-          }
+          trace_->MarkError(span, ToString(status), ctx_.Now());
           Answer(*shared, false, Value(nullptr));
           return;
         }
-        if (trace_ != nullptr) {
-          trace_->EndSpan(span, ctx_.Now());
-        }
+        trace_->EndSpan(span, ctx_.Now());
         auto fetch = std::static_pointer_cast<WasFetchResponse>(response);
         bool allowed = !fetch->allowed.empty() && fetch->allowed[0] != 0;
         Answer(*shared, allowed, fetch->payload);

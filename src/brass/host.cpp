@@ -25,6 +25,7 @@ BrassHost::BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppSer
       metrics_(metrics),
       trace_(trace) {
   assert(ctx_.sim() != nullptr && was_ != nullptr && registry_ != nullptr && metrics_ != nullptr);
+  assert(trace_ != nullptr);
   m_.vm_cap_rejections = &metrics_->GetCounter("brass.vm_cap_rejections");
   m_.app_spawns = &metrics_->GetCounter("brass.app_spawns");
   m_.streams_started = &metrics_->GetCounter("brass.streams_started");
@@ -135,22 +136,17 @@ void BrassHost::OnStreamStarted(ServerStream& stream) {
   // streams opened without one (direct transport tests), root a fresh
   // trace here. "brass.subscribe" covers stream arrival -> subscription
   // complete — the device-observed setup latency of Table 3.
-  TraceContext sub_span;
-  if (trace_ != nullptr) {
-    TraceContext root = ContextFromValue(stream.header());
-    if (!root.decided()) {
-      root = trace_->StartTrace("subscribe", "brass", region_, ctx_.Now());
-    }
-    sub_span = trace_->StartSpan(root, "brass.subscribe", "brass", region_, ctx_.Now());
-    trace_->Annotate(sub_span, "app", Value(app_name));
-    trace_->Annotate(sub_span, "viewer", Value(viewer));
+  TraceContext root = ContextFromValue(stream.header());
+  if (!root.decided()) {
+    root = trace_->StartTrace("subscribe", "brass", region_, ctx_.Now());
   }
+  TraceContext sub_span = trace_->StartSpan(root, "brass.subscribe", "brass", region_, ctx_.Now());
+  trace_->Annotate(sub_span, "app", Value(app_name));
+  trace_->Annotate(sub_span, "viewer", Value(viewer));
 
   AppInstance* app = GetOrSpawnApp(app_name);
   if (app == nullptr) {
-    if (trace_ != nullptr) {
-      trace_->MarkError(sub_span, "no BRASS implementation", ctx_.Now());
-    }
+    trace_->MarkError(sub_span, "no BRASS implementation", ctx_.Now());
     stream.Terminate(TerminateReason::kError, "no BRASS implementation for '" + app_name + "'");
     return;
   }
@@ -172,9 +168,7 @@ void BrassHost::OnStreamStarted(ServerStream& stream) {
             return;
           }
           if (status != RpcStatus::kOk) {
-            if (trace_ != nullptr) {
-              trace_->MarkError(sub_span, "subscription resolution failed", ctx_.Now());
-            }
+            trace_->MarkError(sub_span, "subscription resolution failed", ctx_.Now());
             ServerStream* s = burst_->FindStream(key);
             if (s != nullptr) {
               s->Terminate(TerminateReason::kError, "subscription resolution failed");
@@ -192,10 +186,8 @@ bool BrassHost::Superseded(const StreamKey& key, uint64_t serial, const TraceCon
   if (latest == resolve_serials_.end() || latest->second == serial) {
     return false;
   }
-  if (trace_ != nullptr) {
-    trace_->Annotate(sub_span, "superseded", Value(true));
-    trace_->EndSpan(sub_span, ctx_.Now());
-  }
+  trace_->Annotate(sub_span, "superseded", Value(true));
+  trace_->EndSpan(sub_span, ctx_.Now());
   return true;
 }
 
@@ -206,21 +198,19 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
   TraceContext sub_span = resolve_response->trace;
   ServerStream* stream = burst_->FindStream(key);
   if (stream == nullptr) {
-    if (trace_ != nullptr) {
-      trace_->Annotate(sub_span, "cancelled", Value(true));
-      trace_->EndSpan(sub_span, ctx_.Now());
-    }
+    trace_->Annotate(sub_span, "cancelled", Value(true));
+    trace_->EndSpan(sub_span, ctx_.Now());
     return;  // cancelled or detached-and-GCed while resolving
   }
   auto resolution = std::static_pointer_cast<WasResolveSubResponse>(resolve_response);
   if (!resolution->ok) {
-    if (trace_ != nullptr) trace_->MarkError(sub_span, resolution->error, ctx_.Now());
+    trace_->MarkError(sub_span, resolution->error, ctx_.Now());
     stream->Terminate(TerminateReason::kError, resolution->error);
     return;
   }
   AppInstance* instance = GetOrSpawnApp(app);
   if (instance == nullptr) {
-    if (trace_ != nullptr) trace_->MarkError(sub_span, "application unavailable", ctx_.Now());
+    trace_->MarkError(sub_span, "application unavailable", ctx_.Now());
     stream->Terminate(TerminateReason::kError, "application unavailable");
     return;
   }
@@ -228,7 +218,7 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
   // Device-observed subscription setup (Table 3's device-side subscription
   // latency) is the "brass.subscribe" span's end relative to the trace
   // root the device opened before sending the subscribe frame.
-  if (trace_ != nullptr) trace_->EndSpan(sub_span, ctx_.Now());
+  trace_->EndSpan(sub_span, ctx_.Now());
 
   HostStream host_stream;
   host_stream.app = app;
@@ -238,7 +228,7 @@ void BrassHost::CompleteSubscription(const StreamKey& key, const std::string& ap
   host_stream.state.topics = resolution->topics;
   host_stream.state.context = resolution->context;
   host_stream.state.started_at = ctx_.Now();
-  if (trace_ != nullptr && sub_span.valid()) {
+  if (sub_span.valid()) {
     host_stream.stream_span =
         trace_->StartSpan(sub_span, "brass.stream", "brass", region_, ctx_.Now());
     trace_->Annotate(host_stream.stream_span, "app", Value(app));
@@ -371,9 +361,7 @@ void BrassHost::TerminateStreamsOnTopic(const Topic& topic, const std::string& d
     UnsubscribeStreamTopics(key);
     auto hs = streams_.find(key);
     if (hs != streams_.end()) {
-      if (trace_ != nullptr) {
-        trace_->MarkError(hs->second.stream_span, detail, ctx_.Now());
-      }
+      trace_->MarkError(hs->second.stream_span, detail, ctx_.Now());
       closed_stream_records_.push_back(StreamRecord{key, hs->second.app,
                                                     hs->second.state.started_at, ctx_.Now(),
                                                     EventsTargeted(key, hs->second)});
@@ -438,7 +426,7 @@ void BrassHost::HandlePylonEvent(MessagePtr request, RpcServer::Respond respond)
   // close the "pylon.deliver" span Pylon opened for this host, and have
   // the copy of the event the apps see continue from it (the shared event
   // itself is delivered to many hosts and must stay immutable here).
-  if (trace_ != nullptr && delivery->trace.valid()) {
+  if (delivery->trace.valid()) {
     trace_->EndSpan(delivery->trace, ctx_.Now());
     auto traced = std::make_shared<UpdateEvent>(*event);
     traced->trace = delivery->trace;
@@ -551,7 +539,7 @@ void BrassHost::OnStreamDetached(ServerStream& stream, const std::string& reason
   // application-visible happens until resume or GC. The stream span keeps
   // running but records the detach so a later error close is explicable.
   auto hs = streams_.find(stream.key());
-  if (trace_ != nullptr && hs != streams_.end()) {
+  if (hs != streams_.end()) {
     trace_->Annotate(hs->second.stream_span, "detached", Value(reason));
   }
 }
@@ -565,13 +553,11 @@ void BrassHost::OnStreamClosed(const StreamKey& key, TerminateReason reason) {
   if (hs->second.replaying) {
     EndDurableReplay(hs->second, "stream closed");
   }
-  if (trace_ != nullptr) {
-    if (reason == TerminateReason::kError) {
-      trace_->MarkError(hs->second.stream_span, "stream error", ctx_.Now());
-    } else {
-      trace_->Annotate(hs->second.stream_span, "close_reason", Value(ToString(reason)));
-      trace_->EndSpan(hs->second.stream_span, ctx_.Now());
-    }
+  if (reason == TerminateReason::kError) {
+    trace_->MarkError(hs->second.stream_span, "stream error", ctx_.Now());
+  } else {
+    trace_->Annotate(hs->second.stream_span, "close_reason", Value(ToString(reason)));
+    trace_->EndSpan(hs->second.stream_span, ctx_.Now());
   }
   UnsubscribeStreamTopics(key);
   closed_stream_records_.push_back(StreamRecord{key, hs->second.app,
@@ -673,7 +659,7 @@ void BrassHost::OnAck(ServerStream& stream, uint64_t seq) {
       // resubscribe (or a proxy-initiated repair) replays from here.
       state.acks_since_rewrite = 0;
       m_.durable_token_rewrites->Increment();
-      if (trace_ != nullptr && state.stream_span.valid()) {
+      if (state.stream_span.valid()) {
         TraceContext ack_span =
             trace_->StartSpan(state.stream_span, "burst.ack", "burst", region_, ctx_.Now());
         trace_->Annotate(ack_span, "seq", Value(static_cast<int64_t>(state.durable_acked)));
@@ -782,7 +768,7 @@ void BrassHost::DeliverData(const std::string& app, BrassStream& stream, Value p
       AppMetricsFor(app).shed->Increment();
       // Instant "brass.shed" span on the shed delivery's trace, so dropped
       // updates are visible in their timeline (docs/TRACING.md).
-      if (trace_ != nullptr && result.shed.options.parent.valid()) {
+      if (result.shed.options.parent.valid()) {
         TraceContext shed_span = trace_->StartSpan(result.shed.options.parent, "brass.shed",
                                                    "brass", region_, ctx_.Now());
         trace_->Annotate(shed_span, "app", Value(app));
@@ -817,7 +803,7 @@ void BrassHost::PushNow(const std::string& app, BrassStream& stream, Value paylo
   // "burst.deliver": push leaves BRASS -> device receives it. The span's
   // context rides on the data delta; the device's BURST client ends it.
   TraceContext deliver_span;
-  if (trace_ != nullptr && options.parent.valid()) {
+  if (options.parent.valid()) {
     deliver_span =
         trace_->StartSpan(options.parent, "burst.deliver", "burst", region_, ctx_.Now());
     trace_->Annotate(deliver_span, "app", Value(app));
@@ -864,7 +850,7 @@ void BrassHost::PushEnvelope(const std::string& app, const std::vector<BrassStre
     frame->conflation_key = options.conflation_key;
     frame->version = options.version;
     frame->event_created_at = options.event_created_at;
-    if (trace_ != nullptr && options.parent.valid()) {
+    if (options.parent.valid()) {
       frame->trace = trace_->StartSpan(options.parent, "brass.process", "brass", region_,
                                        ctx_.Now());
       trace_->Annotate(frame->trace, "app", Value(app));
@@ -987,7 +973,7 @@ void BrassHost::StartDurableReplay(const StreamKey& key) {
     return;  // caught up; nothing to replay
   }
   state.replaying = true;
-  if (trace_ != nullptr && state.stream_span.valid()) {
+  if (state.stream_span.valid()) {
     state.replay_span =
         trace_->StartSpan(state.stream_span, "burst.replay", "burst", region_, ctx_.Now());
     trace_->Annotate(state.replay_span, "from_seq",
@@ -1050,7 +1036,7 @@ void BrassHost::ReplayDurableBatch(const StreamKey& key) {
 
 void BrassHost::EndDurableReplay(HostStream& state, const std::string& note) {
   state.replaying = false;
-  if (trace_ != nullptr && state.replay_span.valid()) {
+  if (state.replay_span.valid()) {
     if (!note.empty()) {
       trace_->Annotate(state.replay_span, "note", Value(note));
     }
@@ -1086,7 +1072,7 @@ void BrassHost::DegradeStream(const StreamKey& key, HostStream& state) {
   AppMetricsFor(state.app).degrade_signals->Increment();
   // "burst.degrade" span covers the degraded-to-polling interval on the
   // stream's timeline (docs/TRACING.md).
-  if (trace_ != nullptr && state.stream_span.valid()) {
+  if (state.stream_span.valid()) {
     state.degrade_span =
         trace_->StartSpan(state.stream_span, "burst.degrade", "burst", region_, ctx_.Now());
     trace_->Annotate(state.degrade_span, "app", Value(state.app));
@@ -1119,7 +1105,7 @@ void BrassHost::ScheduleRecoveryCheck(const StreamKey& key) {
     state.window_attempts = 0;
     state.window_sheds = 0;
     m_.recover_signals->Increment();
-    if (trace_ != nullptr && state.degrade_span.valid()) {
+    if (state.degrade_span.valid()) {
       trace_->EndSpan(state.degrade_span, ctx_.Now());
       state.degrade_span = TraceContext();
     }
@@ -1128,9 +1114,6 @@ void BrassHost::ScheduleRecoveryCheck(const StreamKey& key) {
 }
 
 void BrassHost::CloseAllStreamSpans(const std::string& reason) {
-  if (trace_ == nullptr) {
-    return;
-  }
   for (auto& [key, hs] : streams_) {
     const Span* span = trace_->FindSpan(hs.stream_span);
     if (span != nullptr && span->open()) {

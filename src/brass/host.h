@@ -48,10 +48,11 @@ struct StreamRecord {
 
 class BrassHost : public BurstServerHandler {
  public:
+  // With a null `pylon` the host makes no Pylon subscriptions; a test that
+  // plays Pylon itself delivers events to event_rpc().
   BrassHost(Simulator* sim, int64_t host_id, RegionId region, WebAppServer* was,
             PylonCluster* pylon, const BrassAppRegistry* registry, BrassConfig config,
-            BurstConfig burst_config, MetricsRegistry* metrics,
-            TraceCollector* trace = nullptr);
+            BurstConfig burst_config, MetricsRegistry* metrics, TraceCollector* trace);
   ~BrassHost() override;
 
   int64_t host_id() const { return host_id_; }

@@ -10,7 +10,7 @@ namespace bladerunner {
 BrassRouter::BrassRouter(Simulator* sim, const Topology* topology,
                          const BrassAppRegistry* registry, BurstConfig burst_config)
     : ctx_(sim), topology_(topology), registry_(registry), burst_config_(burst_config) {
-  assert(ctx_.sim() != nullptr && topology_ != nullptr);
+  assert(ctx_.sim() != nullptr && topology_ != nullptr && registry_ != nullptr);
 }
 
 void BrassRouter::RegisterHost(BrassHost* host) {
@@ -48,11 +48,8 @@ int64_t BrassRouter::PickHost(const StreamHeaderView& header) {
   }
 
   BrassRoutingPolicy policy = BrassRoutingPolicy::kByLoad;
-  if (registry_ != nullptr) {
-    auto it = registry_->find(app);
-    if (it != registry_->end()) {
-      policy = it->second.descriptor.routing;
-    }
+  if (auto it = registry_->find(app); it != registry_->end()) {
+    policy = it->second.descriptor.routing;
   }
   if (policy == BrassRoutingPolicy::kByTopic) {
     // Topic-based routing keeps all streams of one topic on one host,

@@ -23,8 +23,8 @@ namespace bladerunner {
 
 class BrassRouter : public BurstServerDirectory {
  public:
-  // `registry` supplies each app's routing policy and QoS descriptor
-  // (nullptr: every app routes by load).
+  // `registry` supplies each app's routing policy and QoS descriptor; an
+  // app it does not list routes by load.
   BrassRouter(Simulator* sim, const Topology* topology, const BrassAppRegistry* registry,
               BurstConfig burst_config);
 

@@ -57,31 +57,19 @@ void BrassRuntime::PushEnvelope(const std::vector<BrassStream*>& streams, Value 
 }
 
 TraceContext BrassRuntime::StartSpan(const TraceContext& parent, const std::string& name) {
-  TraceCollector* trace = host_->trace();
-  if (trace == nullptr) {
-    return TraceContext();
-  }
-  TraceContext span = trace->StartSpan(parent, name, "brass", host_->region(), Now());
-  trace->Annotate(span, "app", Value(app_name_));
+  TraceContext span = host_->trace()->StartSpan(parent, name, "brass", host_->region(), Now());
+  host_->trace()->Annotate(span, "app", Value(app_name_));
   return span;
 }
 
-void BrassRuntime::EndSpan(const TraceContext& ctx) {
-  if (host_->trace() != nullptr) {
-    host_->trace()->EndSpan(ctx, Now());
-  }
-}
+void BrassRuntime::EndSpan(const TraceContext& ctx) { host_->trace()->EndSpan(ctx, Now()); }
 
 void BrassRuntime::AnnotateSpan(const TraceContext& ctx, const std::string& key, Value v) {
-  if (host_->trace() != nullptr) {
-    host_->trace()->Annotate(ctx, key, std::move(v));
-  }
+  host_->trace()->Annotate(ctx, key, std::move(v));
 }
 
 void BrassRuntime::MarkSpanError(const TraceContext& ctx, const std::string& message) {
-  if (host_->trace() != nullptr) {
-    host_->trace()->MarkError(ctx, message, Now());
-  }
+  host_->trace()->MarkError(ctx, message, Now());
 }
 
 }  // namespace bladerunner

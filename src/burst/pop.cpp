@@ -1,6 +1,7 @@
 #include "src/burst/pop.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <vector>
 
@@ -20,7 +21,8 @@ constexpr size_t kPopPayloadCacheCapacity = 256;
 }  // namespace
 
 Pop::Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector,
-         BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace)
+         DescriptorLookup descriptors, BurstConfig config, MetricsRegistry* metrics,
+         TraceCollector* trace)
     : BurstRelay(sim, region, trace,
                  Hop{.span = "burst.pop",
                      .id_key = "pop",
@@ -35,8 +37,10 @@ Pop::Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector
                      .repairs = &metrics->GetCounter("burst.pop_initiated_reconnects")}),
       pop_id_(pop_id),
       connector_(std::move(connector)),
+      descriptors_(std::move(descriptors)),
       config_(config),
       cache_(kPopPayloadCacheCapacity) {
+  assert(descriptors_);
   m_.pop_backbone_bytes_up = &metrics->GetCounter("burst.pop_backbone_bytes_up");
   m_.pop_backbone_bytes_down = &metrics->GetCounter("burst.pop_backbone_bytes_down");
   m_.pop_envelope_bytes = &metrics->GetCounter("burst.pop_envelope_bytes");
@@ -73,7 +77,7 @@ void Pop::OnSendUp(const Message& frame) {
 }
 
 BrassPlacement Pop::ResolvePlacement(const StreamHeaderView& view) const {
-  if (!config_.pop_placement_enabled || !descriptors_) {
+  if (!config_.pop_placement_enabled) {
     return BrassPlacement::kRegional;
   }
   const BrassAppDescriptor* descriptor = descriptors_(view.app());
@@ -143,7 +147,7 @@ void Pop::HandleEnvelope(const EnvelopeFrame& frame) {
   }
   // One application instance sent the frame, so its streams share the app.
   const std::string app = streams_.find(placed.front())->second.app;
-  const BrassAppDescriptor* descriptor = descriptors_ ? descriptors_(app) : nullptr;
+  const BrassAppDescriptor* descriptor = descriptors_(app);
   if (descriptor == nullptr) {
     return;
   }

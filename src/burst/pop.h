@@ -65,18 +65,15 @@ class Pop : public BurstRelay<PopStreamFields> {
       std::function<std::shared_ptr<ConnectionEnd>(Pop* pop, RegionId target_region)>;
 
   // Resolves an app name to its descriptor (placement policy, coarse-filter
-  // spec, pacing). Wired by the cluster from the shared app registry; a
-  // null/empty lookup leaves the POP a pure forwarder.
+  // spec, pacing), or nullptr for an unknown app. The cluster wires it from
+  // the shared app registry.
   using DescriptorLookup = std::function<const BrassAppDescriptor*(const std::string& app)>;
 
   Pop(Simulator* sim, PopId pop_id, RegionId region, ProxyConnector connector,
-      BurstConfig config, MetricsRegistry* metrics, TraceCollector* trace);
+      DescriptorLookup descriptors, BurstConfig config, MetricsRegistry* metrics,
+      TraceCollector* trace);
 
   PopId pop_id() const { return pop_id_; }
-
-  // Wires the app-descriptor registry in (cluster construction). Without it
-  // the POP never stamps placement, regardless of config.
-  void SetDescriptorLookup(DescriptorLookup lookup) { descriptors_ = std::move(lookup); }
 
   // Per-POP override of BurstConfig::pop_placement_enabled; lets tests run
   // mixed fleets (a capable POP failing over to an incapable one).
@@ -192,9 +189,9 @@ class Pop : public BurstRelay<PopStreamFields> {
 
   PopId pop_id_;
   ProxyConnector connector_;
+  DescriptorLookup descriptors_;
   BurstConfig config_;
   Metrics m_;
-  DescriptorLookup descriptors_;
 
   PopPayloadCache cache_;
   std::map<ObjectVersionKey, Flight> flights_;

@@ -16,9 +16,9 @@
 //     request, or ended with `error` when nothing is reachable.
 //
 // Stale routes: a subscribe for a stream already here moves its key out of
-// its old connections' stream sets, and a lost connection acts only on the
-// streams that still ride it. So a loss detected after the stream moved on
-// leaves it alone (docs/BURST.md "Failure handling").
+// its old connections' stream sets, so every key a connection lists rides
+// that connection, which its loss asserts. A loss detected after the stream
+// moved on leaves it alone (docs/BURST.md "Failure handling").
 //
 // A hop derives from BurstRelay<HopFields> and supplies what differs: how a
 // stream is routed and an upstream connected, and what it does with the
@@ -317,11 +317,12 @@ class BurstRelay : public ConnectionHandler {
     SendUp(*link, subscribe);
   }
 
-  // The open connection to upstream `up`, established if needed; the
-  // streams booked on a closed one move over.
+  // The open connection to upstream `up`, established if needed. A link
+  // leaves ups_ in the call that closes its end (Fail, or OnDisconnect's
+  // RepairUpstream), so one still listed is open.
   Link* EnsureUp(int64_t up) {
-    auto it = ups_.find(up);
-    if (it != ups_.end() && it->second.end->open()) {
+    if (auto it = ups_.find(up); it != ups_.end()) {
+      assert(it->second.end->open());
       return &it->second;
     }
     std::shared_ptr<ConnectionEnd> end = ConnectUpstream(up);
@@ -329,16 +330,10 @@ class BurstRelay : public ConnectionHandler {
       return nullptr;
     }
     end->set_handler(this);
-    Link link{std::move(end), {}};
-    if (it != ups_.end()) {
-      link.streams = std::move(it->second.streams);
-      up_by_conn_.erase(it->second.end->connection_id());
-      ups_.erase(it);
-    }
-    auto [ins, ok] = ups_.emplace(up, std::move(link));
-    assert(ok);
-    up_by_conn_[ins->second.end->connection_id()] = up;
-    return &ins->second;
+    up_by_conn_[end->connection_id()] = up;
+    Link& link = ups_[up];
+    link.end = std::move(end);
+    return &link;
   }
 
   void SendUp(Link& link, const MessagePtr& frame) {
@@ -387,10 +382,7 @@ class BurstRelay : public ConnectionHandler {
     auto down = downs_.find(conn);
     std::vector<StreamKey> keys(down->second.streams.begin(), down->second.streams.end());
     for (const StreamKey& key : keys) {
-      auto it = streams_.find(key);
-      if (it == streams_.end() || it->second.down != conn) {
-        continue;  // already resubscribed over a newer connection
-      }
+      assert(streams_.contains(key) && streams_.find(key)->second.down == conn);
       auto detached = std::make_shared<StreamDetachedFrame>();
       detached->key = key;
       detached->reason = hop_.detached;
@@ -416,9 +408,7 @@ class BurstRelay : public ConnectionHandler {
     ups_.erase(link);
     for (const StreamKey& key : affected) {
       auto it = streams_.find(key);
-      if (it == streams_.end() || it->second.up != lost) {
-        continue;  // already routed to another upstream
-      }
+      assert(it != streams_.end() && it->second.up == lost);
       SendDelta(key, it->second, Delta::Flow(FlowStatus::kDegraded, hop_.degraded));
       // Route overrides a sticky header that names the lost upstream.
       std::optional<int64_t> repair = Route(it->second.header);

@@ -78,9 +78,7 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
   }
 
   tao_ = std::make_unique<TaoStore>(&sim_, &topology_, config_.tao, &metrics_);
-  if (config_.enable_pylon) {
-    pylon_ = std::make_unique<PylonCluster>(&sim_, &topology_, config_.pylon, &metrics_, &trace_);
-  }
+  pylon_ = std::make_unique<PylonCluster>(&sim_, &topology_, config_.pylon, &metrics_, &trace_);
   for (RegionId r = 0; r < topology_.num_regions(); ++r) {
     auto was = std::make_unique<WebAppServer>(&sim_, r, tao_.get(), pylon_.get(), config_.was,
                                               &metrics_, &trace_);
@@ -128,7 +126,7 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
   uint64_t next_pop_id = 1;
   Pop::ProxyConnector connector = MakeProxyConnector();
   // POPs resolve app placement policy from the same registry the hosts and
-  // router share; without the lookup a POP is a pure forwarder.
+  // router share.
   Pop::DescriptorLookup descriptors =
       [this](const std::string& app) -> const BrassAppDescriptor* {
     auto it = app_registry_.find(app);
@@ -136,10 +134,8 @@ BladerunnerCluster::BladerunnerCluster(ClusterConfig config, Topology topology)
   };
   for (RegionId r = 0; r < topology_.num_regions(); ++r) {
     for (int i = 0; i < config_.pops_per_region; ++i) {
-      auto pop = std::make_unique<Pop>(&sim_, PopId(next_pop_id++), r, connector, config_.burst,
-                                       &metrics_, &trace_);
-      pop->SetDescriptorLookup(descriptors);
-      pops_.push_back(std::move(pop));
+      pops_.push_back(std::make_unique<Pop>(&sim_, PopId(next_pop_id++), r, connector, descriptors,
+                                            config_.burst, &metrics_, &trace_));
     }
   }
 }

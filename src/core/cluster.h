@@ -47,7 +47,6 @@ struct ClusterConfig {
   int pops_per_region = 2;
   int proxies_per_region = 2;
   int brass_hosts_per_region = 3;
-  bool enable_pylon = true;  // false: polling-only deployment (baselines)
   ClusterParallelConfig parallel;
 
   TaoConfig tao;

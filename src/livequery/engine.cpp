@@ -61,6 +61,7 @@ LiveQueryEngine::LiveQueryEngine(Simulator* sim, TaoStore* tao, WebAppServer* wa
                                  TraceCollector* trace)
     : ctx_(sim), tao_(tao), was_(was), config_(config), metrics_(metrics), trace_(trace) {
   assert(ctx_.sim() != nullptr && tao_ != nullptr && was_ != nullptr && metrics_ != nullptr);
+  assert(trace_ != nullptr);
   m_.deltas = &metrics_->GetCounter("livequery.deltas");
   m_.applied = &metrics_->GetCounter("livequery.applied");
   m_.publishes = &metrics_->GetCounter("livequery.publishes");
@@ -188,17 +189,15 @@ void LiveQueryEngine::OnDelta(const TaoDelta& delta) {
     return;
   }
 
-  TraceContext root;
-  if (trace_ != nullptr) {
-    root = trace_->StartTrace("livequery", "livequery", config_.home_region, delta.committed_at);
-    if (root.valid()) {
-      trace_->Annotate(root, "shard", Value(static_cast<int64_t>(delta.shard)));
-      trace_->Annotate(root, "shardSeq", Value(static_cast<int64_t>(delta.shard_seq)));
-      // The delta span covers commit -> delivery into the engine (the
-      // replication lag the view maintenance is downstream of).
-      trace_->RecordSpan(root, "livequery.delta", "livequery", config_.home_region,
-                         delta.committed_at, ctx_.Now());
-    }
+  TraceContext root =
+      trace_->StartTrace("livequery", "livequery", config_.home_region, delta.committed_at);
+  if (root.valid()) {
+    trace_->Annotate(root, "shard", Value(static_cast<int64_t>(delta.shard)));
+    trace_->Annotate(root, "shardSeq", Value(static_cast<int64_t>(delta.shard_seq)));
+    // The delta span covers commit -> delivery into the engine (the
+    // replication lag the view maintenance is downstream of).
+    trace_->RecordSpan(root, "livequery.delta", "livequery", config_.home_region,
+                       delta.committed_at, ctx_.Now());
   }
   for (const Topic& topic : topics) {
     auto it = views_.find(topic);
@@ -206,18 +205,13 @@ void LiveQueryEngine::OnDelta(const TaoDelta& delta) {
       Apply(it->second, delta, root);
     }
   }
-  if (trace_ != nullptr) {
-    trace_->EndSpan(root, ctx_.Now());
-  }
+  trace_->EndSpan(root, ctx_.Now());
 }
 
 void LiveQueryEngine::Apply(View& view, const TaoDelta& delta, const TraceContext& root) {
   m_.applied->Increment();
-  TraceContext span;
-  if (trace_ != nullptr) {
-    span = trace_->StartSpan(root, "livequery.apply", "livequery", config_.home_region,
-                             ctx_.Now());
-  }
+  TraceContext span =
+      trace_->StartSpan(root, "livequery.apply", "livequery", config_.home_region, ctx_.Now());
   CostScope scope(this);
   std::vector<Op> ops;
   switch (view.plan.shape) {
@@ -232,10 +226,8 @@ void LiveQueryEngine::Apply(View& view, const TaoDelta& delta, const TraceContex
       break;
   }
   scope.CommitTo(m_.maintenance_reads, m_.maintenance_shards);
-  if (trace_ != nullptr) {
-    trace_->Annotate(span, "ops", Value(static_cast<int64_t>(ops.size())));
-    trace_->EndSpan(span, ctx_.Now());
-  }
+  trace_->Annotate(span, "ops", Value(static_cast<int64_t>(ops.size())));
+  trace_->EndSpan(span, ctx_.Now());
   if (ops.empty()) {
     m_.suppressed->Increment();
     return;
@@ -564,20 +556,15 @@ void LiveQueryEngine::PublishOps(View& view, const std::vector<Op>& ops, const T
     spec.metadata.Set("shard", static_cast<int64_t>(delta.shard));
     spec.metadata.Set("shardSeq", static_cast<int64_t>(delta.shard_seq));
     m_.publishes->Increment();
-    TraceContext span;
-    if (trace_ != nullptr) {
-      span = trace_->StartSpan(root, "livequery.publish", "livequery", config_.home_region,
-                               ctx_.Now());
-    }
+    TraceContext span =
+        trace_->StartSpan(root, "livequery.publish", "livequery", config_.home_region, ctx_.Now());
     if (publish_hook_) {
       publish_hook_(spec.topic, spec.metadata);
     }
     // created_at is the mutation's commit time so downstream end-to-end
     // latency measures commit -> device, like any other update event.
     was_->PublishNow(spec, delta.committed_at, span);
-    if (trace_ != nullptr) {
-      trace_->EndSpan(span, ctx_.Now());
-    }
+    trace_->EndSpan(span, ctx_.Now());
   }
 }
 

@@ -58,7 +58,7 @@ struct LiveQueryRegistration {
 class LiveQueryEngine {
  public:
   LiveQueryEngine(Simulator* sim, TaoStore* tao, WebAppServer* was, LiveQueryConfig config,
-                  MetricsRegistry* metrics, TraceCollector* trace = nullptr);
+                  MetricsRegistry* metrics, TraceCollector* trace);
 
   // Registers a live query (idempotent per topic: re-registering the same
   // query/viewer is a no-op) and materializes its initial snapshot from the

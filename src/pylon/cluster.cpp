@@ -13,6 +13,7 @@ PylonCluster::PylonCluster(Simulator* sim, const Topology* topology, PylonConfig
     : ctx_(sim), topology_(topology), config_(std::move(config)), metrics_(metrics),
       trace_(trace) {
   assert(ctx_.sim() != nullptr && topology_ != nullptr && metrics_ != nullptr);
+  assert(trace_ != nullptr);
   kv_membership_changes_ = &metrics_->GetCounter("pylon.kv_membership_changes");
   kv_anti_entropy_runs_ = &metrics_->GetCounter("pylon.kv_anti_entropy_runs");
   int regions = topology_->num_regions();

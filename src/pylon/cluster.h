@@ -33,7 +33,7 @@ struct SubscriberHostRef {
 class PylonCluster {
  public:
   PylonCluster(Simulator* sim, const Topology* topology, PylonConfig config,
-               MetricsRegistry* metrics, TraceCollector* trace = nullptr);
+               MetricsRegistry* metrics, TraceCollector* trace);
 
   // ---- Topology / routing ----
 

@@ -9,6 +9,7 @@ namespace bladerunner {
 KvNode::KvNode(Simulator* sim, uint64_t node_id, RegionId region, const PylonConfig* config,
                MetricsRegistry* metrics, PylonCluster* cluster)
     : ctx_(sim), node_id_(node_id), region_(region), config_(config), cluster_(cluster) {
+  assert(cluster_ != nullptr);
   m_.node_failures = &metrics->GetCounter("pylon.kv_node_failures");
   m_.node_state_losses = &metrics->GetCounter("pylon.kv_node_state_losses");
   m_.node_recoveries = &metrics->GetCounter("pylon.kv_node_recoveries");
@@ -47,9 +48,7 @@ void KvNode::Fail() {
   ++crash_epoch_;
   rpc_.SetAvailable(false);
   m_.node_failures->Increment();
-  if (cluster_ != nullptr) {
-    cluster_->OnKvNodeFailed(this);
-  }
+  cluster_->OnKvNodeFailed(this);
 }
 
 void KvNode::Recover(bool lose_state) {
@@ -63,13 +62,9 @@ void KvNode::Recover(bool lose_state) {
   }
   state_ = KvNodeState::kRecovering;
   m_.node_recoveries->Increment();
-  if (cluster_ != nullptr) {
-    // The cluster fetches peer snapshots and calls FinishRecovery() when
-    // the pass completes; until then the node stays out of quorums.
-    cluster_->StartAntiEntropy(this);
-  } else {
-    FinishRecovery();
-  }
+  // The cluster fetches peer snapshots and calls FinishRecovery() when the
+  // pass completes; until then the node stays out of quorums.
+  cluster_->StartAntiEntropy(this);
 }
 
 void KvNode::FinishRecovery() {
@@ -78,9 +73,7 @@ void KvNode::FinishRecovery() {
   }
   state_ = KvNodeState::kLive;
   rpc_.SetAvailable(true);
-  if (cluster_ != nullptr) {
-    cluster_->OnKvNodeLive(this);
-  }
+  cluster_->OnKvNodeLive(this);
 }
 
 void KvNode::MergeEntry(const Topic& topic, const std::vector<int64_t>& subscribers) {

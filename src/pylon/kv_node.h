@@ -37,10 +37,10 @@ enum class KvNodeState {
 
 class KvNode {
  public:
-  // `cluster` may be null (standalone unit tests): Fail/Recover then skip
-  // the cluster-coordinated anti-entropy pass.
+  // `cluster` is the PylonCluster that owns the node: it runs the
+  // anti-entropy pass of a recovery and tracks membership changes.
   KvNode(Simulator* sim, uint64_t node_id, RegionId region, const PylonConfig* config,
-         MetricsRegistry* metrics, PylonCluster* cluster = nullptr);
+         MetricsRegistry* metrics, PylonCluster* cluster);
 
   uint64_t node_id() const { return node_id_; }
   RegionId region() const { return region_; }

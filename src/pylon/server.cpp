@@ -72,15 +72,11 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
   // are its children. A publish arriving without context (e.g. a bench
   // driving Pylon directly) roots a fresh trace here.
   TraceCollector* tracer = cluster_->trace();
-  TraceContext publish_span;
-  if (tracer != nullptr) {
-    publish_span = event->trace.decided()
-                       ? tracer->StartSpan(event->trace, "pylon.publish", "pylon",
-                                           region_, ctx_.Now())
-                       : tracer->StartTrace("pylon.publish", "pylon", region_,
-                                            ctx_.Now());
-    tracer->Annotate(publish_span, "topic", Value(event->topic));
-  }
+  TraceContext publish_span =
+      event->trace.decided()
+          ? tracer->StartSpan(event->trace, "pylon.publish", "pylon", region_, ctx_.Now())
+          : tracer->StartTrace("pylon.publish", "pylon", region_, ctx_.Now());
+  tracer->Annotate(publish_span, "topic", Value(event->topic));
 
   const PylonConfig& config = cluster_->config();
   LatencyModel processing{config.publish_processing_ms, 0.3, config.publish_processing_ms / 4.0};
@@ -89,7 +85,7 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
   // Ack the publisher as soon as local processing is done; fanout is async.
   ctx_.Schedule(processing_delay, [this, tracer, publish_span,
                                     respond = std::move(respond)]() {
-    if (tracer != nullptr) tracer->EndSpan(publish_span, ctx_.Now());
+    tracer->EndSpan(publish_span, ctx_.Now());
     respond(std::make_shared<PylonAck>());
   });
 
@@ -121,7 +117,7 @@ void PylonServer::HandlePublish(MessagePtr request, RpcServer::Respond respond) 
       // One "pylon.deliver" span per subscriber, from the moment the
       // publish arrived until the BRASS host receives it (the host ends the
       // span) — the fanout latency Table 3 reports.
-      if (tracer != nullptr && publish_span.valid()) {
+      if (publish_span.valid()) {
         delivery->trace = tracer->StartSpan(publish_span, "pylon.deliver", "pylon",
                                             region_, received_at);
         tracer->Annotate(delivery->trace, "host", Value(host));
@@ -245,16 +241,12 @@ void PylonServer::HandleSubscribe(MessagePtr request, RpcServer::Respond respond
   // the quorum is reached (the latency formerly recorded as
   // pylon.subscribe_replication_us) or errors when it cannot be.
   TraceCollector* tracer = cluster_->trace();
-  TraceContext sub_span;
-  if (tracer != nullptr) {
-    sub_span = request->trace.decided()
-                   ? tracer->StartSpan(request->trace, "pylon.subscribe", "pylon",
-                                       region_, ctx_.Now())
-                   : tracer->StartTrace("pylon.subscribe", "pylon", region_,
-                                        ctx_.Now());
-    tracer->Annotate(sub_span, "topic", Value(sub->topic));
-    if (!sub->subscribe) tracer->Annotate(sub_span, "unsubscribe", Value(true));
-  }
+  TraceContext sub_span =
+      request->trace.decided()
+          ? tracer->StartSpan(request->trace, "pylon.subscribe", "pylon", region_, ctx_.Now())
+          : tracer->StartTrace("pylon.subscribe", "pylon", region_, ctx_.Now());
+  tracer->Annotate(sub_span, "topic", Value(sub->topic));
+  if (!sub->subscribe) tracer->Annotate(sub_span, "unsubscribe", Value(true));
 
   std::vector<KvNode*> replicas = cluster_->ReplicasFor(sub->topic, region_);
   const PylonConfig& config = cluster_->config();
@@ -265,9 +257,7 @@ void PylonServer::HandleSubscribe(MessagePtr request, RpcServer::Respond respond
     // below issues fewer Calls than the quorum needs (zero, when the pool
     // is empty) and the subscribe RPC would hang forever.
     m_.quorum_failures->Increment();
-    if (tracer != nullptr) {
-      tracer->MarkError(sub_span, "too few reachable replicas", ctx_.Now());
-    }
+    tracer->MarkError(sub_span, "too few reachable replicas", ctx_.Now());
     auto ack = std::make_shared<PylonAck>();
     ack->ok = false;
     ack->error = "too few reachable replicas";
@@ -304,7 +294,7 @@ void PylonServer::HandleSubscribe(MessagePtr request, RpcServer::Respond respond
           if (!state->decided && state->acks >= quorum) {
             // CP write reached its quorum: the subscription is durable.
             state->decided = true;
-            if (tracer != nullptr) tracer->EndSpan(sub_span, ctx_.Now());
+            tracer->EndSpan(sub_span, ctx_.Now());
             (*shared_respond)(std::make_shared<PylonAck>());
           } else if (!state->decided && state->responses == state->total &&
                      state->acks < quorum) {
@@ -312,9 +302,7 @@ void PylonServer::HandleSubscribe(MessagePtr request, RpcServer::Respond respond
             // (a BRASS) is reliably informed (§4 axiom 1).
             state->decided = true;
             m_.quorum_failures->Increment();
-            if (tracer != nullptr) {
-              tracer->MarkError(sub_span, "subscription quorum unreachable", ctx_.Now());
-            }
+            tracer->MarkError(sub_span, "subscription quorum unreachable", ctx_.Now());
             auto ack = std::make_shared<PylonAck>();
             ack->ok = false;
             ack->error = "subscription quorum unreachable";

@@ -17,7 +17,7 @@ WebAppServer::WebAppServer(Simulator* sim, RegionId region, TaoStore* tao, Pylon
       metrics_(metrics),
       trace_(trace),
       next_event_id_((static_cast<uint64_t>(region) << 48) + 1) {
-  assert(ctx_.sim() != nullptr && tao_ != nullptr && metrics_ != nullptr);
+  assert(ctx_.sim() != nullptr && tao_ != nullptr && metrics_ != nullptr && trace_ != nullptr);
   m_.privacy_checks = &metrics_->GetCounter("was.privacy_checks");
   m_.cpu_us = &metrics_->GetCounter("was.cpu_us");
   m_.queries = &metrics_->GetCounter("was.queries");
@@ -173,7 +173,7 @@ void WebAppServer::HandleResolveSubscription(MessagePtr request, RpcServer::Resp
   auto response = std::make_shared<WasResolveSubResponse>();
 
   TraceContext resolve_span;
-  if (trace_ != nullptr && request->trace.valid()) {
+  if (request->trace.valid()) {
     resolve_span = trace_->StartSpan(request->trace, "was.resolve", "was", region_, ctx_.Now());
   }
 
@@ -209,7 +209,7 @@ void WebAppServer::HandleResolveSubscription(MessagePtr request, RpcServer::Resp
   SimTime latency = MillisF(config_.query_base_ms) + tao_->SampleQueryLatency(cost);
   ChargeCpu(config_.query_base_ms);
   ctx_.Schedule(latency, [this, respond, response, resolve_span]() {
-    if (trace_ != nullptr) trace_->EndSpan(resolve_span, ctx_.Now());
+    trace_->EndSpan(resolve_span, ctx_.Now());
     respond(response);
   });
 }
@@ -228,7 +228,7 @@ void WebAppServer::HandleFetch(MessagePtr request, RpcServer::Respond respond) {
   // Server-side view of the BRASS point fetch: separates WAS processing
   // time from the network round trip inside the parent "brass.fetch" span.
   TraceContext fetch_span;
-  if (trace_ != nullptr && request->trace.valid()) {
+  if (request->trace.valid()) {
     fetch_span = trace_->StartSpan(request->trace, "was.fetch", "was", region_, ctx_.Now());
   }
 
@@ -282,14 +282,14 @@ void WebAppServer::HandleFetch(MessagePtr request, RpcServer::Respond respond) {
   SimTime latency = MillisF(ctx_.rng().LogNormal(processing_ms, 0.35)) +
                     tao_->SampleQueryLatency(ctx.cost);
   ChargeCpu(processing_ms * 0.12);  // fetch handling is mostly TAO/IO wait
-  if (trace_ != nullptr && fetch_span.valid()) {
+  if (fetch_span.valid()) {
     int64_t granted = 0;
     for (uint8_t a : response->allowed) granted += a;
     trace_->Annotate(fetch_span, "viewers", Value(static_cast<int64_t>(fetch->viewers.size())));
     trace_->Annotate(fetch_span, "allowed", Value(granted));
   }
   ctx_.Schedule(latency, [this, respond, response, fetch_span]() {
-    if (trace_ != nullptr) trace_->EndSpan(fetch_span, ctx_.Now());
+    trace_->EndSpan(fetch_span, ctx_.Now());
     respond(response);
   });
 }
@@ -311,7 +311,7 @@ void WebAppServer::SchedulePublishes(std::vector<PublishSpec> specs, SimTime cre
     // the TAO write, "was.publish" the business-logic/ranking pipeline up
     // to the Pylon publish (the Table 3 WAS->Pylon span).
     TraceContext publish_span;
-    if (trace_ != nullptr && !moved.topic.empty()) {
+    if (!moved.topic.empty()) {
       TraceContext root = trace_->StartTrace("update", "was", region_, created_at);
       if (root.valid()) {
         trace_->Annotate(root, "topic", Value(moved.topic));
@@ -326,7 +326,7 @@ void WebAppServer::SchedulePublishes(std::vector<PublishSpec> specs, SimTime cre
     }
     ctx_.Schedule(MillisF(logic_ms), [this, moved = std::move(moved), created_at,
                                        publish_span]() {
-      if (trace_ != nullptr) trace_->EndSpan(publish_span, ctx_.Now());
+      trace_->EndSpan(publish_span, ctx_.Now());
       if (moved.on_published) {
         moved.on_published();
       }
@@ -337,11 +337,11 @@ void WebAppServer::SchedulePublishes(std::vector<PublishSpec> specs, SimTime cre
 
 void WebAppServer::PublishNow(const PublishSpec& spec, SimTime created_at, TraceContext trace) {
   if (pylon_ == nullptr || spec.topic.empty()) {
-    return;  // polling-only deployment, or a discarded (hot-mode) update
+    return;  // a WAS without Pylon, or a discarded (hot-mode) update
   }
   // Server-side agents publish without going through SchedulePublishes;
   // give those updates a root so their fanout is traceable too.
-  if (trace_ != nullptr && !trace.decided()) {
+  if (!trace.decided()) {
     trace = trace_->StartTrace("update", "was", region_, created_at);
     if (trace.valid()) trace_->Annotate(trace, "topic", Value(spec.topic));
   }

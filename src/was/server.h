@@ -80,8 +80,9 @@ using FetchHandler =
 
 class WebAppServer {
  public:
+  // With a null `pylon` the server publishes nothing (a WAS timed alone).
   WebAppServer(Simulator* sim, RegionId region, TaoStore* tao, PylonCluster* pylon,
-               WasConfig config, MetricsRegistry* metrics, TraceCollector* trace = nullptr);
+               WasConfig config, MetricsRegistry* metrics, TraceCollector* trace);
 
   RegionId region() const { return region_; }
   RpcServer* rpc() { return &rpc_; }

@@ -565,7 +565,8 @@ class IgnoreMessages : public ConnectionHandler {
 // `probe(topics: "t1,t2,t1")` resolves to exactly those topics, duplicates
 // included; `reads: N` makes its resolution N TAO reads slower. With
 // `with_pylon`, the host keeps real Pylon subscriptions, which Drain and
-// FailHost withdraw. The host records its spans in `trace()`.
+// FailHost withdraw. The host, the WAS and Pylon record their spans in
+// `trace()`.
 class DispatchWorld {
  public:
   DispatchWorld(uint64_t seed, bool with_pylon)
@@ -575,10 +576,11 @@ class DispatchWorld {
       PylonConfig pylon_config;
       pylon_config.servers_per_region = 1;
       pylon_config.kv_nodes_per_region = 3;
-      pylon_ = std::make_unique<PylonCluster>(&sim_, &topology_, pylon_config, &metrics_);
+      pylon_ = std::make_unique<PylonCluster>(&sim_, &topology_, pylon_config, &metrics_,
+                                              &trace_);
     }
     was_ = std::make_unique<WebAppServer>(&sim_, 0, tao_.get(), pylon_.get(), WasConfig{},
-                                          &metrics_);
+                                          &metrics_, &trace_);
     was_->RegisterSubscriptionResolver("probe", [](const Field& field, UserId,
                                                    ExecContext& ctx) {
       ctx.cost.point_reads = static_cast<uint64_t>(field.Arg("reads").AsInt());

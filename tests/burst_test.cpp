@@ -26,6 +26,9 @@
 namespace bladerunner {
 namespace {
 
+// The descriptor lookup of the POPs here, which run with placement off.
+const BrassAppDescriptor* NoDescriptor(const std::string&) { return nullptr; }
+
 // Records everything; echoes nothing by default.
 class FakeAppHandler : public BurstServerHandler {
  public:
@@ -158,7 +161,8 @@ class BurstTest : public ::testing::Test {
       target->AttachPopConnection(std::move(proxy_end));
       return pop_end;
     };
-    pop_ = std::make_unique<Pop>(&sim_, PopId(1), 0, pop_connector_, config_, &metrics_, &trace_);
+    pop_ = std::make_unique<Pop>(&sim_, PopId(1), 0, pop_connector_, NoDescriptor, config_,
+                                 &metrics_, &trace_);
 
     client_connector_ = [this](int64_t, BurstClient::ConnectDone done) {
       if (!pop_->alive()) {
@@ -727,7 +731,7 @@ void PopStreamMovesToANewConnection() {
         proxy.AttachPopConnection(std::move(proxy_end));
         return pop_end;
       },
-      config, &metrics, &trace);
+      NoDescriptor, config, &metrics, &trace);
   // A device connection whose failure the POP notices 500 ms late.
   FrameRecorder device;
   auto connect = [&]() {

@@ -31,24 +31,6 @@ TEST(ClusterTest, BuildsConfiguredTopology) {
   EXPECT_GT(cluster.pylon()->NumServers(), 0u);
 }
 
-TEST(ClusterTest, PollingOnlyDeploymentHasNoPylon) {
-  ClusterConfig config;
-  config.enable_pylon = false;
-  BladerunnerCluster cluster(config, Topology::OneRegion());
-  EXPECT_EQ(cluster.pylon(), nullptr);
-  // Mutations still work (publishes are silently skipped).
-  UserId user = CreateUser(cluster.tao(), "u", "en");
-  ObjectId video = CreateVideo(cluster.tao(), user, "v");
-  cluster.sim().RunFor(Seconds(1));
-  DeviceAgent device(&cluster, user, 0, DeviceProfile::kWifi);
-  bool ok = false;
-  device.Mutate("mutation { postComment(video: " + std::to_string(video) +
-                    ", text: \"t\", language: \"en\") { id } }",
-                [&ok](bool success, Value) { ok = success; });
-  cluster.sim().RunFor(Seconds(10));
-  EXPECT_TRUE(ok);
-}
-
 TEST(ClusterTest, DeviceConnectorPrefersDeviceRegion) {
   ClusterConfig config;
   config.seed = 5;

@@ -401,8 +401,8 @@ TEST_F(FetchPipelineTest, ClearDropsCacheAndFlights) {
 
 // FetchForViewers must be indistinguishable from one Fetch per viewer. Each
 // case runs the same steps on two identical worlds: one batched call on one
-// world, one Fetch per viewer on the other. The crowd is larger than
-// max_batch_viewers, so waiters beyond the RPC's batch re-enter the pipeline
+// world, one Fetch per viewer on the other. The crowd is larger than the
+// 64-viewer batch cap, so waiters beyond the RPC's batch re-enter the pipeline
 // and privacy-only top-up rounds run.
 class FetchForViewersTest : public ::testing::Test {
  protected:
@@ -487,7 +487,7 @@ class FetchForViewersTest : public ::testing::Test {
 
   static void Nothing(PipelineWorld&, const Value&) {}
 
-  // One earlier fetch caches the payload with the first max_batch_viewers
+  // One earlier fetch caches the payload with the first 64 (the batch cap)
   // decisions of the crowd; the rest of the crowd needs top-ups.
   static void WarmCache(PipelineWorld& w, const Value& metadata) {
     auto warm = w.Fetch(w.viewer_a_, metadata);

@@ -39,9 +39,10 @@ class LiveQueryTest : public ::testing::Test {
     published_.clear();
     tao_ = std::make_unique<TaoStore>(&sim_, &topology_, TaoConfig{}, &metrics_);
     was_ = std::make_unique<WebAppServer>(&sim_, 0, tao_.get(), nullptr, WasConfig{}, &metrics_,
-                                          nullptr);
+                                          &trace_);
     InstallSocialSchema(*was_);
-    engine_ = std::make_unique<LiveQueryEngine>(&sim_, tao_.get(), was_.get(), config, &metrics_);
+    engine_ = std::make_unique<LiveQueryEngine>(&sim_, tao_.get(), was_.get(), config, &metrics_,
+                                                &trace_);
     engine_->set_publish_hook([this](const Topic& topic, const Value& metadata) {
       published_.push_back(PublishedOp{topic, metadata});
     });
@@ -115,6 +116,7 @@ class LiveQueryTest : public ::testing::Test {
   Topology topology_;
   Simulator sim_;
   MetricsRegistry metrics_;
+  TraceCollector trace_{TraceConfig{.enabled = false}};
   std::unique_ptr<TaoStore> tao_;
   std::unique_ptr<WebAppServer> was_;
   std::unique_ptr<LiveQueryEngine> engine_;
@@ -683,13 +685,14 @@ TEST(LiveQueryReplicationTest, ConvergesAcrossRegions) {
   Topology topology = Topology::ThreeRegions();
   Simulator sim(101);
   MetricsRegistry metrics;
+  TraceCollector trace(TraceConfig{.enabled = false});
   TaoStore tao(&sim, &topology, TaoConfig{}, &metrics);
-  WebAppServer was(&sim, 1, &tao, nullptr, WasConfig{}, &metrics, nullptr);
+  WebAppServer was(&sim, 1, &tao, nullptr, WasConfig{}, &metrics, &trace);
   InstallSocialSchema(was);
   LiveQueryConfig config;
   config.enabled = true;
   config.home_region = 1;  // not the leader for most shards
-  LiveQueryEngine engine(&sim, &tao, &was, config, &metrics);
+  LiveQueryEngine engine(&sim, &tao, &was, config, &metrics, &trace);
 
   UserId author = CreateUser(tao, "author", "en");
   ObjectId video = CreateVideo(tao, author, "replicated video");

@@ -574,8 +574,9 @@ TEST(HostPacingTest, ClosedStreamsReleaseCannotPushForItsSuccessor) {
   Topology topology = Topology::OneRegion();
   Simulator sim(5);
   MetricsRegistry metrics;
+  TraceCollector trace(TraceConfig{.enabled = false});
   TaoStore tao(&sim, &topology, TaoConfig{}, &metrics);
-  WebAppServer was(&sim, 0, &tao, nullptr, WasConfig{}, &metrics);
+  WebAppServer was(&sim, 0, &tao, nullptr, WasConfig{}, &metrics, &trace);
   was.RegisterSubscriptionResolver("probe", [](const Field&, UserId, ExecContext&) {
     SubscriptionResolution resolution;
     resolution.topics = {"t"};
@@ -587,7 +588,7 @@ TEST(HostPacingTest, ClosedStreamsReleaseCannotPushForItsSuccessor) {
                                        }};
   BrassConfig config;
   config.overload.min_push_gap = Millis(500);
-  BrassHost host(&sim, 1, 0, &was, nullptr, &registry, config, BurstConfig{}, &metrics);
+  BrassHost host(&sim, 1, 0, &was, nullptr, &registry, config, BurstConfig{}, &metrics, &trace);
   auto [proxy, host_end] = CreateConnection(&sim, LatencyModel::Fixed(1.0), Millis(50));
   host.burst()->AttachProxyConnection(host_end);
   PushArrivals pushes(&sim);

@@ -277,7 +277,7 @@ TEST_F(PopPlacementTest, EditStormConflatesAtThePopNewestVersionWins) {
 }
 
 // A flash crowd on one POP and one host, larger than the host's privacy
-// batch (max_batch_viewers = 64): the comment crosses the backbone as one
+// batch (kMaxBatchViewers = 64): the comment crosses the backbone as one
 // envelope frame, and the POP's single fetch is answered by one fill
 // holding a decision for every viewer; every allowed viewer gets the
 // payload exactly once.

@@ -436,7 +436,8 @@ TEST(PylonQuorumWaitTest, StragglerViewIsNotForwardedAfterQuorum) {
   config.servers_per_region = 2;
   config.kv_nodes_per_region = 2;
   config.forward_on_first_response = false;  // quorum-wait ablation
-  PylonCluster cluster(&sim, &topology, config, &metrics);
+  TraceCollector trace(TraceConfig{.enabled = false});
+  PylonCluster cluster(&sim, &topology, config, &metrics, &trace);
 
   int a_received = 0;
   int c_received = 0;
@@ -496,7 +497,8 @@ TEST(PylonFanoutTest, SerializationIndexCarriesAcrossReplicaViews) {
   // Make the per-subscriber serialization premium dominate every other
   // latency in the fanout: 200ms per already-forwarded subscriber.
   config.per_subscriber_send_us = 200000.0;
-  PylonCluster cluster(&sim, &topology, config, &metrics);
+  TraceCollector trace(TraceConfig{.enabled = false});
+  PylonCluster cluster(&sim, &topology, config, &metrics, &trace);
 
   SimTime a_time = 0;
   SimTime c_time = 0;

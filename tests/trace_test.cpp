@@ -28,11 +28,12 @@ struct ScenarioRun {
   std::vector<std::unique_ptr<DeviceAgent>> devices;
 };
 
-ScenarioRun RunLvcScenario(uint64_t seed, double sample_rate = 1.0) {
+ScenarioRun RunLvcScenario(uint64_t seed, double sample_rate = 1.0, bool tracing = true) {
   ScenarioRun run;
   ClusterConfig config;
   config.seed = seed;
   config.trace.sample_rate = sample_rate;
+  config.trace.enabled = tracing;
   run.cluster = std::make_unique<BladerunnerCluster>(config);
   BladerunnerCluster& cluster = *run.cluster;
 
@@ -188,6 +189,36 @@ TEST(TraceDeterminismTest, SamplingKeepsSameTraceIds) {
   EXPECT_LT(sampled_ids.size(), full_ids.size());
   for (TraceId id : sampled_ids) {
     EXPECT_TRUE(full_ids.count(id)) << "sampled run produced an unknown trace id";
+  }
+}
+
+// TraceConfig::enabled is the one way to run untraced, and the collector's
+// contract is that it changes no simulated outcome: ids never come from the
+// simulator's Rng, and spans schedule nothing.
+TEST(TraceDeterminismTest, DisabledTracingLeavesSimulationUnchanged) {
+  ScenarioRun traced = RunLvcScenario(606);
+  ScenarioRun untraced = RunLvcScenario(606, /*sample_rate=*/1.0, /*tracing=*/false);
+  ASSERT_GT(traced.cluster->trace().TraceCount(), 0u);
+  EXPECT_EQ(untraced.cluster->trace().TraceCount(), 0u);
+
+  EXPECT_EQ(traced.cluster->sim().events_executed(), untraced.cluster->sim().events_executed());
+  auto deliveries = [](ScenarioRun& run) {
+    return run.cluster->metrics().GetCounter("brass.deliveries").value();
+  };
+  EXPECT_GT(deliveries(traced), 0);
+  EXPECT_EQ(deliveries(traced), deliveries(untraced));
+  ASSERT_EQ(traced.devices.size(), untraced.devices.size());
+  for (size_t i = 0; i < traced.devices.size(); ++i) {
+    EXPECT_EQ(traced.devices[i]->payloads_received(), untraced.devices[i]->payloads_received())
+        << "device " << i;
+  }
+  for (const char* name : {"e2e.total_us.LVC", "e2e.brass_to_device_us.LVC"}) {
+    const Histogram* with = traced.cluster->metrics().FindHistogram(name);
+    const Histogram* without = untraced.cluster->metrics().FindHistogram(name);
+    ASSERT_NE(with, nullptr) << name;
+    ASSERT_NE(without, nullptr) << name;
+    EXPECT_GT(with->count(), 0u) << name;
+    EXPECT_EQ(with->count(), without->count()) << name;
   }
 }
 
