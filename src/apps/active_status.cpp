@@ -7,18 +7,12 @@
 
 #include "src/apps/active_status.h"
 
+#include <cassert>
+
 namespace bladerunner {
 
 ActiveStatusApp::ActiveStatusApp(BrassRuntime& runtime, ActiveStatusConfig config)
     : BrassApplication(runtime), config_(config) {}
-
-ActiveStatusApp::~ActiveStatusApp() {
-  for (auto& [key, viewer] : viewers_) {
-    if (viewer.batch_timer != kInvalidTimerId) {
-      runtime().CancelTimer(viewer.batch_timer);
-    }
-  }
-}
 
 BrassAppFactory ActiveStatusApp::Factory(ActiveStatusConfig config) {
   return [config](BrassRuntime& runtime) {
@@ -36,21 +30,8 @@ BrassAppDescriptor ActiveStatusApp::Descriptor() {
 }
 
 void ActiveStatusApp::OnStreamStarted(BrassStream& stream) {
-  ViewerState viewer;
-  viewer.stream = &stream;
-  viewers_[stream.key] = std::move(viewer);
-  ScheduleBatch(stream.key);
-}
-
-void ActiveStatusApp::OnStreamClosed(const StreamKey& key) {
-  auto it = viewers_.find(key);
-  if (it == viewers_.end()) {
-    return;
-  }
-  if (it->second.batch_timer != kInvalidTimerId) {
-    runtime().CancelTimer(it->second.batch_timer);
-  }
-  viewers_.erase(it);
+  stream.app_state = std::make_unique<ViewerState>(runtime().ctx());
+  ScheduleBatch(stream);
 }
 
 void ActiveStatusApp::OnEvent(const Topic& topic, const UpdateEvent& event,
@@ -62,40 +43,32 @@ void ActiveStatusApp::OnEvent(const Topic& topic, const UpdateEvent& event,
   }
   SimTime now = runtime().Now();
   for (BrassStream* stream : streams) {
-    auto it = viewers_.find(stream->key);
-    if (it == viewers_.end()) {
-      continue;
-    }
+    ViewerState& viewer = StateOf<ViewerState>(*stream);
     // Decision accounting happens per examined event (Fig. 8): a heartbeat
     // that flips the friend to online will be delivered (in the next
     // batch); one that merely refreshes an already-online friend is
     // suppressed.
-    auto seen = it->second.last_seen.find(user);
-    bool was_online = seen != it->second.last_seen.end() &&
-                      now - seen->second <= config_.online_ttl;
+    auto seen = viewer.last_seen.find(user);
+    bool was_online = seen != viewer.last_seen.end() && now - seen->second <= config_.online_ttl;
     runtime().CountDecision(!was_online);
-    it->second.last_seen[user] = event.created_at;
-    it->second.last_trace[user] = event.trace;
+    viewer.last_seen[user] = event.created_at;
+    viewer.last_trace[user] = event.trace;
   }
 }
 
-void ActiveStatusApp::ScheduleBatch(const StreamKey& key) {
-  auto it = viewers_.find(key);
-  if (it == viewers_.end()) {
-    return;
-  }
-  it->second.batch_timer = runtime().ScheduleTimer(config_.batch_interval, [this, key]() {
-    PushBatch(key);
-    ScheduleBatch(key);
-  });
+void ActiveStatusApp::ScheduleBatch(BrassStream& stream) {
+  StateOf<ViewerState>(stream).batch_timer =
+      runtime().ScheduleTimer(config_.batch_interval, [this, key = stream.key]() {
+        // The viewer state cancels this timer as it goes: the stream is open.
+        BrassStream* open = runtime().FindStream(key);
+        assert(open != nullptr);
+        PushBatch(*open);
+        ScheduleBatch(*open);
+      });
 }
 
-void ActiveStatusApp::PushBatch(const StreamKey& key) {
-  auto it = viewers_.find(key);
-  if (it == viewers_.end()) {
-    return;
-  }
-  ViewerState& viewer = it->second;
+void ActiveStatusApp::PushBatch(BrassStream& stream) {
+  ViewerState& viewer = StateOf<ViewerState>(stream);
   SimTime now = runtime().Now();
 
   // Compute the current online set (30 s TTL) and diff against what the
@@ -131,7 +104,7 @@ void ActiveStatusApp::PushBatch(const StreamKey& key) {
   if (came_online.empty() && went_offline.empty()) {
     return;
   }
-  if (!viewer.stream->attached()) {
+  if (!stream.attached()) {
     return;
   }
   Value payload;
@@ -141,7 +114,7 @@ void ActiveStatusApp::PushBatch(const StreamKey& key) {
   DeliverOptions deliver;
   deliver.event_created_at = oldest_transition;
   deliver.parent = oldest_trace;
-  runtime().DeliverData(*viewer.stream, std::move(payload), deliver);
+  runtime().DeliverData(stream, std::move(payload), deliver);
 }
 
 }  // namespace bladerunner

@@ -10,7 +10,6 @@
 #define BLADERUNNER_SRC_APPS_ACTIVE_STATUS_H_
 
 #include <map>
-#include <unordered_map>
 
 #include "src/brass/application.h"
 #include "src/brass/runtime.h"
@@ -25,10 +24,8 @@ struct ActiveStatusConfig {
 class ActiveStatusApp : public BrassApplication {
  public:
   ActiveStatusApp(BrassRuntime& runtime, ActiveStatusConfig config);
-  ~ActiveStatusApp() override;
 
   void OnStreamStarted(BrassStream& stream) override;
-  void OnStreamClosed(const StreamKey& key) override;
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
 
@@ -38,19 +35,23 @@ class ActiveStatusApp : public BrassApplication {
   static BrassAppDescriptor Descriptor();
 
  private:
-  struct ViewerState {
-    BrassStream* stream = nullptr;
+  // One viewer's state, on its stream's entry. The batch timer is armed
+  // from OnStreamStarted on, and is cancelled as the state is destroyed.
+  struct ViewerState : BrassStreamState {
+    explicit ViewerState(SimContext ctx) : ctx(ctx) {}
+    ~ViewerState() override { ctx.Cancel(batch_timer); }
+
+    SimContext ctx;
     std::map<UserId, SimTime> last_seen;   // friend -> last heartbeat
     std::map<UserId, TraceContext> last_trace;  // friend -> heartbeat's trace
     std::map<UserId, bool> last_pushed;    // friend -> online as last told
     TimerId batch_timer = kInvalidTimerId;
   };
 
-  void ScheduleBatch(const StreamKey& key);
-  void PushBatch(const StreamKey& key);
+  void ScheduleBatch(BrassStream& stream);
+  void PushBatch(BrassStream& stream);
 
   ActiveStatusConfig config_;
-  std::unordered_map<StreamKey, ViewerState, StreamKeyHash> viewers_;
 };
 
 }  // namespace bladerunner

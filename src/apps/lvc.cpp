@@ -74,14 +74,6 @@ LiveVideoCommentsApp::LiveVideoCommentsApp(BrassRuntime& runtime, LvcConfig conf
   privacy_filtered_ = &this->runtime().metrics().GetCounter("lvc.privacy_filtered");
 }
 
-LiveVideoCommentsApp::~LiveVideoCommentsApp() {
-  for (auto& [key, viewer] : viewers_) {
-    if (viewer.push_timer != kInvalidTimerId) {
-      runtime().CancelTimer(viewer.push_timer);
-    }
-  }
-}
-
 BrassAppFactory LiveVideoCommentsApp::Factory(LvcConfig config) {
   return [config](BrassRuntime& runtime) {
     return std::make_unique<LiveVideoCommentsApp>(runtime, config);
@@ -110,37 +102,26 @@ BrassAppDescriptor LiveVideoCommentsApp::Descriptor(const LvcConfig& config) {
 }
 
 void LiveVideoCommentsApp::OnStreamStarted(BrassStream& stream) {
-  ViewerState viewer;
-  viewer.stream = &stream;
-  viewer.language = stream.context.Get("language").AsString();
-  if (viewer.language.empty()) {
-    viewer.language = "en";
+  auto viewer = std::make_unique<ViewerState>(runtime().ctx());
+  viewer->language = stream.context.Get("language").AsString();
+  if (viewer->language.empty()) {
+    viewer->language = "en";
   }
   for (const Value& f : stream.context.Get("friends").AsList()) {
-    viewer.friends.push_back(f.AsInt(0));
+    viewer->friends.push_back(f.AsInt(0));
   }
-  // A restarted stream replaces its old friend-list snapshot.
-  ViewerState& slot = viewers_[stream.key];
-  friend_index_.Remove(stream.key, slot.friends);
-  friend_index_.Add(stream.key, viewer.friends);
-  slot = std::move(viewer);
-  SchedulePush(stream.key);
+  friend_index_.Add(stream.key, viewer->friends);
+  stream.app_state = std::move(viewer);
+  SchedulePush(stream);
 }
 
-void LiveVideoCommentsApp::OnStreamClosed(const StreamKey& key) {
-  auto it = viewers_.find(key);
-  if (it == viewers_.end()) {
-    return;
-  }
-  if (it->second.push_timer != kInvalidTimerId) {
-    runtime().CancelTimer(it->second.push_timer);
-  }
-  for (Candidate& candidate : it->second.buffer) {
+void LiveVideoCommentsApp::OnStreamClosed(BrassStream& stream) {
+  ViewerState& viewer = StateOf<ViewerState>(stream);
+  for (Candidate& candidate : viewer.buffer) {
     runtime().AnnotateSpan(candidate.span, "outcome", Value("stream_closed"));
     runtime().EndSpan(candidate.span);
   }
-  friend_index_.Remove(key, it->second.friends);
-  viewers_.erase(it);
+  friend_index_.Remove(stream.key, viewer.friends);
 }
 
 LiveVideoCommentsApp::EventDecision::EventDecision(const UpdateEvent& event)
@@ -191,11 +172,10 @@ void LiveVideoCommentsApp::InsertCandidate(ViewerState& viewer, const EventDecis
 }
 
 void LiveVideoCommentsApp::Decide(EventDecision& decision, BrassStream& stream) {
-  auto it = viewers_.find(stream.key);
-  assert(it != viewers_.end() && it->second.stream == &stream);
+  ViewerState& viewer = StateOf<ViewerState>(stream);
   const bool placed =
       stream.pop_placed && config_.placement == BrassPlacement::kPopFilterConflate;
-  if (!Passes(decision, it->second, stream, placed)) {
+  if (!Passes(decision, viewer, stream, placed)) {
     ++decision.negatives;
     return;
   }
@@ -210,7 +190,7 @@ void LiveVideoCommentsApp::Decide(EventDecision& decision, BrassStream& stream) 
   // Buffering is not yet a delivery decision; the decision happens at push
   // time. But an insert that evicts a candidate *was* a decision against
   // the evicted one — accounted there via the age filter.
-  InsertCandidate(it->second, decision);
+  InsertCandidate(viewer, decision);
 }
 
 void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
@@ -218,13 +198,6 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
   (void)topic;
   assert(std::is_sorted(streams.begin(), streams.end(),
                         [](const BrassStream* a, const BrassStream* b) { return a->key < b->key; }));
-  // Every stream has viewer state, pointing at that same stream: it entered
-  // the host's topic map and viewers_ in one subscription step, and leaves
-  // both on close.
-  assert(std::all_of(streams.begin(), streams.end(), [this](const BrassStream* s) {
-    auto it = viewers_.find(s->key);
-    return it != viewers_.end() && it->second.stream == s;
-  }));
   if (config_.placement == BrassPlacement::kDeviceFirehose) {
     // Ablation: firehose mode — push everything, let the device decide.
     for (BrassStream* stream : streams) {
@@ -240,13 +213,13 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
               runtime().EndSpan(span);
               return;
             }
-            auto it2 = viewers_.find(key);
-            if (it2 == viewers_.end()) {
+            BrassStream* open = runtime().FindStream(key);
+            if (open == nullptr) {
               runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
               runtime().EndSpan(span);
               return;
             }
-            runtime().DeliverData(*it2->second.stream, std::move(payload), deliver);
+            runtime().DeliverData(*open, std::move(payload), deliver);
             runtime().EndSpan(span);
           });
     }
@@ -286,23 +259,19 @@ void LiveVideoCommentsApp::OnEvent(const Topic& topic, const UpdateEvent& event,
   }
 }
 
-void LiveVideoCommentsApp::SchedulePush(const StreamKey& key) {
-  auto it = viewers_.find(key);
-  if (it == viewers_.end()) {
-    return;
-  }
-  it->second.push_timer = runtime().ScheduleTimer(config_.push_interval, [this, key]() {
-    PushBest(key);
-    SchedulePush(key);
-  });
+void LiveVideoCommentsApp::SchedulePush(BrassStream& stream) {
+  StateOf<ViewerState>(stream).push_timer =
+      runtime().ScheduleTimer(config_.push_interval, [this, key = stream.key]() {
+        // The viewer state cancels this timer as it goes: the stream is open.
+        BrassStream* open = runtime().FindStream(key);
+        assert(open != nullptr);
+        PushBest(*open);
+        SchedulePush(*open);
+      });
 }
 
-void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
-  auto it = viewers_.find(key);
-  if (it == viewers_.end()) {
-    return;
-  }
-  ViewerState& viewer = it->second;
+void LiveVideoCommentsApp::PushBest(BrassStream& stream) {
+  ViewerState& viewer = StateOf<ViewerState>(stream);
   SimTime now = runtime().Now();
 
   // Age out stale candidates first; each expiry is a negative decision.
@@ -322,7 +291,7 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
       runtime().CountDecision(false);
     }
   }
-  if (viewer.buffer.empty() || !viewer.stream->attached()) {
+  if (viewer.buffer.empty() || !stream.attached()) {
     return;
   }
   // Pick by freshness-weighted rank: a live-video comment loses relevance
@@ -347,27 +316,25 @@ void LiveVideoCommentsApp::PushBest(const StreamKey& key) {
   // "brass.process" span (opened at event receipt) covers buffering, rate
   // limiting, and the fetch — Fig. 9's "BRASS host processing" leg — and
   // ends when the push is handed to BURST.
-  StreamKey stream_key = key;
   TraceContext span = best.span;
-  UserId viewer_id = viewer.stream->viewer;
   DeliverOptions deliver = CommentDelivery(best.metadata, best.created_at, span);
   runtime().FetchPayload(
-      best.metadata, FetchOptions{.viewer = viewer_id, .parent = span},
-      [this, stream_key, deliver, span](bool allowed, Value payload) {
+      best.metadata, FetchOptions{.viewer = stream.viewer, .parent = span},
+      [this, key = stream.key, deliver, span](bool allowed, Value payload) {
         if (!allowed) {
           privacy_filtered_->Increment();
           runtime().AnnotateSpan(span, "outcome", Value("privacy_filtered"));
           runtime().EndSpan(span);
           return;
         }
-        auto it2 = viewers_.find(stream_key);
-        if (it2 == viewers_.end()) {
+        BrassStream* open = runtime().FindStream(key);
+        if (open == nullptr) {
           runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
           runtime().EndSpan(span);
           return;
         }
         runtime().AnnotateSpan(span, "outcome", Value("delivered"));
-        runtime().DeliverData(*it2->second.stream, std::move(payload), deliver);
+        runtime().DeliverData(*open, std::move(payload), deliver);
         runtime().EndSpan(span);
       });
 }

@@ -93,10 +93,9 @@ class LvcFriendIndex {
 class LiveVideoCommentsApp : public BrassApplication {
  public:
   LiveVideoCommentsApp(BrassRuntime& runtime, LvcConfig config);
-  ~LiveVideoCommentsApp() override;
 
   void OnStreamStarted(BrassStream& stream) override;
-  void OnStreamClosed(const StreamKey& key) override;
+  void OnStreamClosed(BrassStream& stream) override;
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
 
@@ -120,8 +119,13 @@ class LiveVideoCommentsApp : public BrassApplication {
     TraceContext span;
   };
 
-  struct ViewerState {
-    BrassStream* stream = nullptr;
+  // One viewer's state, on its stream's entry. The push timer is armed from
+  // OnStreamStarted on, and is cancelled as the state is destroyed.
+  struct ViewerState : BrassStreamState {
+    explicit ViewerState(SimContext ctx) : ctx(ctx) {}
+    ~ViewerState() override { ctx.Cancel(push_timer); }
+
+    SimContext ctx;
     std::string language;
     std::vector<UserId> friends;
     std::vector<Candidate> buffer;  // kept sorted by quality, best first
@@ -154,13 +158,12 @@ class LiveVideoCommentsApp : public BrassApplication {
   void Decide(EventDecision& decision, BrassStream& stream);
 
   void InsertCandidate(ViewerState& viewer, const EventDecision& decision);
-  void SchedulePush(const StreamKey& key);
-  void PushBest(const StreamKey& key);
+  void SchedulePush(BrassStream& stream);
+  void PushBest(BrassStream& stream);
 
   LvcConfig config_;
   Counter* privacy_filtered_;  // resolved once at construction (docs/PERF.md)
-  std::unordered_map<StreamKey, ViewerState, StreamKeyHash> viewers_;
-  LvcFriendIndex friend_index_;  // over viewers_' friend lists
+  LvcFriendIndex friend_index_;  // over the open streams' friend lists
 };
 
 }  // namespace bladerunner

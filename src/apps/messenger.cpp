@@ -28,8 +28,7 @@ BrassAppDescriptor MessengerApp::Descriptor() {
 }
 
 void MessengerApp::OnStreamStarted(BrassStream& stream) {
-  MailboxState state;
-  state.stream = &stream;
+  auto state = std::make_unique<MailboxState>();
   // Resume point: an explicit resume token (rewritten into the header on
   // every delivery) wins; otherwise the subscription-time mailbox size from
   // the WAS resolution context (the device just polled to that point).
@@ -37,43 +36,32 @@ void MessengerApp::OnStreamStarted(BrassStream& stream) {
   if (resume == 0) {
     resume = stream.context.Get("maxSeq").AsInt(0);
   }
-  state.next_seq = static_cast<uint64_t>(resume) + 1;
-  mailboxes_[stream.key] = std::move(state);
+  state->next_seq = static_cast<uint64_t>(resume) + 1;
+  stream.app_state = std::move(state);
   // A cold resume may have missed messages entirely; reconcile via poll.
   if (resume > 0) {
-    RecoverGap(stream.key);
+    RecoverGap(stream);
   }
 }
 
 void MessengerApp::OnStreamResumed(BrassStream& stream) {
-  auto it = mailboxes_.find(stream.key);
-  if (it == mailboxes_.end()) {
-    OnStreamStarted(stream);
-    return;
-  }
   // Redeliver everything the device never acked; deliveries during the
   // detach window were dropped by the transport.
-  MailboxState& state = it->second;
-  for (auto& [seq, payload] : state.unacked) {
+  for (auto& [seq, payload] : StateOf<MailboxState>(stream).unacked) {
     redeliveries_->Increment();
     DeliverOptions deliver;
     deliver.seq = seq;
-    runtime().DeliverData(*state.stream, payload, deliver);
+    runtime().DeliverData(stream, payload, deliver);
   }
   // And recover anything published while we were detached.
-  RecoverGap(stream.key);
+  RecoverGap(stream);
 }
 
-void MessengerApp::OnStreamClosed(const StreamKey& key) {
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end()) {
-    return;
-  }
-  for (auto& [seq, pending] : it->second.pending) {
+void MessengerApp::OnStreamClosed(BrassStream& stream) {
+  for (auto& [seq, pending] : StateOf<MailboxState>(stream).pending) {
     runtime().AnnotateSpan(pending.span, "outcome", Value("stream_closed"));
     runtime().EndSpan(pending.span);
   }
-  mailboxes_.erase(it);
 }
 
 void MessengerApp::OnEvent(const Topic& topic, const UpdateEvent& event,
@@ -83,11 +71,7 @@ void MessengerApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                      ? event.seq
                      : static_cast<uint64_t>(event.metadata.Get("seq").AsInt(0));
   for (BrassStream* stream : streams) {
-    auto it = mailboxes_.find(stream->key);
-    if (it == mailboxes_.end()) {
-      continue;
-    }
-    MailboxState& state = it->second;
+    MailboxState& state = StateOf<MailboxState>(*stream);
     if (seq < state.next_seq) {
       runtime().CountDecision(false);  // duplicate / already delivered
       continue;
@@ -97,34 +81,28 @@ void MessengerApp::OnEvent(const Topic& topic, const UpdateEvent& event,
       // Gap: an earlier publish was dropped somewhere. Detect + recover by
       // polling the mailbox through the WAS (§4's Messenger design).
       gaps_detected_->Increment();
-      RecoverGap(stream->key);
+      RecoverGap(*stream);
     }
-    FetchAndQueue(stream->key, event.metadata, seq, event.created_at,
+    FetchAndQueue(*stream, event.metadata, seq, event.created_at,
                   runtime().StartSpan(event.trace, "brass.process"));
   }
 }
 
-void MessengerApp::FetchAndQueue(const StreamKey& key, const Value& metadata, uint64_t seq,
+void MessengerApp::FetchAndQueue(BrassStream& stream, const Value& metadata, uint64_t seq,
                                  SimTime created_at, TraceContext span) {
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end()) {
-    runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
-    runtime().EndSpan(span);
-    return;
-  }
-  UserId viewer = it->second.stream->viewer;
   // Mailbox payloads are per-viewer sequenced state: reliable delivery
   // requires observing the WAS directly, never a shared cached payload.
   runtime().FetchPayload(
-      metadata, FetchOptions{.viewer = viewer, .parent = span, .bypass_cache = true},
-      [this, key, seq, created_at, span](bool allowed, Value payload) {
-        auto it2 = mailboxes_.find(key);
-        if (it2 == mailboxes_.end()) {
+      metadata, FetchOptions{.viewer = stream.viewer, .parent = span, .bypass_cache = true},
+      [this, key = stream.key, seq, created_at, span](bool allowed, Value payload) {
+        BrassStream* open = runtime().FindStream(key);
+        if (open == nullptr) {
           runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
           runtime().EndSpan(span);
           return;
         }
-        if (seq < it2->second.next_seq) {
+        MailboxState& state = StateOf<MailboxState>(*open);
+        if (seq < state.next_seq) {
           // A concurrent gap poll recovered and delivered
           // this sequence while the fetch was in flight; a
           // stale insert would wedge the drain queue.
@@ -140,17 +118,13 @@ void MessengerApp::FetchAndQueue(const StreamKey& key, const Value& metadata, ui
           payload.Set("suppressed", true);
         }
         payload.Set("_createdAtEvent", created_at);
-        it2->second.pending[seq] = PendingMessage{std::move(payload), span};
-        DrainPending(key);
+        state.pending[seq] = PendingMessage{std::move(payload), span};
+        DrainPending(*open);
       });
 }
 
-void MessengerApp::DrainPending(const StreamKey& key) {
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end()) {
-    return;
-  }
-  MailboxState& state = it->second;
+void MessengerApp::DrainPending(BrassStream& stream) {
+  MailboxState& state = StateOf<MailboxState>(stream);
   // Defensively drop stale heads (sequences another recovery path already
   // delivered); they must never block newer pending messages.
   while (!state.pending.empty() && state.pending.begin()->first < state.next_seq) {
@@ -169,79 +143,67 @@ void MessengerApp::DrainPending(const StreamKey& key) {
     deliver.seq = seq;
     deliver.event_created_at = created_at;
     deliver.parent = span;
-    runtime().DeliverData(*state.stream, payload, deliver);
+    runtime().DeliverData(stream, payload, deliver);
     runtime().EndSpan(span);
     state.unacked[seq] = std::move(payload);
     if (state.unacked.size() > config_.redelivery_buffer) {
       state.unacked.erase(state.unacked.begin());
     }
-    PersistProgress(state);
+    PersistProgress(stream);
   }
 }
 
-void MessengerApp::RecoverGap(const StreamKey& key) {
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.recovering) {
+void MessengerApp::RecoverGap(BrassStream& stream) {
+  MailboxState& state = StateOf<MailboxState>(stream);
+  if (state.recovering) {
     return;
   }
-  MailboxState& state = it->second;
   state.recovering = true;
   uint64_t after = state.next_seq - 1;
   std::string query = "query { mailbox(afterSeq: " + std::to_string(after) +
                       ", first: 50) { id seq author thread text time } }";
   gap_polls_->Increment();
   runtime().WasQuery(query,
-                     FetchOptions{.viewer = state.stream->viewer, .parent = {},
-                                  .bypass_cache = true},
-                     [this, key](bool ok, Value data) {
-    auto it2 = mailboxes_.find(key);
-    if (it2 == mailboxes_.end()) {
+                     FetchOptions{.viewer = stream.viewer, .parent = {}, .bypass_cache = true},
+                     [this, key = stream.key](bool ok, Value data) {
+    BrassStream* open = runtime().FindStream(key);
+    if (open == nullptr) {
       return;
     }
-    it2->second.recovering = false;
+    MailboxState& recovered = StateOf<MailboxState>(*open);
+    recovered.recovering = false;
     if (!ok) {
       return;
     }
     for (const Value& message : data.Get("mailbox").AsList()) {
       uint64_t seq = static_cast<uint64_t>(message.Get("seq").AsInt(0));
-      if (seq >= it2->second.next_seq &&
-          it2->second.pending.find(seq) == it2->second.pending.end()) {
+      if (seq >= recovered.next_seq && recovered.pending.find(seq) == recovered.pending.end()) {
         Value payload = message;
         payload.Set("__type", "Message");
         // Gap-recovered messages have no originating event trace.
-        it2->second.pending[seq] = PendingMessage{std::move(payload), TraceContext()};
+        recovered.pending[seq] = PendingMessage{std::move(payload), TraceContext()};
       }
     }
-    DrainPending(key);
+    DrainPending(*open);
   });
 }
 
-void MessengerApp::PersistProgress(MailboxState& state) {
+void MessengerApp::PersistProgress(BrassStream& stream) {
   // Rewrite the resume token into the stream header (§3.5 "Resumption"):
   // after any failure, the resubscribe carries the last delivered sequence,
   // and the replacement BRASS resumes from exactly there.
-  ServerStream* raw = state.stream->stream;
+  ServerStream* raw = stream.stream;
   if (!raw->attached()) {
     return;
   }
   StreamHeader header(raw->header());
-  header.set_resume_token(static_cast<int64_t>(state.next_seq - 1));
+  header.set_resume_token(static_cast<int64_t>(StateOf<MailboxState>(stream).next_seq - 1));
   raw->Rewrite(std::move(header).Take());
 }
 
 void MessengerApp::OnAck(BrassStream& stream, uint64_t seq) {
-  auto it = mailboxes_.find(stream.key);
-  if (it == mailboxes_.end()) {
-    return;
-  }
-  MailboxState& state = it->second;
-  for (auto u = state.unacked.begin(); u != state.unacked.end();) {
-    if (u->first <= seq) {
-      u = state.unacked.erase(u);
-    } else {
-      break;
-    }
-  }
+  std::map<uint64_t, Value>& unacked = StateOf<MailboxState>(stream).unacked;
+  unacked.erase(unacked.begin(), unacked.upper_bound(seq));
 }
 
 }  // namespace bladerunner

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 #include "src/brass/application.h"
 #include "src/brass/runtime.h"
@@ -33,7 +32,7 @@ class MessengerApp : public BrassApplication {
 
   void OnStreamStarted(BrassStream& stream) override;
   void OnStreamResumed(BrassStream& stream) override;
-  void OnStreamClosed(const StreamKey& key) override;
+  void OnStreamClosed(BrassStream& stream) override;
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
   void OnAck(BrassStream& stream, uint64_t seq) override;
@@ -51,25 +50,24 @@ class MessengerApp : public BrassApplication {
     TraceContext span;
   };
 
-  struct MailboxState {
-    BrassStream* stream = nullptr;         // set when made, never cleared
+  // One mailbox stream's state, on its stream's entry.
+  struct MailboxState : BrassStreamState {
     uint64_t next_seq = 1;                 // next sequence to deliver
     std::map<uint64_t, PendingMessage> pending;  // fetched, waiting for their turn
     std::map<uint64_t, Value> unacked;     // delivered, awaiting device ack
     bool recovering = false;               // gap poll in flight
   };
 
-  void FetchAndQueue(const StreamKey& key, const Value& metadata, uint64_t seq,
+  void FetchAndQueue(BrassStream& stream, const Value& metadata, uint64_t seq,
                      SimTime created_at, TraceContext span);
-  void DrainPending(const StreamKey& key);
-  void RecoverGap(const StreamKey& key);
-  void PersistProgress(MailboxState& state);
+  void DrainPending(BrassStream& stream);
+  void RecoverGap(BrassStream& stream);
+  void PersistProgress(BrassStream& stream);
 
   MessengerConfig config_;
   Counter* redeliveries_;  // resolved once at construction (docs/PERF.md)
   Counter* gaps_detected_;
   Counter* gap_polls_;
-  std::unordered_map<StreamKey, MailboxState, StreamKeyHash> mailboxes_;
 };
 
 }  // namespace bladerunner

@@ -24,12 +24,8 @@ BrassAppDescriptor StoriesApp::Descriptor() {
 }
 
 void StoriesApp::OnStreamStarted(BrassStream& stream) {
-  ViewerState viewer;
-  viewer.stream = &stream;
-  viewers_[stream.key] = std::move(viewer);
+  stream.app_state = std::make_unique<ViewerState>();
 }
-
-void StoriesApp::OnStreamClosed(const StreamKey& key) { viewers_.erase(key); }
 
 void StoriesApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                          const std::vector<BrassStream*>& streams) {
@@ -40,29 +36,27 @@ void StoriesApp::OnEvent(const Topic& topic, const UpdateEvent& event,
     return;
   }
   for (BrassStream* stream : streams) {
-    auto it = viewers_.find(stream->key);
-    if (it == viewers_.end()) {
-      continue;
-    }
-    ContainerInfo& info = it->second.containers[author];
+    ViewerState& viewer = StateOf<ViewerState>(*stream);
+    ContainerInfo& info = viewer.containers[author];
     info.rank = std::max(info.rank, rank);
     info.freshest = event.created_at;
-    ReconcileTray(it->second, event);
+    ReconcileTray(*stream, viewer, event);
   }
 }
 
-void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) {
+void StoriesApp::ReconcileTray(BrassStream& stream, ViewerState& viewer,
+                               const UpdateEvent& trigger) {
   SimTime now = runtime().Now();
 
   // Expire stale containers (story TTL).
   for (auto it = viewer.containers.begin(); it != viewer.containers.end();) {
     if (now - it->second.freshest > config_.story_ttl) {
-      if (it->second.displayed && viewer.stream->attached()) {
+      if (it->second.displayed && stream.attached()) {
         Value removal;
         removal.Set("__type", "StoryTrayRemove");
         removal.Set("owner", it->first);
         runtime().CountDecision(true);
-        runtime().DeliverData(*viewer.stream, std::move(removal), DeliverOptions{});
+        runtime().DeliverData(stream, std::move(removal), DeliverOptions{});
       }
       it = viewer.containers.erase(it);
     } else {
@@ -92,8 +86,7 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
       // push even without a tray change.
       if (should_display && uid == trigger_author) {
         runtime().CountDecision(true);
-        if (viewer.stream->attached()) {
-          StreamKey key = viewer.stream->key;
+        if (stream.attached()) {
           TraceContext span = runtime().StartSpan(trigger.trace, "brass.process");
           DeliverOptions deliver;
           deliver.event_created_at = trigger.created_at;
@@ -104,21 +97,21 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
           deliver.conflation_key = "story:" + std::to_string(trigger_author);
           deliver.version = static_cast<uint64_t>(trigger.created_at);
           runtime().FetchPayload(
-              trigger.metadata, FetchOptions{.viewer = viewer.stream->viewer, .parent = span},
-              [this, key, deliver, span](bool allowed, Value payload) {
+              trigger.metadata, FetchOptions{.viewer = stream.viewer, .parent = span},
+              [this, key = stream.key, deliver, span](bool allowed, Value payload) {
                 if (!allowed) {
                   runtime().AnnotateSpan(span, "outcome", Value("privacy_filtered"));
                   runtime().EndSpan(span);
                   return;
                 }
-                auto it = viewers_.find(key);
-                if (it == viewers_.end()) {
+                BrassStream* open = runtime().FindStream(key);
+                if (open == nullptr) {
                   runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
                   runtime().EndSpan(span);
                   return;
                 }
                 payload.Set("__type", "StoryTrayAddStory");
-                runtime().DeliverData(*it->second.stream, std::move(payload), deliver);
+                runtime().DeliverData(*open, std::move(payload), deliver);
                 runtime().EndSpan(span);
               });
         }
@@ -128,7 +121,7 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
       continue;
     }
     info->displayed = should_display;
-    if (!viewer.stream->attached()) {
+    if (!stream.attached()) {
       continue;
     }
     runtime().CountDecision(true);
@@ -140,10 +133,10 @@ void StoriesApp::ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger) 
       DeliverOptions deliver;
       deliver.event_created_at = trigger.created_at;
       deliver.parent = trigger.trace;
-      runtime().DeliverData(*viewer.stream, std::move(delta), deliver);
+      runtime().DeliverData(stream, std::move(delta), deliver);
     } else {
       delta.Set("__type", "StoryTrayRemove");
-      runtime().DeliverData(*viewer.stream, std::move(delta), DeliverOptions{});
+      runtime().DeliverData(stream, std::move(delta), DeliverOptions{});
     }
   }
 }

@@ -8,7 +8,6 @@
 #define BLADERUNNER_SRC_APPS_STORIES_H_
 
 #include <map>
-#include <unordered_map>
 
 #include "src/brass/application.h"
 #include "src/brass/runtime.h"
@@ -25,7 +24,6 @@ class StoriesApp : public BrassApplication {
   StoriesApp(BrassRuntime& runtime, StoriesConfig config);
 
   void OnStreamStarted(BrassStream& stream) override;
-  void OnStreamClosed(const StreamKey& key) override;
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
 
@@ -41,16 +39,16 @@ class StoriesApp : public BrassApplication {
     bool displayed = false;
   };
 
-  struct ViewerState {
-    BrassStream* stream = nullptr;
+  // One viewer's state, on its stream's entry.
+  struct ViewerState : BrassStreamState {
     std::map<UserId, ContainerInfo> containers;  // friend -> container state
   };
 
-  // Recomputes the top-n display set and pushes the add/remove deltas.
-  void ReconcileTray(ViewerState& viewer, const UpdateEvent& trigger);
+  // Recomputes the top-n display set of `stream`'s viewer and pushes the
+  // add/remove deltas.
+  void ReconcileTray(BrassStream& stream, ViewerState& viewer, const UpdateEvent& trigger);
 
   StoriesConfig config_;
-  std::unordered_map<StreamKey, ViewerState, StreamKeyHash> viewers_;
 };
 
 }  // namespace bladerunner

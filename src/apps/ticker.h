@@ -23,7 +23,6 @@ class TickerApp : public BrassApplication {
  public:
   TickerApp(BrassRuntime& runtime, TickerConfig config);
 
-  void OnStreamStarted(BrassStream& stream) override { (void)stream; }
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
 

@@ -37,12 +37,6 @@ DeliverOptions TypingDeliverOptions(const UpdateEvent& event, TraceContext span)
 
 }  // namespace
 
-void TypingIndicatorApp::OnStreamStarted(BrassStream& stream) {
-  streams_[stream.key] = &stream;
-}
-
-void TypingIndicatorApp::OnStreamClosed(const StreamKey& key) { streams_.erase(key); }
-
 void TypingIndicatorApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                                  const std::vector<BrassStream*>& streams) {
   (void)topic;
@@ -69,14 +63,14 @@ void TypingIndicatorApp::OnEvent(const Topic& topic, const UpdateEvent& event,
             runtime().ScheduleTimer(
                 transform.Sample(runtime().rng()),
                 [this, key, deliver, span, payload = std::move(payload)]() mutable {
-                  auto it = streams_.find(key);
-                  if (it == streams_.end()) {
+                  BrassStream* open = runtime().FindStream(key);
+                  if (open == nullptr) {
                     runtime().AnnotateSpan(span, "outcome", Value("stream_gone"));
                     runtime().EndSpan(span);
                     return;
                   }
                   payload.Set("__type", "TypingIndicator");
-                  runtime().DeliverData(*it->second, std::move(payload), deliver);
+                  runtime().DeliverData(*open, std::move(payload), deliver);
                   runtime().EndSpan(span);
                 });
           });

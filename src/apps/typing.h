@@ -6,8 +6,6 @@
 #ifndef BLADERUNNER_SRC_APPS_TYPING_H_
 #define BLADERUNNER_SRC_APPS_TYPING_H_
 
-#include <unordered_map>
-
 #include "src/brass/application.h"
 #include "src/brass/runtime.h"
 
@@ -28,8 +26,6 @@ class TypingIndicatorApp : public BrassApplication {
  public:
   TypingIndicatorApp(BrassRuntime& runtime, TypingConfig config);
 
-  void OnStreamStarted(BrassStream& stream) override;
-  void OnStreamClosed(const StreamKey& key) override;
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
 
@@ -39,10 +35,7 @@ class TypingIndicatorApp : public BrassApplication {
   static BrassAppDescriptor Descriptor();
 
  private:
-  void Deliver(const StreamKey& key, const UpdateEvent& event);
-
   TypingConfig config_;
-  std::unordered_map<StreamKey, BrassStream*, StreamKeyHash> streams_;
 };
 
 }  // namespace bladerunner

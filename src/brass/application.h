@@ -10,6 +10,7 @@
 #ifndef BLADERUNNER_SRC_BRASS_APPLICATION_H_
 #define BLADERUNNER_SRC_BRASS_APPLICATION_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -29,11 +30,20 @@ namespace bladerunner {
 
 class BrassRuntime;
 
-// Per-stream state the host keeps on behalf of applications.
+// An application's own per-stream state: an app derives its state type from
+// this and hangs one on BrassStream::app_state. It lives exactly as long as
+// the host's entry for the stream; a destructor may cancel the state's
+// timers, which then never outlive their stream.
+struct BrassStreamState {
+  virtual ~BrassStreamState() = default;
+};
+
+// The host's entry for one stream: the one record of the stream on this
+// host, shared by the host and the stream's application.
 struct BrassStream {
-  // Push interface: set when the host installs the stream and re-pointed
-  // when it resumes; never null. The host erases a BrassStream as its
-  // stream closes.
+  // Push interface: set once, when the host installs the stream (a resume
+  // re-attaches the same ServerStream); never null while the stream is
+  // open. The host erases a BrassStream as its stream closes.
   ServerStream* stream = nullptr;
   StreamKey key;
   UserId viewer = 0;
@@ -46,25 +56,39 @@ struct BrassStream {
   // payloads. Re-read on every (re)subscribe — a resubscribe through an
   // incapable POP clears the stamp and the stream falls back to regional.
   bool pop_placed = false;
+  // The application's state for this stream, made in OnStreamStarted (null
+  // for apps that keep none); see BrassApplication for its lifetime.
+  std::unique_ptr<BrassStreamState> app_state;
 
   bool attached() const { return stream->attached(); }
 };
 
+// The app contract for per-stream state: the host owns every stream, and an
+// app keeps what it needs per stream in the stream's own entry.
+//  - OnStreamStarted makes the state (stream.app_state); StateOf reads it.
+//  - The host destroys it with the entry: right after OnStreamClosed, or,
+//    in a drain or crash, with every entry at once and no OnStreamClosed.
+//  - An asynchronous callback (a fetch completion, a timer) holds the
+//    stream's key, not a pointer, and finds the stream again with
+//    BrassRuntime::FindStream; nullptr means the stream has closed.
 class BrassApplication {
  public:
   explicit BrassApplication(BrassRuntime& runtime) : runtime_(runtime) {}
   virtual ~BrassApplication() = default;
 
   // A new stream for this application was established on this host (after
-  // topic resolution and Pylon subscription). The application typically
-  // initializes per-stream state and may Rewrite the header.
-  virtual void OnStreamStarted(BrassStream& stream) = 0;
+  // topic resolution and Pylon subscription). The application makes its
+  // per-stream state here and may Rewrite the header.
+  virtual void OnStreamStarted(BrassStream& stream) { (void)stream; }
 
   // The stream re-attached after a failure with host-side state intact.
   virtual void OnStreamResumed(BrassStream& stream) { (void)stream; }
 
-  // The stream is gone; drop per-stream state.
-  virtual void OnStreamClosed(const StreamKey& key) { (void)key; }
+  // The stream is closing (cancelled, terminated, or garbage-collected).
+  // The entry and its app_state are still there and are destroyed when
+  // this returns; the transport stream is already gone, so `stream.stream`
+  // must not be used.
+  virtual void OnStreamClosed(BrassStream& stream) { (void)stream; }
 
   // A Pylon update event arrived for `topic`; `streams` are the streams of
   // this application on this host subscribed to the topic. This is where
@@ -87,6 +111,13 @@ class BrassApplication {
 
  protected:
   BrassRuntime& runtime() { return runtime_; }
+
+  // The state this application made for `stream`, as its own type.
+  template <typename State>
+  static State& StateOf(BrassStream& stream) {
+    assert(dynamic_cast<State*>(stream.app_state.get()) != nullptr);
+    return static_cast<State&>(*stream.app_state);
+  }
 
  private:
   BrassRuntime& runtime_;

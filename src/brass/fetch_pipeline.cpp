@@ -36,7 +36,7 @@ FetchPipeline::FetchPipeline(Simulator* sim, RegionId region, RpcChannel* was_ch
       trace_(trace),
       viewers_for_app_(std::move(viewers_for_app)) {
   assert(ctx_.sim() != nullptr && was_channel_ != nullptr && metrics_ != nullptr);
-  assert(trace_ != nullptr);
+  assert(trace_ != nullptr && viewers_for_app_);
   m_.requests = &metrics_->GetCounter("brass.fetch.requests");
   m_.cache_hits = &metrics_->GetCounter("brass.fetch.cache_hits");
   m_.coalesced = &metrics_->GetCounter("brass.fetch.coalesced");
@@ -187,15 +187,13 @@ FetchPipeline::Flight& FetchPipeline::StartOrJoinFlight(const std::string& fligh
     // Prefetch decisions for every current viewer of the app on this host:
     // their streams will want this payload too, and one batched RPC is the
     // whole point (one round trip per host, not per stream).
-    if (viewers_for_app_) {
-      const std::vector<UserId>& viewers = viewers_for_app_(app);
-      assert(std::adjacent_find(viewers.begin(), viewers.end(), std::greater_equal<UserId>()) ==
-             viewers.end());
-      flight.rpc_viewers.assign(
-          viewers.begin(),
-          viewers.begin() + static_cast<std::ptrdiff_t>(
-                                std::min<size_t>(viewers.size(), kMaxBatchViewers)));
-    }
+    const std::vector<UserId>& viewers = viewers_for_app_(app);
+    assert(std::adjacent_find(viewers.begin(), viewers.end(), std::greater_equal<UserId>()) ==
+           viewers.end());
+    flight.rpc_viewers.assign(
+        viewers.begin(),
+        viewers.begin() +
+            static_cast<std::ptrdiff_t>(std::min<size_t>(viewers.size(), kMaxBatchViewers)));
   }
   if (std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
       flight.rpc_viewers.end()) {

@@ -65,7 +65,7 @@ class FetchPipeline {
   using Callback = std::function<void(bool, Value)>;
   // Current viewers of an application on this host, for privacy-check
   // batching: sorted and without duplicates. A new flight copies the first
-  // 64 of them (the batch cap) at once.
+  // 64 of them (the batch cap) at once. Required.
   using ViewerProvider = std::function<const std::vector<UserId>&(const std::string&)>;
   // (viewer, allowed) pairs in the order the decisions were made.
   using ViewerDecisions = std::vector<std::pair<UserId, bool>>;

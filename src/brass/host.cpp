@@ -367,7 +367,7 @@ void BrassHost::TerminateStreamsOnTopic(const Topic& topic, const std::string& d
                                                     EventsTargeted(key, hs->second)});
       auto app = apps_.find(hs->second.app);
       if (app != apps_.end()) {
-        app->second.app->OnStreamClosed(key);
+        app->second.app->OnStreamClosed(hs->second.state);
       }
       EraseStream(hs);
     }
@@ -511,7 +511,10 @@ void BrassHost::OnStreamResumed(ServerStream& stream) {
     OnStreamStarted(stream);
     return;
   }
-  hs->second.state.stream = &stream;
+  // The transport resumes the ServerStream it kept, and the host's entry
+  // goes in the same call that drops a ServerStream: the entry already
+  // points at this one.
+  assert(hs->second.state.stream == &stream);
   // Re-read the placement stamp: a resubscribe through a different POP may
   // have changed (or cleared) it, and the stream must fall back to fully
   // regional processing when the new edge is placement-incapable.
@@ -565,7 +568,7 @@ void BrassHost::OnStreamClosed(const StreamKey& key, TerminateReason reason) {
                                                 EventsTargeted(key, hs->second)});
   auto app = apps_.find(hs->second.app);
   if (app != apps_.end()) {
-    app->second.app->OnStreamClosed(key);
+    app->second.app->OnStreamClosed(hs->second.state);
   }
   EraseStream(hs);
 }
@@ -680,6 +683,11 @@ void BrassHost::FetchPayload(const std::string& app, const Value& metadata,
                              const FetchOptions& options,
                              std::function<void(bool, Value)> callback) {
   fetch_pipeline_->Fetch(app, metadata, options, std::move(callback));
+}
+
+BrassStream* BrassHost::FindStream(const std::string& app, const StreamKey& key) {
+  auto hs = streams_.find(key);
+  return hs != streams_.end() && hs->second.app == app ? &hs->second.state : nullptr;
 }
 
 const std::vector<UserId>& BrassHost::ViewersForApp(const std::string& app) const {

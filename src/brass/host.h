@@ -117,6 +117,8 @@ class BrassHost : public BurstServerHandler {
   void Revive();
 
   // ---- services used by BrassRuntime ----
+  // The open stream with `key` if it belongs to `app`, else nullptr.
+  BrassStream* FindStream(const std::string& app, const StreamKey& key);
   // Payload fetches route through the host's shared fetch pipeline
   // (coalescing, versioned cache, batched privacy checks — see
   // docs/BRASS_FETCH.md); `options.parent` (when valid) nests the fetch's
@@ -336,6 +338,7 @@ class BrassHost : public BurstServerHandler {
   // no topic (asserted).
   HostStream& InstallStream(const StreamKey& key, HostStream host_stream);
   using StreamTable = std::unordered_map<StreamKey, HostStream, StreamKeyHash>;
+  // Both destroy the app state of each entry they drop with it.
   void EraseStream(StreamTable::iterator hs);
   void ClearStreams();
   void AddViewer(const std::string& app, UserId viewer);

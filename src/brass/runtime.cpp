@@ -13,7 +13,7 @@ int64_t BrassRuntime::host_id() const { return host_->host_id(); }
 
 RegionId BrassRuntime::region() const { return host_->region(); }
 
-Simulator& BrassRuntime::sim() { return *host_->sim(); }
+SimContext BrassRuntime::ctx() const { return host_->ctx(); }
 
 Rng& BrassRuntime::rng() { return host_->sim()->rng(); }
 
@@ -21,11 +21,13 @@ MetricsRegistry& BrassRuntime::metrics() { return *host_->metrics(); }
 
 SimTime BrassRuntime::Now() { return host_->sim()->Now(); }
 
+BrassStream* BrassRuntime::FindStream(const StreamKey& key) {
+  return host_->FindStream(app_name_, key);
+}
+
 TimerId BrassRuntime::ScheduleTimer(SimTime delay, std::function<void()> fn) {
   return host_->ctx().Schedule(delay, GuardAlive(std::move(fn)));
 }
-
-bool BrassRuntime::CancelTimer(TimerId id) { return host_->sim()->Cancel(id); }
 
 void BrassRuntime::FetchPayload(const Value& metadata, const FetchOptions& options,
                                 std::function<void(bool, Value)> callback) {

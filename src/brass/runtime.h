@@ -32,14 +32,20 @@ class BrassRuntime {
   const std::string& app_name() const { return app_name_; }
   int64_t host_id() const;
   RegionId region() const;
-  Simulator& sim();
+  // The host's simulation context: a per-stream state that owns a timer
+  // keeps it to cancel the timer as the state is destroyed.
+  SimContext ctx() const;
   Rng& rng();
   MetricsRegistry& metrics();
   SimTime Now();
 
+  // ---- streams ----
+  // This application's open stream with `key` on this host, or nullptr (the
+  // stream closed, or the key names another application's stream).
+  BrassStream* FindStream(const StreamKey& key);
+
   // ---- event loop ----
   TimerId ScheduleTimer(SimTime delay, std::function<void()> fn);
-  bool CancelTimer(TimerId id);
 
   // ---- backend calls ----
 

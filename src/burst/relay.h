@@ -396,11 +396,10 @@ class BurstRelay : public ConnectionHandler {
   // §4 axiom 2: the upstream connection is gone, and this hop is the
   // closest survivor below it. Each of its streams is repaired in turn
   // through whatever upstream Route now names, with the stored request.
+  // `lost` comes from up_by_conn_, whose entries come and go with ups_'s.
   void RepairUpstream(int64_t lost) {
     auto link = ups_.find(lost);
-    if (link == ups_.end()) {
-      return;
-    }
+    assert(link != ups_.end());
     hop_.up_losses->Increment();
     std::vector<StreamKey> affected(link->second.streams.begin(), link->second.streams.end());
     up_by_conn_.erase(link->second.end->connection_id());

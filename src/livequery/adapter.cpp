@@ -25,12 +25,6 @@ BrassAppDescriptor LiveQueryAdapterApp::Descriptor(const LiveQueryAppSpec& spec)
   return descriptor;
 }
 
-void LiveQueryAdapterApp::OnStreamStarted(BrassStream& stream) {
-  streams_[stream.key] = &stream;
-}
-
-void LiveQueryAdapterApp::OnStreamClosed(const StreamKey& key) { streams_.erase(key); }
-
 void LiveQueryAdapterApp::OnEvent(const Topic& topic, const UpdateEvent& event,
                                   const std::vector<BrassStream*>& streams) {
   const std::string& op = event.metadata.Get("op").AsString();
@@ -72,7 +66,7 @@ void LiveQueryAdapterApp::OnEvent(const Topic& topic, const UpdateEvent& event,
             payload.Set("op", op);
             payload.Set("index", metadata.Get("index"));
             payload.Set("viewSeq", metadata.Get("viewSeq"));
-            Deliver(key, std::move(payload), deliver);
+            Deliver(runtime().FindStream(key), std::move(payload), deliver);
           });
     } else {
       // Metadata-only op ("remove", "count", "invalidate", or a content op
@@ -88,20 +82,19 @@ void LiveQueryAdapterApp::OnEvent(const Topic& topic, const UpdateEvent& event,
       Value payload = event.metadata;
       payload.Set("__type", "LiveQueryOp");
       payload.Set("topic", topic);
-      Deliver(stream->key, std::move(payload), deliver);
+      Deliver(stream, std::move(payload), deliver);
     }
   }
 }
 
-void LiveQueryAdapterApp::Deliver(const StreamKey& key, Value payload,
+void LiveQueryAdapterApp::Deliver(BrassStream* stream, Value payload,
                                   const DeliverOptions& options) {
-  auto it = streams_.find(key);
-  if (it == streams_.end() || !it->second->attached()) {
+  if (stream == nullptr || !stream->attached()) {
     runtime().AnnotateSpan(options.parent, "outcome", Value("stream_gone"));
     runtime().EndSpan(options.parent);
     return;
   }
-  runtime().DeliverData(*it->second, std::move(payload), options);
+  runtime().DeliverData(*stream, std::move(payload), options);
   runtime().EndSpan(options.parent);
 }
 

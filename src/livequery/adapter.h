@@ -9,7 +9,6 @@
 #ifndef BLADERUNNER_SRC_LIVEQUERY_ADAPTER_H_
 #define BLADERUNNER_SRC_LIVEQUERY_ADAPTER_H_
 
-#include <map>
 #include <string>
 
 #include "src/brass/application.h"
@@ -30,8 +29,6 @@ class LiveQueryAdapterApp : public BrassApplication {
  public:
   LiveQueryAdapterApp(BrassRuntime& runtime, LiveQueryAppSpec spec);
 
-  void OnStreamStarted(BrassStream& stream) override;
-  void OnStreamClosed(const StreamKey& key) override;
   void OnEvent(const Topic& topic, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override;
 
@@ -39,10 +36,11 @@ class LiveQueryAdapterApp : public BrassApplication {
   static BrassAppDescriptor Descriptor(const LiveQueryAppSpec& spec);
 
  private:
-  void Deliver(const StreamKey& key, Value payload, const DeliverOptions& options);
+  // Delivers on `stream`, or, when it is null (closed) or detached, ends the
+  // op's span as "stream_gone".
+  void Deliver(BrassStream* stream, Value payload, const DeliverOptions& options);
 
   LiveQueryAppSpec spec_;
-  std::map<StreamKey, BrassStream*> streams_;
   Counter* invalid_view_seq_ = nullptr;  // lazy handle (docs/PERF.md)
 };
 

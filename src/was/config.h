@@ -25,9 +25,6 @@ struct WasConfig {
   // read; Table 3 attributes ~60 ms of BRASS time to the WAS query.
   double fetch_base_ms = 42.0;
 
-  // Fraction of posted comments the spam/quality filter drops outright.
-  double comment_spam_rate = 0.20;
-
   // ---- LVC hot-video strategy switch (§3.4) ----
   // When a video's comment index becomes hot (partition count passes the
   // threshold), the WAS pre-ranks: very high-quality comments publish to

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -357,6 +358,20 @@ TEST_F(BrassTest, StreamClosedBeforeDispatchDoesNotReachTheApp) {
 
 // ---- dispatch plans and Fig. 7 counts (docs/PERF.md §11) ----
 
+class DispatchModel;
+
+// The state RecordingApp hangs on each stream it starts: the stream's key and
+// a serial of its own, reported to the model as the state is destroyed.
+struct RecordedState : BrassStreamState {
+  RecordedState(DispatchModel* model, StreamKey key, uint64_t serial)
+      : model(model), key(key), serial(serial) {}
+  ~RecordedState() override;
+
+  DispatchModel* model;
+  StreamKey key;
+  uint64_t serial;
+};
+
 // A reference model of how a host hands a Pylon event to its apps and
 // counts Fig. 7 events, evaluated per event by brute force as the host did
 // before it cached dispatch plans. A topic lists the keys of the streams
@@ -365,6 +380,10 @@ TEST_F(BrassTest, StreamClosedBeforeDispatchDoesNotReachTheApp) {
 // key race, only the latest installs. An event targets every key its topic
 // lists that has a stream; each app gets its keys in StreamKey order, minus
 // those whose stream left before the dispatch.
+//
+// Each started stream's app state lives as long as the host's entry: it is
+// destroyed once, after OnStreamClosed has seen it, or, without a close,
+// by a drain or crash (StreamsClearing .. StreamsCleared).
 class DispatchModel {
  public:
   explicit DispatchModel(MetricsRegistry* metrics)
@@ -372,18 +391,26 @@ class DispatchModel {
         unsubscribed_(&metrics->GetCounter("brass.events_unsubscribed_topic")) {}
 
   // ---- host changes, reported as the host makes them ----
-  void Started(const std::string& app, const BrassStream& stream) {
+  // Returns the serial of the stream's state.
+  uint64_t Started(const std::string& app, const BrassStream& stream) {
     Sync();
     replacements_ += streams_.count(stream.key);
-    streams_[stream.key] = Stream{app, stream.topics, 0};
+    const uint64_t serial = states_.size() + 1;
+    states_[serial] = State{};
+    streams_[stream.key] = Stream{app, stream.topics, 0, serial};
+    keys_.insert(stream.key);
     for (const Topic& topic : stream.topics) {
       topics_[topic].insert(stream.key);
     }
+    return serial;
   }
-  void Closed(const StreamKey& key) {
+  void Closed(const BrassStream& stream) {
     Sync();
+    const StreamKey& key = stream.key;
+    ExpectOwnState(stream);
     auto it = streams_.find(key);
     ASSERT_NE(it, streams_.end()) << key.ToString();
+    states_[it->second.state].closed = true;
     for (const Topic& topic : it->second.topics) {
       auto listed = topics_.find(topic);
       if (listed != topics_.end() && listed->second.erase(key) > 0 && listed->second.empty()) {
@@ -394,8 +421,22 @@ class DispatchModel {
     streams_.erase(it);
     ++removals_;
   }
+  void StateDestroyed(uint64_t serial) {
+    State& state = states_[serial];
+    EXPECT_FALSE(state.destroyed) << "state " << serial << " destroyed twice";
+    EXPECT_TRUE(state.closed || clearing_)
+        << "state " << serial << " destroyed before OnStreamClosed saw it";
+    state.destroyed = true;
+  }
+  // A drain or crash is about to drop every stream at once.
+  void StreamsClearing() { clearing_ = true; }
   void StreamsCleared() {
     Sync();
+    for (const auto& [key, stream] : streams_) {
+      EXPECT_TRUE(states_[stream.state].destroyed)
+          << key.ToString() << "'s state outlived its stream";
+    }
+    clearing_ = false;
     streams_.clear();
     ++removals_;
   }
@@ -452,6 +493,7 @@ class DispatchModel {
     std::vector<std::string> got;
     for (const BrassStream* stream : streams) {
       got.push_back(stream->key.ToString());
+      ExpectOwnState(*stream);
       auto current = streams_.find(stream->key);
       if (current != streams_.end()) {
         EXPECT_EQ(stream->topics, current->second.topics) << "a pointer to a replaced stream";
@@ -460,6 +502,39 @@ class DispatchModel {
     EXPECT_EQ(got, want) << app << ", event " << event.event_id;
     EXPECT_TRUE(arrival->second.dispatched.insert(app).second) << "dispatched twice";
     ++dispatches_;
+  }
+
+  // `find` is the app's BrassRuntime::FindStream, asked during a dispatch:
+  // it finds each dispatched stream, and, of every key the host has
+  // started, exactly the keys open with `app`, each as the stream that
+  // carries its state.
+  void ExpectFindStream(const std::string& app, const std::vector<BrassStream*>& dispatched,
+                        const std::function<BrassStream*(const StreamKey&)>& find) const {
+    for (BrassStream* stream : dispatched) {
+      EXPECT_EQ(find(stream->key), stream) << stream->key.ToString();
+    }
+    for (const StreamKey& key : keys_) {
+      const BrassStream* found = find(key);
+      auto open = streams_.find(key);
+      if (open == streams_.end() || open->second.app != app) {
+        EXPECT_EQ(found, nullptr) << app << " found " << key.ToString();
+        continue;
+      }
+      ASSERT_NE(found, nullptr) << app << " lost " << key.ToString();
+      ExpectOwnState(*found);
+    }
+  }
+
+  // Every started stream's state is destroyed exactly when its stream has
+  // left the host.
+  void ExpectStates() const {
+    std::set<uint64_t> open;
+    for (const auto& [key, stream] : streams_) {
+      open.insert(stream.state);
+    }
+    for (const auto& [serial, state] : states_) {
+      EXPECT_EQ(state.destroyed, open.count(serial) == 0) << "state " << serial;
+    }
   }
 
   // Every group reached its app unless a stream left after its arrival.
@@ -510,7 +585,23 @@ class DispatchModel {
     std::string app;
     std::vector<Topic> topics;
     uint64_t events = 0;
+    uint64_t state = 0;  // serial of its app state
   };
+  struct State {
+    bool closed = false;  // OnStreamClosed saw it
+    bool destroyed = false;
+  };
+
+  // `stream` is open and carries the live state its app made for it.
+  void ExpectOwnState(const BrassStream& stream) const {
+    const auto* state = dynamic_cast<const RecordedState*>(stream.app_state.get());
+    ASSERT_NE(state, nullptr) << stream.key.ToString() << " carries no state";
+    auto open = streams_.find(stream.key);
+    ASSERT_NE(open, streams_.end()) << stream.key.ToString();
+    EXPECT_EQ(state->key, stream.key);
+    EXPECT_EQ(state->serial, open->second.state) << stream.key.ToString();
+    EXPECT_FALSE(states_.at(state->serial).destroyed) << stream.key.ToString();
+  }
   struct Pending {
     Topic topic;
     uint64_t id = 0;
@@ -527,6 +618,9 @@ class DispatchModel {
   Counter* unsubscribed_;
   std::map<Topic, std::set<StreamKey>> topics_;
   std::map<StreamKey, Stream> streams_;
+  std::set<StreamKey> keys_;            // every key a stream started with
+  std::map<uint64_t, State> states_;    // by serial
+  bool clearing_ = false;
   std::vector<std::pair<StreamKey, uint64_t>> closed_;
   std::optional<Pending> pending_;
   std::map<uint64_t, Arrival> arrivals_;
@@ -535,17 +629,25 @@ class DispatchModel {
   int64_t replacements_ = 0;
 };
 
-// Reports every stream start, close and event dispatch to the model.
+RecordedState::~RecordedState() { model->StateDestroyed(serial); }
+
+// Reports every stream start, close and event dispatch to the model, gives
+// each stream a RecordedState, and checks FindStream at every dispatch.
 class RecordingApp : public BrassApplication {
  public:
   RecordingApp(BrassRuntime& runtime, std::string name, DispatchModel* model)
       : BrassApplication(runtime), name_(std::move(name)), model_(model) {}
 
-  void OnStreamStarted(BrassStream& stream) override { model_->Started(name_, stream); }
-  void OnStreamClosed(const StreamKey& key) override { model_->Closed(key); }
+  void OnStreamStarted(BrassStream& stream) override {
+    stream.app_state =
+        std::make_unique<RecordedState>(model_, stream.key, model_->Started(name_, stream));
+  }
+  void OnStreamClosed(BrassStream& stream) override { model_->Closed(stream); }
   void OnEvent(const Topic&, const UpdateEvent& event,
                const std::vector<BrassStream*>& streams) override {
     model_->Dispatched(name_, event, streams);
+    model_->ExpectFindStream(name_, streams,
+                             [this](const StreamKey& key) { return runtime().FindStream(key); });
   }
 
  private:
@@ -605,6 +707,9 @@ class DispatchWorld {
     events_ = std::make_unique<RpcChannel>(&sim_, host_->event_rpc(), LatencyModel::Fixed(1.0));
     Connect();
   }
+  // The host's own destruction drops its open streams' states, as a drain
+  // does.
+  ~DispatchWorld() { model_.StreamsClearing(); }
 
   BrassHost& host() { return *host_; }
   DispatchModel& model() { return model_; }
@@ -657,11 +762,13 @@ class DispatchWorld {
     model_.Sync();
   }
   void Drain() {
+    model_.StreamsClearing();
     host_->Drain();
     model_.StreamsCleared();
     model_.TopicsCleared();
   }
   void Fail() {
+    model_.StreamsClearing();
     host_->FailHost();
     model_.StreamsCleared();
     // Right after the host's own withdrawal, 800 ms from now, unless a
@@ -709,7 +816,8 @@ class DispatchWorld {
 // Seeded random lifetimes against the model: multi-topic streams, duplicate
 // topics, several apps on one topic, closes inside the dispatch window,
 // re-subscribes of live keys, resolves of one key that race, drains, and
-// fails followed by revives.
+// fails followed by revives. Along the way the model checks each stream's
+// app state (made, carried, found and destroyed with the host's entry).
 class DispatchPlanPropertyTest : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
@@ -793,10 +901,12 @@ TEST_P(DispatchPlanPropertyTest, MatchesBruteForceGroupingAndCounts) {
     world.Run(Micros(static_cast<int64_t>(pick(12000))));
     if (step % 25 == 0) {
       world.model().ExpectCounts(world.host());
+      world.model().ExpectStates();
     }
   }
   world.Run(Seconds(10));
   world.model().ExpectCounts(world.host());
+  world.model().ExpectStates();
   world.model().ExpectEveryGroupDispatched();
   // The draws reached the cases the plan cache must get right.
   EXPECT_GT(world.model().dispatches(), 100);

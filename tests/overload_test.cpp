@@ -537,7 +537,6 @@ TEST(PushPacerTest, DestroyedOrAssignedOverPacerNeverReleases) {
 class PushEveryEventApp : public BrassApplication {
  public:
   using BrassApplication::BrassApplication;
-  void OnStreamStarted(BrassStream&) override {}
   void OnEvent(const Topic&, const UpdateEvent&,
                const std::vector<BrassStream*>& streams) override {
     for (BrassStream* stream : streams) {
